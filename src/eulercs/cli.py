@@ -44,11 +44,45 @@ def _write_manifest(out_path, subcommand, args, seed, inputs, outputs, wall):
         f.write("\n")
 
 
-def _parse_int_pair(text, what, count=2):
-    parts = text.split(",")
-    if len(parts) != count:
-        raise InvalidInput(f"{what} expects {count} comma-separated integers")
-    return tuple(int(p) for p in parts)
+def _parse_ints(text, what, count=None):
+    """Comma-separated integers; `count` of them when given."""
+    try:
+        values = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or (count is not None and len(values) != count):
+        raise InvalidInput(f"{what} expects {count or 'a list of'} "
+                           f"comma-separated integers, got {text!r}")
+    return values
+
+
+def _matrix_spec(args):
+    """The MatrixSpec named by the matrix selector flags of gen or bench sweep."""
+    MatrixSpec = experiments.MatrixSpec
+    if args.index is not None:
+        n, k = _parse_ints(args.index, "--index", 2)
+        return MatrixSpec(family="euler", n=n, k=k)
+    if args.rows is not None:
+        return MatrixSpec(family="rows", row_size=args.rows)
+    if getattr(args, "extend", None) is not None:
+        return MatrixSpec(family="extended", n=args.extend)
+    if getattr(args, "ternary", None) is not None:
+        p, i, j = _parse_ints(args.ternary, "--ternary", 3)
+        return MatrixSpec(family="ternary", p=p, i=i, j=j)
+    if getattr(args, "family", None) in ("gaussian", "bernoulli"):
+        if args.m is None or args.M is None:
+            raise InvalidInput("--family gaussian/bernoulli needs --m and --M")
+        return MatrixSpec(family=args.family, m=args.m, M=args.M, seed=args.seed)
+    raise InvalidInput("select a matrix: --index, --rows, or --family with --m/--M")
+
+
+def _patch_square_spec(rows, P):
+    """The index (P, rows/P) square that compresses P x P patches to `rows`."""
+    if rows % P:
+        raise IndexNotConstructible(
+            f"row size {rows} is not a multiple of patch edge {P} "
+            f"(need an index ({P}, m/{P}) square)")
+    return experiments.MatrixSpec(family="euler", n=P, k=rows // P)
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +90,7 @@ def _parse_int_pair(text, what, count=2):
 
 def cmd_gen(args):
     t0 = time.perf_counter()
-    if args.index:
-        n, k = _parse_int_pair(args.index, "--index")
-        mat = construct.build_binary_matrix(euler_square(n, k))
-    elif args.rows:
-        mat = construct.build_for_row_size(args.rows)
-    elif args.extend:
-        mat, _plan = construct.build_extended(args.extend)
-    else:
-        p, i, j = _parse_int_pair(args.ternary, "--ternary", 3)
-        mat = construct.build_ternary(p, i, j)
+    mat = _matrix_spec(args).build()
     if args.format == "esm":
         construct.save_esm(mat, args.out)
     else:
@@ -80,47 +105,45 @@ def cmd_gen(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def _rebuild_from_provenance(provenance):
-    tokens = provenance.split()
-    fields = dict(tok.split("=") for tok in tokens if "=" in tok)
-    if tokens and tokens[0] == "euler":
-        return construct.build_binary_matrix(
-            euler_square(int(fields["n"]), int(fields["k"])))
-    if tokens and tokens[0] == "rows":
-        return construct.build_for_row_size(int(fields["m"]))
-    if tokens and tokens[0] == "extended":
-        return construct.build_extended(int(fields["n"]))[0]
-    if tokens and tokens[0] == "ternary":
-        return construct.build_ternary(int(fields["p"]), int(fields["i"]),
-                                       int(fields["j"]))
-    return None
+def _rebuild_failures(mat, spec):
+    """Ways `mat` differs from the matrix its provenance spec builds."""
+    try:
+        rebuilt = spec.build()
+    except EulerCSError as exc:
+        return [f"provenance {mat.provenance!r} cannot be rebuilt: {exc}"]
+    same = ((rebuilt.m, rebuilt.M, rebuilt.alphabet, rebuilt.k, rebuilt.provenance)
+            == (mat.m, mat.M, mat.alphabet, mat.k, mat.provenance)
+            and np.array_equal(rebuilt.rows, mat.rows)
+            and np.array_equal(rebuilt.vals, mat.vals))
+    if not same:
+        return ["matrix does not match its provenance rebuild"]
+    if spec.family == "euler":
+        val = validate_euler_square(euler_square(spec.n, spec.k))
+        if not val.ok:
+            return [f"euler square validation: {val.message}"]
+    return []
 
 
 def cmd_verify(args):
+    """Print the exhaustive coherence report, then check the provenance.
+
+    Provenance of the euler, rows, extended and ternary families (the
+    lines their constructions write) is parsed into a MatrixSpec and
+    rebuilt.  The file must then keep column overlap <= 1 and match the
+    rebuild in shape, alphabet, column weight, support, values and
+    provenance; an euler square must also validate.  A malformed line of
+    those families is a ParseError, and a claim that cannot be built
+    fails.  Any other provenance is only reported.
+    """
     mat = construct.load_esm(args.matrix)
+    spec = experiments.MatrixSpec.from_provenance(mat.provenance)
     report = props.coherence(mat)
     sys.stdout.write(report.to_text())
     failures = []
-    if any(tag in mat.provenance.split()[:1]
-           for tag in ("euler", "rows", "extended", "ternary")):
+    if spec is not None:
         if report.max_overlap > 1:
             failures.append(f"max column overlap {report.max_overlap} exceeds 1")
-        rebuilt = None
-        try:
-            rebuilt = _rebuild_from_provenance(mat.provenance)
-        except EulerCSError:
-            pass
-        if rebuilt is not None:
-            if not (np.array_equal(rebuilt.rows, mat.rows)
-                    and np.array_equal(rebuilt.vals, mat.vals)):
-                failures.append("matrix does not match its provenance rebuild")
-            elif mat.provenance.split()[0] == "euler":
-                fields = dict(tok.split("=") for tok in mat.provenance.split()
-                              if "=" in tok)
-                square = euler_square(int(fields["n"]), int(fields["k"]))
-                val = validate_euler_square(square)
-                if not val.ok:
-                    failures.append(f"euler square validation: {val.message}")
+        failures += _rebuild_failures(mat, spec)
     if failures:
         for msg in failures:
             print(f"FAIL: {msg}", file=sys.stderr)
@@ -131,20 +154,6 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------------------
 # bench
-
-def _sweep_matrix_spec(args):
-    if args.index:
-        n, k = _parse_int_pair(args.index, "--index")
-        return experiments.MatrixSpec(family="euler", n=n, k=k)
-    if args.rows:
-        return experiments.MatrixSpec(family="rows", row_size=args.rows)
-    if args.family in ("gaussian", "bernoulli"):
-        if args.m is None or args.M is None:
-            raise InvalidInput("--family gaussian/bernoulli needs --m and --M")
-        return experiments.MatrixSpec(family=args.family, m=args.m, M=args.M,
-                                      seed=args.seed)
-    raise InvalidInput("select a matrix: --index, --rows, or --family with --m/--M")
-
 
 def _emit_report(report, out, args, seed, inputs, extra_outputs=()):
     outputs = list(extra_outputs)
@@ -159,8 +168,8 @@ def _emit_report(report, out, args, seed, inputs, extra_outputs=()):
 
 
 def cmd_bench_sweep(args):
-    spec = _sweep_matrix_spec(args)
-    levels = (tuple(int(v) for v in args.levels.split(","))
+    spec = _matrix_spec(args)
+    levels = (_parse_ints(args.levels, "--levels")
               if args.levels else tuple(range(1, args.kmax + 1)))
     cfg = experiments.SweepConfig(matrix=spec, sparsity_levels=levels,
                                   trials=args.trials,
@@ -172,7 +181,7 @@ def cmd_bench_sweep(args):
 
 
 def cmd_bench_phase(args):
-    row_sizes = [int(v) for v in args.rows.split(",")]
+    row_sizes = list(_parse_ints(args.rows, "--rows"))
     report = experiments.run_phase_transition(
         args.M, row_sizes, fraction=args.fraction, trials=args.trials,
         solver=args.solver, master_seed=args.seed, family=args.family)
@@ -184,15 +193,11 @@ def cmd_bench_recon(args):
     image = imaging.read_pgm(args.image)
     P = args.patch
     if args.family == "euler":
-        if args.rows % P:
-            raise IndexNotConstructible(
-                f"row size {args.rows} is not a multiple of patch edge {P} "
-                f"(need an index ({P}, m/{P}) square)")
-        A = construct.build_binary_matrix(
-            euler_square(P, args.rows // P)).to_dense().astype(float)
+        spec = _patch_square_spec(args.rows, P)
     else:
-        A = experiments.make_matrix(experiments.MatrixSpec(
-            family=args.family, m=args.rows, M=P * P, seed=args.seed))
+        spec = experiments.MatrixSpec(family=args.family, m=args.rows, M=P * P,
+                                      seed=args.seed)
+    A = experiments.make_matrix(spec)
     recon, report = experiments.run_patch_reconstruction(
         image, A, P, levels=args.levels, solver=args.solver)
     imaging.write_pgm(recon, args.out + ".pgm")
@@ -208,7 +213,7 @@ def cmd_recover(args):
     mat = construct.load_esm(args.matrix)
     y = np.loadtxt(args.y, delimiter=",").ravel()
     K = args.k if args.k is not None else mat.m // 2
-    A = mat.to_dense().astype(float)
+    A = mat.to_dense()
     result = experiments._solve(A, y, K, args.solver)
     np.savetxt(args.out, result.estimate[None, :], delimiter=",")
     _write_manifest(args.out, "recover", args, None, [args.matrix, args.y],
@@ -234,10 +239,7 @@ def _scan_images(directory):
 def cmd_cbir_index(args):
     t0 = time.perf_counter()
     P = args.patch
-    if args.rows % P:
-        raise IndexNotConstructible(
-            f"row size {args.rows} is not a multiple of patch edge {P}")
-    mat = construct.build_binary_matrix(euler_square(P, args.rows // P))
+    mat = _patch_square_spec(args.rows, P).build()
     entries = _scan_images(args.images)
     if not entries:
         raise InvalidInput(f"no .pgm images found in {args.images}")

@@ -204,5 +204,8 @@ def from_text(text: str) -> EulerSquare:
             vals = cell.split(",")
             if len(vals) != k:
                 raise ParseError(f"expected {k} coordinates in cell", line=i + 2)
-            cells[i, j] = [int(v) for v in vals]
+            try:
+                cells[i, j] = [int(v) for v in vals]
+            except ValueError:
+                raise ParseError(f"non-integer coordinate in cell {cell!r}", line=i + 2)
     return EulerSquare(n=n, k=k, cells=cells, provenance="from-text")

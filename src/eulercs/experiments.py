@@ -4,16 +4,12 @@ Every trial draws its signal from a substream keyed by (master seed,
 level, trial index), so a report is fully determined by its config.
 Reports carry raw success counts next to percentages so statistical
 re-tests do not have to re-run the solver.
-
-ES_THREADS caps the worker count for per-level trial parallelism;
-results are order-stable regardless of the thread count.
 """
 
 import json
 import math
-import os
+import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,18 +17,24 @@ import numpy as np
 from . import recovery
 from .construct import (SensingMatrix, build_binary_matrix, build_extended,
                         build_for_row_size, build_ternary)
-from .errors import ConvergenceFailure, InvalidInput, ShapeError
+from .errors import ConvergenceFailure, InvalidInput, ParseError, ShapeError
 from .euler import euler_square
 from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 
 REPORT_VERSION = "1"
 
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ES_THREADS", "1")))
-    except ValueError:
-        return 1
+# Deterministic family -> (the provenance line its construction writes,
+# as a pattern whose named groups are MatrixSpec fields; the builder).
+_FAMILIES = {
+    "euler": (r"euler n=(?P<n>\d+) k=(?P<k>\d+)",
+              lambda s: build_binary_matrix(euler_square(s.n, s.k))),
+    "rows": (r"rows m=(?P<row_size>\d+) via euler n=\d+ k=\d+",
+             lambda s: build_for_row_size(s.row_size)),
+    "extended": (r"extended n=(?P<n>\d+) k=\d+ stages=\d+",
+                 lambda s: build_extended(s.n)[0]),
+    "ternary": (r"ternary p=(?P<p>\d+) i=(?P<i>\d+) j=(?P<j>\d+) hadamard=\d+",
+                lambda s: build_ternary(s.p, s.i, s.j)),
+}
 
 
 @dataclass(frozen=True)
@@ -49,22 +51,35 @@ class MatrixSpec:
     j: int = None
     seed: int = None
 
+    @classmethod
+    def from_provenance(cls, text: str):
+        """The spec a construction's provenance line names.
+
+        Returns None when the first token is not a deterministic family;
+        raises ParseError when it is one but the line has another form.
+        """
+        family = (text.split() or [""])[0]
+        if family not in _FAMILIES:
+            return None
+        match = re.fullmatch(_FAMILIES[family][0], text, re.ASCII)
+        if match is None:
+            raise ParseError(f"provenance {text!r} is not a well-formed {family} line")
+        return cls(family=family, **{f: int(v) for f, v in match.groupdict().items()})
+
+    def build(self) -> SensingMatrix:
+        """Run the deterministic construction this spec names."""
+        if self.family not in _FAMILIES:
+            raise InvalidInput(f"{self.family!r} is not a deterministic matrix family")
+        return _FAMILIES[self.family][1](self)
+
 
 def make_matrix(spec: MatrixSpec) -> np.ndarray:
     """Dense float measurement matrix for a MatrixSpec."""
-    if spec.family == "euler":
-        return build_binary_matrix(euler_square(spec.n, spec.k)).to_dense().astype(float)
-    if spec.family == "rows":
-        return build_for_row_size(spec.row_size).to_dense().astype(float)
-    if spec.family == "extended":
-        return build_extended(spec.n)[0].to_dense().astype(float)
-    if spec.family == "ternary":
-        return build_ternary(spec.p, spec.i, spec.j).to_dense().astype(float)
     if spec.family == "gaussian":
         return recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
     if spec.family == "bernoulli":
         return recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
-    raise InvalidInput(f"unknown matrix family {spec.family!r}")
+    return spec.build().to_dense()
 
 
 @dataclass
@@ -132,20 +147,12 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     A = make_matrix(cfg.matrix)
     m, M = A.shape
     rows = []
-    threads = worker_count()
     for level in cfg.sparsity_levels:
         if not 1 <= level <= m:
             raise InvalidInput(f"sparsity level {level} outside 1..{m}")
-        seeds = [(cfg.master_seed, level, t) for t in range(cfg.trials)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(
-                    lambda s: _run_trial(A, M, level, cfg.solver, cfg.threshold_db, s),
-                    seeds))
-        else:
-            outcomes = [_run_trial(A, M, level, cfg.solver, cfg.threshold_db, s)
-                        for s in seeds]
-        successes = sum(outcomes)
+        successes = sum(_run_trial(A, M, level, cfg.solver, cfg.threshold_db,
+                                   (cfg.master_seed, level, t))
+                        for t in range(cfg.trials))
         rows.append({"k": int(level), "successes": int(successes),
                      "trials": cfg.trials,
                      "success_pct": 100.0 * successes / cfg.trials})
@@ -236,7 +243,7 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
     down-sampling factor M/m.
     """
     t0 = time.perf_counter()
-    A = Phi.to_dense().astype(float) if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
+    A = Phi.to_dense() if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
     m, M = A.shape
     if M != patch * patch:
         raise ShapeError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")

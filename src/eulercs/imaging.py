@@ -116,7 +116,7 @@ def extract_features(image: np.ndarray, T: SensingMatrix, P: int,
     if T.M != P * P:
         raise ShapeError(f"matrix has {T.M} columns, patch needs {P * P}")
     grid, patches = patchify(image, P)
-    A = T.to_dense().astype(np.float64)
+    A = T.to_dense()
     coeffs = np.stack([haar_forward(p, levels) for p in patches])   # (M', P*P)
     return (coeffs @ A.T).ravel()
 
@@ -287,9 +287,14 @@ def read_pgm(path: str) -> np.ndarray:
         raise ParseError("only 8-bit PGM supported", line=1)
     if magic == b"P5":
         raster = data[i + 1: i + 1 + w * h]
+        if len(raster) < w * h:
+            raise ParseError(f"P5 raster holds {len(raster)} of {w * h} bytes")
         img = np.frombuffer(raster, dtype=np.uint8, count=w * h)
     else:
-        img = np.array([int(t) for t in data[i:].split()[: w * h]], dtype=np.uint8)
+        samples = data[i:].split()[: w * h]
+        if len(samples) < w * h:
+            raise ParseError(f"P2 image lists {len(samples)} of {w * h} samples")
+        img = np.array([int(t) for t in samples], dtype=np.uint8)
     return img.reshape(h, w).astype(np.float64)
 
 

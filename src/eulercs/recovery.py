@@ -46,7 +46,7 @@ class RecoveryResult:
 
 def _as_dense(Phi) -> np.ndarray:
     if isinstance(Phi, SensingMatrix):
-        return Phi.to_dense().astype(np.float64)
+        return Phi.to_dense()
     return np.asarray(Phi, dtype=np.float64)
 
 

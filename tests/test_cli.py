@@ -46,6 +46,19 @@ def test_gen_ternary_and_csv(tmp_path):
     assert np.loadtxt(csv_out, delimiter=",").shape == (20, 100)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--index", "a,b"],
+    ["gen", "--ternary", "5,x,1"],
+    ["bench", "sweep", "--index", "a,b"],
+    ["bench", "sweep", "--index", "3,2", "--levels", "1,two"],
+    ["bench", "phase", "--M", "121", "--rows", "22,x"],
+], ids=["gen_index", "gen_ternary", "sweep_index",
+        "sweep_levels", "phase_rows"])
+def test_int_list_flags_fail_closed(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "comma-separated integers" in capsys.readouterr().err
+
+
 def test_gen_requires_one_selector(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["gen", "--index", "3,2", "--rows", "6", "--out", "x"])
@@ -79,14 +92,34 @@ def test_verify_reports_coherence(tmp_path, capsys):
     assert "welch=0.1" in stdout
 
 
-def test_verify_detects_corruption(tmp_path, capsys):
+@pytest.mark.parametrize("index, line, text, message", [
+    # legal support, but not the one the square dictates
+    ("3,2", 2, "1 5", "does not match"),
+    ("11,5", 1, "euler n=x k=5", "not a well-formed euler line"),
+    ("11,5", 1, "euler k=5", "not a well-formed euler line"),
+    ("11,5", 1, "euler n=11 k=5 a=b=c", "not a well-formed euler line"),
+    ("11,5", 1, "euler n=6 k=2", "cannot be rebuilt"),
+    ("11,5", 0, "ESM v1 rows=60 cols=121 alphabet=binary k=5", "does not match"),
+], ids=["column_support", "non_integer", "missing_field", "trailing_token",
+        "unbuildable", "header_rows"])
+def test_verify_detects_corruption(tmp_path, capsys, index, line, text, message):
+    out = str(tmp_path / "m.esm")
+    run(["gen", "--index", index, "--out", out])
+    lines = open(out).read().splitlines()
+    lines[line] = text
+    open(out, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", out]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_verify_reports_unknown_provenance(tmp_path):
     out = str(tmp_path / "m.esm")
     run(["gen", "--index", "3,2", "--out", out])
     lines = open(out).read().splitlines()
-    lines[2] = "1 5"  # legal support, but not the one the square dictates
+    lines[1] = "from-text"
     open(out, "w").write("\n".join(lines) + "\n")
-    assert run(["verify", out]) == 1
-    assert "does not match" in capsys.readouterr().err
+    assert run(["verify", out]) == 0
 
 
 def test_verify_malformed_file(tmp_path):

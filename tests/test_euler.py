@@ -179,3 +179,10 @@ def test_from_text_bad_header():
     with pytest.raises(ParseError) as exc:
         from_text("nonsense\n")
     assert exc.value.line == 1
+
+
+def test_from_text_non_integer_cell():
+    text = to_text(euler_square(3, 2)).replace("2,0", "2,x")
+    with pytest.raises(ParseError) as exc:
+        from_text(text)
+    assert exc.value.line == 3

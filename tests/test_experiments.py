@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import InvalidInput, ShapeError
+from eulercs.errors import InvalidInput, ParseError, ShapeError
 from eulercs.euler import euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig, make_matrix,
                                  run_patch_reconstruction,
@@ -89,6 +89,27 @@ def test_make_matrix_families():
     assert make_matrix(MatrixSpec(family="ternary", p=5, i=1, j=1)).shape == (20, 100)
     with pytest.raises(InvalidInput):
         make_matrix(MatrixSpec(family="unknown"))
+
+
+@pytest.mark.parametrize("spec", [
+    MatrixSpec(family="euler", n=11, k=5),
+    MatrixSpec(family="rows", row_size=60),
+    MatrixSpec(family="extended", n=12),
+    MatrixSpec(family="ternary", p=5, i=1, j=1),
+], ids=lambda spec: spec.family)
+def test_provenance_names_its_spec(spec):
+    assert MatrixSpec.from_provenance(spec.build().provenance) == spec
+
+
+def test_from_provenance_unknown_and_malformed():
+    assert MatrixSpec.from_provenance("unknown") is None
+    assert MatrixSpec.from_provenance("") is None
+    for text in ("rows m=60 via euler n=20", "ternary p=5 i=1 j=1",
+                 "extended n=12 k=2 stages=one"):
+        with pytest.raises(ParseError):
+            MatrixSpec.from_provenance(text)
+    with pytest.raises(InvalidInput):
+        MatrixSpec(family="gaussian", m=4, M=8, seed=0).build()
 
 
 def test_phase_transition_small():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (LabelError, PatchGridError, PatchSizeError,
+from eulercs.errors import (LabelError, ParseError, PatchGridError, PatchSizeError,
                             ShapeError)
 from eulercs.euler import euler_square
 from eulercs.imaging import (FeatureDB, extract_features,
@@ -188,3 +188,13 @@ def test_pgm_ascii(tmp_path):
     img = read_pgm(str(path))
     assert img.shape == (2, 3)
     assert img[1, 2] == 5
+
+
+@pytest.mark.parametrize("content", [b"P5\n3 2\n255\n\x00\x01\x02\x03\x04",
+                                     b"P2\n3 2\n255\n0 1 2\n3 4\n"],
+                         ids=["p5_raster", "p2_samples"])
+def test_pgm_truncated_raster(tmp_path, content):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        read_pgm(str(path))
