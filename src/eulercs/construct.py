@@ -276,6 +276,8 @@ def load_esm(path: str) -> SensingMatrix:
         raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
     if len(lines) < 2 + M:
         raise ParseError(f"expected {M} column lines", line=len(lines))
+    if len(lines) > 2 + M:
+        raise ParseError(f"unexpected line after the {M} column lines", line=3 + M)
     provenance = lines[1]
     rows = np.zeros((M, k), dtype=np.int64)
     vals = np.ones((M, k), dtype=np.int64)
@@ -299,6 +301,10 @@ def load_esm(path: str) -> SensingMatrix:
         if np.any(np.diff(rows[c]) <= 0):
             raise ParseError(f"rows not strictly ascending in column {c + 1}",
                              line=3 + c)
+    bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
+    if bad.size:
+        raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
+                         line=3 + int(bad[0]))
     return SensingMatrix(m=m, M=M, alphabet=alphabet, k=k, rows=rows, vals=vals,
                          provenance=provenance)
 

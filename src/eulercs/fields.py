@@ -2,8 +2,11 @@
 
 Elements are encoded as integers 0..q-1: the code e represents the
 polynomial whose coefficient of x^t is the t-th base-p digit of e
-(least significant digit = constant term).  Tables are dense q x q
-arrays; q is capped so the tables stay small.
+(least significant digit = constant term), modulo the smallest monic
+irreducible of degree r.  `build_field` fills row a of the add and mul
+tables from row a // p, by poly(a) = (a mod p) + x*poly(a // p).  Each
+table is a dense q x q int64 array of 8*q^2 bytes: 128 MiB at q = 4096,
+32 GiB at the 2^16 cap, so memory bounds the largest usable field.
 """
 
 from dataclasses import dataclass, field
@@ -31,15 +34,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
 def _poly_trim(a):
     while len(a) > 1 and a[-1] == 0:
         a = a[:-1]
@@ -64,13 +58,6 @@ def _code_to_poly(e, p, r):
         digits.append(e % p)
         e //= p
     return digits
-
-
-def _poly_to_code(coeffs, p):
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + (c % p)
-    return code
 
 
 def _divides(a, b, p):
@@ -120,13 +107,19 @@ class GaloisField:
     def mul(self, a, b):
         return int(self.mul_table[a, b])
 
-    def inv(self, e):
-        return field_inv(self, e)
-
 
 @lru_cache(maxsize=128)
 def build_field(p: int, r: int, cap: int = DEFAULT_FIELD_CAP) -> GaloisField:
     """Construct GF(p^r) with dense add/mul tables.
+
+    Both tables are built row by row, row a from row a // p (a >= 1):
+        add[a, b] = (a + b) mod p  +  p * add[a // p, b // p]
+        mul[a, b] = scale[a mod p, b]  (+)  times_x[mul[a // p, b]]
+    with (+) the field sum.  scale[s, e] is s*e for the scalar s of GF(p);
+    times_x[e] is x*e: e shifted up one digit, the overflow digit t
+    cancelled by adding -t times the irreducible's low part.  Cost: 2q
+    numpy passes over rows of length q, and no q x q array beyond the two
+    8*q^2-byte tables.
 
     Results are cached: fields are immutable after construction, so the
     shared instance is safe for unrestricted concurrent reads.
@@ -137,18 +130,20 @@ def build_field(p: int, r: int, cap: int = DEFAULT_FIELD_CAP) -> GaloisField:
     if q > cap:
         raise FieldTooLarge(f"q={q} exceeds cap {cap}")
     irr = find_irreducible(p, r)
-    polys = [_code_to_poly(e, p, r) for e in range(q)]
+    codes = np.arange(q, dtype=np.int64)
+    s = np.arange(p, dtype=np.int64)[:, None]
+    scale = sum(s * (codes // p ** t % p) % p * p ** t for t in range(r))
+    top = p ** (r - 1)
+    low = sum(c * p ** t for t, c in enumerate(irr[:r]))
 
     add = np.zeros((q, q), dtype=np.int64)
+    add[0] = codes
+    for a in range(1, q):
+        add[a] = (a + codes) % p + p * add[a // p, codes // p]
+    times_x = add[codes % top * p, scale[-(codes // top) % p, low]]
     mul = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        pa = polys[a]
-        for b in range(a, q):
-            pb = polys[b]
-            s = [(x + y) % p for x, y in zip(pa, pb)]
-            add[a, b] = add[b, a] = _poly_to_code(s, p)
-            m = _poly_mod(_poly_mul(pa, pb, p), irr, p)
-            mul[a, b] = mul[b, a] = _poly_to_code(m, p)
+    for a in range(1, q):
+        mul[a] = add[scale[a % p], times_x[mul[a // p]]]
     return GaloisField(p=p, r=r, q=q, irreducible=tuple(irr),
                        add_table=add, mul_table=mul)
 

@@ -175,16 +175,25 @@ def load_feature_db(directory: str) -> FeatureDB:
     with open(os.path.join(directory, "features.bin"), "rb") as f:
         if f.read(len(_FDB_MAGIC)) != _FDB_MAGIC:
             raise ParseError("bad feature file magic", line=1)
-        fields = dict(tok.split("=") for tok in f.readline().decode().split())
-        n, L = int(fields["count"]), int(fields["len"])
+        try:
+            fields = dict(tok.split("=") for tok in f.readline().decode().split())
+            n, L = int(fields["count"]), int(fields["len"])
+            patch, levels = int(fields["patch"]), int(fields["levels"])
+            provenance_hash = fields["hash"]
+        except (KeyError, ValueError):
+            raise ParseError("malformed feature header fields", line=2)
+        if n < 0 or L < 0:
+            raise ParseError(f"negative count={n} or len={L}", line=2)
         provenance = f.readline().decode().rstrip("\n")
-        data = np.frombuffer(f.read(n * L * 8), dtype=np.float64).reshape(n, L)
+        blob = f.read(n * L * 8)
+    if len(blob) != n * L * 8:
+        raise ParseError(f"feature blob has {len(blob)} bytes, expected {n * L * 8}")
     if n != len(ids):
         raise ParseError(f"manifest lists {len(ids)} entries, blob has {n}")
+    data = np.frombuffer(blob, dtype=np.float64).reshape(n, L)
     return FeatureDB(ids=ids, labels=labels, paths=paths, features=data.copy(),
-                     patch=int(fields["patch"]), levels=int(fields["levels"]),
-                     matrix_provenance=provenance,
-                     provenance_hash=fields["hash"])
+                     patch=patch, levels=levels, matrix_provenance=provenance,
+                     provenance_hash=provenance_hash)
 
 
 def _norm_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -205,6 +205,23 @@ def test_esm_rejects_corrupt_support(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("ternary, index, text, line", [
+    (False, 11, "1 4", 12),                  # a line after the 9th column of 6x9
+    (True, 2, "1:1 6:5 11:1 16:-1", 3),
+    (True, 2, "1:1 6:0 11:1 16:-1", 3),
+], ids=["trailing_line", "ternary_five", "ternary_zero"])
+def test_esm_rejects_extra_line_and_bad_value(tmp_path, ternary, index, text, line):
+    mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
+    path = str(tmp_path / "m.esm")
+    save_esm(mat, path)
+    lines = open(path).read().splitlines()
+    lines[index:index + 1] = [text]  # replaces the line, or appends past the end
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_esm(path)
+    assert exc.value.line == line
+
+
 def test_csv_export(tmp_path):
     mat = build_binary_matrix(euler_square(3, 2))
     path = str(tmp_path / "m.csv")

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from eulercs.errors import DivisionByZero, FieldTooLarge, InvalidPrime
-from eulercs.fields import (build_field, field_inv, find_irreducible, is_prime)
+from eulercs.fields import (_code_to_poly, _poly_mod, build_field, field_inv,
+                            find_irreducible, is_prime)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
@@ -101,3 +104,44 @@ def test_is_prime_small():
     primes = {n for n in range(200) if is_prime(n)}
     assert 2 in primes and 97 in primes
     assert all(not is_prime(a * b) for a in range(2, 14) for b in range(2, 14))
+
+
+PRIME_POWERS_TO_64 = [(p, r) for p in range(2, 65) if is_prime(p)
+                      for r in range(1, 7) if p ** r <= 64]
+
+
+def _code(coeffs, p):
+    return sum(int(c) % p * p ** t for t, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("p,r", PRIME_POWERS_TO_64)
+def test_tables_match_polynomial_oracle(p, r):
+    """Every pair against schoolbook GF(p)[x] arithmetic mod the irreducible."""
+    F = build_field(p, r)
+    irr = list(F.irreducible)
+    polys = [_code_to_poly(e, p, r) for e in range(F.q)]
+    want_add = [[_code([x + y for x, y in zip(pa, pb)], p) for pb in polys]
+                for pa in polys]
+    want_mul = [[_code(_poly_mod(np.convolve(pa, pb) % p, irr, p), p) for pb in polys]
+                for pa in polys]
+    assert np.array_equal(F.add_table, want_add)
+    assert np.array_equal(F.mul_table, want_mul)
+
+
+# SHA-256 of the int64 table bytes; pins the element encoding.
+TABLE_SHA256 = {
+    (2, 6): ("779fcd7c371f9badc62ec28c6b7e8058ef9af8b70316813a8982a39b9da0522c",
+             "9acd8acc8ab7fd85c547e23b9434dd56ad81d7f96083dffa48ae285f9825df49"),
+    (2, 8): ("8789a1484021cb8c8d76e4ebd76cfc782111d57cd7969c1fe59e0b58c9f46e6a",
+             "23fd2bfb28904303c8ad64cec3dff35b2301ab5872d7212fc4aa205f0adac99c"),
+    (2, 9): ("8de02dc53cbc62a04714e7f6e1cad9e67b1ed41e99e6a9ebcc4f0dcf513bab41",
+             "9e8918e7da5a0db6b6748383d3c64a42dfdc190afb84147105f197192581f4c0"),
+}
+
+
+@pytest.mark.parametrize("p,r", sorted(TABLE_SHA256))
+def test_table_bytes_pinned(p, r):
+    F = build_field(p, r)
+    digests = tuple(hashlib.sha256(t.astype(np.int64).tobytes()).hexdigest()
+                    for t in (F.add_table, F.mul_table))
+    assert digests == TABLE_SHA256[(p, r)]

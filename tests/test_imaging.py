@@ -175,6 +175,20 @@ def test_feature_db_round_trip(tmp_path):
     assert back.matrix_provenance == db.matrix_provenance
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:-5],
+    lambda data: data.replace(b" levels=", b" levels", 1),
+    lambda data: data.replace(b" hash=", b" hsh=", 1),
+], ids=["truncated_blob", "token_without_equals", "missing_key"])
+def test_feature_db_corruption_fails_closed(tmp_path, corrupt):
+    db = make_db(np.random.default_rng(7).standard_normal((5, 9)))
+    save_feature_db(db, str(tmp_path / "db"))
+    blob = tmp_path / "db" / "features.bin"
+    blob.write_bytes(corrupt(blob.read_bytes()))
+    with pytest.raises(ParseError):
+        load_feature_db(str(tmp_path / "db"))
+
+
 def test_pgm_round_trip(tmp_path):
     img = np.random.default_rng(8).integers(0, 256, (24, 17)).astype(float)
     path = str(tmp_path / "x.pgm")
