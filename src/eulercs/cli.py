@@ -211,7 +211,10 @@ def cmd_bench_recon(args):
 
 def cmd_recover(args):
     mat = construct.load_esm(args.matrix)
-    y = np.loadtxt(args.y, delimiter=",").ravel()
+    try:
+        y = np.loadtxt(args.y, delimiter=",").ravel()
+    except ValueError as exc:
+        raise ParseError(f"{args.y}: {exc}") from None
     K = args.k if args.k is not None else mat.m // 2
     A = mat.to_dense()
     result = experiments._solve(A, y, K, args.solver)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .errors import (DegenerateColumn, HadamardUnavailable, IndexTooSmall,
                      InvalidInput, NothingToExtend, ParseError,
-                     UnsupportedRowSize)
+                     UnsupportedRowSize, decode_utf8)
 from .euler import EulerSquare, euler_square, factorize
 from .fields import is_prime
 
@@ -262,8 +262,8 @@ def save_esm(mat: SensingMatrix, path: str) -> None:
 
 
 def load_esm(path: str) -> SensingMatrix:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    with open(path, "rb") as f:
+        lines = decode_utf8(f.read()).splitlines()
     if not lines or not lines[0].startswith("ESM v1 "):
         raise ParseError("missing 'ESM v1' header", line=1)
     try:
@@ -274,6 +274,8 @@ def load_esm(path: str) -> SensingMatrix:
         raise ParseError("malformed header fields", line=1)
     if alphabet not in ("binary", "ternary"):
         raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
+    if k < 1 or m < 1 or M < 0:
+        raise ParseError(f"counts rows={m} cols={M} k={k} out of range", line=1)
     if len(lines) < 2 + M:
         raise ParseError(f"expected {M} column lines", line=len(lines))
     if len(lines) > 2 + M:

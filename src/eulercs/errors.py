@@ -103,3 +103,15 @@ class ParseError(EulerCSError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def decode_utf8(data: bytes, line: int = 1) -> str:
+    """data as UTF-8 text whose first line is numbered `line`.
+
+    A byte that is not UTF-8 raises ParseError with its line number.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8 text",
+                         line=line + data.count(b"\n", 0, exc.start)) from None

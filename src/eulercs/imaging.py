@@ -9,6 +9,7 @@ cross-correlation between whole feature vectors.
 """
 
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from .construct import SensingMatrix
 from .errors import (LabelError, ParseError, PatchGridError, PatchSizeError,
-                     ShapeError)
+                     ShapeError, decode_utf8)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -165,18 +166,20 @@ def save_feature_db(db: FeatureDB, directory: str) -> None:
 
 def load_feature_db(directory: str) -> FeatureDB:
     ids, labels, paths = [], [], []
-    with open(os.path.join(directory, "manifest.tsv")) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ParseError("manifest line needs id<TAB>class<TAB>path",
-                                 line=lineno)
-            ids.append(parts[0]); labels.append(parts[1]); paths.append(parts[2])
+    with open(os.path.join(directory, "manifest.tsv"), "rb") as f:
+        manifest = io.StringIO(decode_utf8(f.read()), newline=None)
+    for lineno, line in enumerate(manifest, start=1):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3:
+            raise ParseError("manifest line needs id<TAB>class<TAB>path",
+                             line=lineno)
+        ids.append(parts[0]); labels.append(parts[1]); paths.append(parts[2])
     with open(os.path.join(directory, "features.bin"), "rb") as f:
         if f.read(len(_FDB_MAGIC)) != _FDB_MAGIC:
             raise ParseError("bad feature file magic", line=1)
+        header = decode_utf8(f.readline(), line=2)
         try:
-            fields = dict(tok.split("=") for tok in f.readline().decode().split())
+            fields = dict(tok.split("=") for tok in header.split())
             n, L = int(fields["count"]), int(fields["len"])
             patch, levels = int(fields["patch"]), int(fields["levels"])
             provenance_hash = fields["hash"]
@@ -184,7 +187,7 @@ def load_feature_db(directory: str) -> FeatureDB:
             raise ParseError("malformed feature header fields", line=2)
         if n < 0 or L < 0:
             raise ParseError(f"negative count={n} or len={L}", line=2)
-        provenance = f.readline().decode().rstrip("\n")
+        provenance = decode_utf8(f.readline(), line=3).rstrip("\n")
         blob = f.read(n * L * 8)
     if len(blob) != n * L * 8:
         raise ParseError(f"feature blob has {len(blob)} bytes, expected {n * L * 8}")

@@ -1,5 +1,13 @@
 """Sparse recovery solvers, signal/baseline generators and the SNR metric.
 
+There is one orthogonal matching pursuit, omp_batch, which runs every
+trial that shares a matrix at once: each iteration picks one atom per
+trial from a single product R @ A, ties within TIE_RTOL going to the
+lowest index, and updates an inverse Gram of the selected columns by a
+rank-one step instead of re-solving least squares.  Only the final
+coefficients come from a least-squares fit, one per trial.  omp is its
+one-trial case.
+
 All randomness flows through numpy's default_rng (PCG64); a seed may be
 a single integer or a sequence of integers (master seed plus substream
 indices), so every experiment trial is replayable bit-for-bit.
@@ -19,6 +27,7 @@ from .errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
                      ShapeError, UndefinedSNR)
 
 SNR_CAP_DB = 310.0
+TIE_RTOL = 1e-9        # OMP scores this close to the maximum count as tied
 
 
 @dataclass(eq=False)
@@ -51,46 +60,100 @@ def _as_dense(Phi) -> np.ndarray:
 
 
 def omp(Phi, y, K: int, tol: float = 1e-12) -> RecoveryResult:
-    """Orthogonal matching pursuit.
+    """Orthogonal matching pursuit on one measurement vector y.
 
-    Greedy: pick the column maximizing |<phi_j, r>| / ||phi_j|| (ties go
-    to the smallest index), refit by least squares on the selected
-    support, stop after K atoms or once ||r|| <= tol.
+    The one-trial case of omp_batch: pick the column maximizing
+    |<phi_j, r>| / ||phi_j|| (ties within TIE_RTOL go to the smallest
+    index), stop after K atoms or once ||r|| <= tol, and fit the final
+    coefficients by least squares on the selected support.
+    """
+    return omp_batch(Phi, np.asarray(y, dtype=np.float64).ravel()[None], K, tol)[0]
+
+
+def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
+    """Orthogonal matching pursuit on every row of Y, one result per row.
+
+    All trials share Phi, so each iteration scores every active trial
+    with one product R @ A: the pick maximizes |<phi_j, r>| / ||phi_j||,
+    and the lowest index within relative TIE_RTOL of the row maximum
+    wins, so exact ties go to the smallest index whatever the rounding.
+    The inverse Gram of the selected columns grows by a rank-one step
+    per pick and gives the coefficients; the residual is then formed
+    explicitly as y - A_S c.  A trial stops after K atoms, once
+    ||r|| <= tol, or when it picks a column it already holds (a
+    numerical stall).  Each trial's result is then one least-squares
+    fit of y on its support in pick order, so the estimate,
+    residual_norm and rank_deficient are those of that fit.  The Gram
+    A^T A is never formed; the state takes (m + K) * K floats per trial.
     """
     A = _as_dense(Phi)
-    y = np.asarray(y, dtype=np.float64).ravel()
+    Y = np.asarray(Y, dtype=np.float64)
     m, M = A.shape
-    if y.shape[0] != m:
-        raise ShapeError(f"y has length {y.shape[0]}, expected {m}")
+    if Y.ndim != 2:
+        raise ShapeError(f"Y has shape {Y.shape}, expected (trials, {m})")
+    if Y.shape[1] != m:
+        raise ShapeError(f"y has length {Y.shape[1]}, expected {m}")
+    if K < 0:
+        raise InvalidInput(f"K={K} is negative")
     if K > m:
         raise InvalidInput(f"K={K} exceeds row count {m}")
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
         raise InvalidInput("matrix has a zero column")
 
-    support = []
-    coef = np.zeros(0)
-    r = y.copy()
-    rank_deficient = False
-    it = 0
-    while it < K and np.linalg.norm(r) > tol:
-        scores = np.abs(A.T @ r) / norms
-        j = int(np.argmax(scores))   # argmax returns the first (lowest) index
-        if j in support:
-            break   # numerically stalled; the residual cannot improve
-        support.append(j)
-        sub = A[:, support]
-        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(support):
-            rank_deficient = True
-        r = y - sub @ coef
-        it += 1
+    At = np.ascontiguousarray(A.T)
+    sq = np.einsum("mj,mj->j", A, A)
+    picks = np.full((Y.shape[0], K), -1)        # pick order, per trial
+    # state of the active trials only, row i belongs to trial live[i]
+    live = np.flatnonzero(np.linalg.norm(Y, axis=1) > tol)
+    Yl = Rl = Y[live]
+    As = np.empty((live.size, K, m))            # selected columns, as rows
+    Ginv = np.empty((live.size, K, K))          # inverse Gram of As
+    z = np.empty((live.size, K, 1))             # As @ y
+    for it in range(K):
+        if live.size == 0:
+            break
+        scores = np.abs(Rl @ A)
+        scores /= norms
+        j = np.argmax(scores >= scores.max(axis=1, keepdims=True) * (1.0 - TIE_RTOL),
+                      axis=1)
+        fresh = (picks[live, :it] != j[:, None]).all(axis=1)
+        if not fresh.all():                     # stalled trials stop here
+            live, j = live[fresh], j[fresh]
+            Yl, As, Ginv, z = Yl[fresh], As[fresh], Ginv[fresh], z[fresh]
+        picks[live, it] = j
+        # grow the inverse Gram by the new column a: with b = As a,
+        # u = Ginv b and d = 1 / (a.a - b.u), the new inverse is
+        # [[Ginv + d u u^T, -d u], [-d u^T, d]]
+        a = As[:, it] = At[j]
+        b = As[:, :it] @ a[:, :, None]
+        u = Ginv[:, :it, :it] @ b
+        d = 1.0 / (sq[j] - (b.transpose(0, 2, 1) @ u)[:, 0, 0])
+        du = u * d[:, None, None]
+        Ginv[:, :it, :it] += du @ u.transpose(0, 2, 1)
+        Ginv[:, :it, it:it + 1] = -du
+        Ginv[:, it:it + 1, :it] = -du.transpose(0, 2, 1)
+        Ginv[:, it, it] = d
+        z[:, it] = (a[:, None, :] @ Yl[:, :, None])[:, 0]
+        C = Ginv[:, :it + 1, :it + 1] @ z[:, :it + 1]
+        Rl = Yl - (C.transpose(0, 2, 1) @ As[:, :it + 1])[:, 0]
+        more = np.sqrt((Rl * Rl).sum(axis=1)) > tol
+        if not more.all():
+            live, Yl, Rl = live[more], Yl[more], Rl[more]
+            As, Ginv, z = As[more], Ginv[more], z[more]
 
-    x = np.zeros(M)
-    x[support] = coef
-    return RecoveryResult(estimate=x, support=sorted(support),
-                          residual_norm=float(np.linalg.norm(r)),
-                          iterations=it, rank_deficient=rank_deficient)
+    results = []
+    for y, row in zip(Y, picks):
+        sel = row[row >= 0]
+        sub = A[:, sel]
+        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
+        x = np.zeros(M)
+        x[sel] = coef
+        results.append(RecoveryResult(
+            estimate=x, support=sorted(int(i) for i in sel),
+            residual_norm=float(np.linalg.norm(y - sub @ coef)),
+            iterations=int(sel.size), rank_deficient=bool(rank < sel.size)))
+    return results
 
 
 def basis_pursuit(Phi, y, rho: float = 1.0, max_iter: int = 5000,

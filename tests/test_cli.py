@@ -6,7 +6,8 @@ import pytest
 
 from eulercs.cli import main
 from eulercs.construct import load_esm
-from eulercs.imaging import read_pgm, write_pgm
+from eulercs.errors import ParseError
+from eulercs.imaging import load_feature_db, read_pgm, write_pgm
 
 
 def run(argv):
@@ -198,6 +199,19 @@ def test_recover(tmp_path):
     assert np.allclose(xhat, x, atol=1e-8)
 
 
+@pytest.mark.parametrize("y_text, k, code", [
+    ("1,abc\n", "2", 1),
+    (None, "-3", 2),
+], ids=["non_numeric_y", "negative_k"])
+def test_recover_fails_closed(tmp_path, y_text, k, code):
+    mat = str(tmp_path / "m.esm")
+    run(["gen", "--index", "11,5", "--out", mat])
+    yfile = tmp_path / "y.csv"
+    yfile.write_text(y_text or ",".join(["1"] * 55) + "\n")
+    assert run(["recover", "--matrix", mat, "--y", str(yfile), "--k", k,
+                "--out", str(tmp_path / "xhat.csv")]) == code
+
+
 @pytest.fixture()
 def corpus(tmp_path):
     rng = np.random.default_rng(11)
@@ -229,3 +243,26 @@ def test_cbir_pipeline(tmp_path, corpus, capsys):
     out = capsys.readouterr().out
     assert out.startswith("precision=")
     assert "confusion[c0]=" in out
+
+
+@pytest.mark.parametrize("name, old, line", [
+    ("matrix.esm", b"euler n=", 2),
+    ("features.bin", b"count=", 2),
+    ("features.bin", b"euler n=", 3),
+    ("manifest.tsv", b"c0_1", 2),
+], ids=["esm_provenance", "feature_header", "feature_provenance", "manifest"])
+def test_non_utf8_byte_fails_closed(tmp_path, corpus, name, old, line):
+    imgdir, _ = corpus
+    db = tmp_path / "db"
+    assert run(["cbir", "index", "--images", str(imgdir), "--rows", "32",
+                "--patch", "8", "--out", str(db)]) == 0
+    path = db / name
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, b"\xff" + old[1:], 1))
+    with pytest.raises(ParseError) as exc:
+        load_esm(str(path)) if name.endswith(".esm") else load_feature_db(str(db))
+    assert exc.value.line == line
+    argv = (["verify", str(path)] if name.endswith(".esm") else
+            ["cbir", "query", "--db", str(db), "--image", str(imgdir / "c0_0.pgm")])
+    assert run(argv) == 1

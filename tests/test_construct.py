@@ -209,7 +209,12 @@ def test_esm_rejects_corrupt_support(tmp_path):
     (False, 11, "1 4", 12),                  # a line after the 9th column of 6x9
     (True, 2, "1:1 6:5 11:1 16:-1", 3),
     (True, 2, "1:1 6:0 11:1 16:-1", 3),
-], ids=["trailing_line", "ternary_five", "ternary_zero"])
+    (False, 0, "ESM v1 rows=6 cols=9 alphabet=binary k=0", 1),
+    (False, 0, "ESM v1 rows=6 cols=9 alphabet=binary k=-1", 1),
+    (False, 0, "ESM v1 rows=-1 cols=9 alphabet=binary k=2", 1),
+    (False, 0, "ESM v1 rows=6 cols=-1 alphabet=binary k=2", 1),
+], ids=["trailing_line", "ternary_five", "ternary_zero", "k_zero", "k_negative",
+        "rows_negative", "cols_negative"])
 def test_esm_rejects_extra_line_and_bad_value(tmp_path, ternary, index, text, line):
     mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
     path = str(tmp_path / "m.esm")

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from eulercs import recovery
 from eulercs.construct import build_binary_matrix
 from eulercs.errors import InvalidInput, ParseError, ShapeError
 from eulercs.euler import euler_square
-from eulercs.experiments import (MatrixSpec, SweepConfig, make_matrix,
+from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
+                                 _trial_outcomes, make_matrix,
                                  run_patch_reconstruction,
                                  run_phase_transition, run_sweep)
 from eulercs.imaging import PatchGrid, haar_inverse, unpatchify
@@ -120,6 +124,42 @@ def test_phase_transition_small():
     assert ks[0] <= ks[1]
     assert all(row["k_frac"] == pytest.approx(row["k_star"] / 121)
                for row in report.rows)
+
+
+def _sequential_decision(A, k, fraction, seeds):
+    """The early-exit rule applied one trial at a time."""
+    need = math.ceil(fraction * len(seeds))
+    successes = failures = 0
+    for seed in seeds:
+        if _trial_outcomes(A, A.shape[1], k, "omp", 100.0, [seed])[0]:
+            successes += 1
+            if successes >= need:
+                return True
+        else:
+            failures += 1
+            if failures > len(seeds) - need:
+                return False
+    return successes >= need
+
+
+# reached early, failed early, decided by the last trial, and the
+# one-trial chunks of fractions 0 and 1
+@pytest.mark.parametrize("k, fraction", [
+    (2, 0.9), (18, 0.9), (21, 0.5), (22, 0.5), (24, 0.5), (27, 0.0), (5, 1.0),
+    (30, 1.0),
+])
+def test_chunked_early_exit_runs_the_sequential_trials(monkeypatch, k, fraction):
+    A = make_matrix(MatrixSpec(family="euler", n=11, k=5))
+    seeds = [(7, 55, k, t) for t in range(30)]
+    drawn = []
+    draw = recovery.gen_sparse_signal
+    monkeypatch.setattr(recovery, "gen_sparse_signal",
+                        lambda M, k, seed: drawn.append(seed) or draw(M, k, seed))
+    decision = _level_reaches_fraction(A, 121, k, "omp", 100.0, fraction, 30, seeds)
+    chunked = list(drawn)
+    drawn.clear()
+    assert decision == _sequential_decision(A, k, fraction, seeds)
+    assert chunked == drawn
 
 
 def test_phase_transition_deterministic():

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (ConvergenceFailure, InvalidSparsity, ShapeError,
-                            UndefinedSNR)
+from eulercs.errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
+                            ShapeError, UndefinedSNR)
 from eulercs.euler import euler_square
-from eulercs.recovery import (SNR_CAP_DB, basis_pursuit, gen_bernoulli_matrix,
-                              gen_gaussian_matrix, gen_sparse_signal, omp, snr)
+from eulercs.recovery import (SNR_CAP_DB, TIE_RTOL, basis_pursuit,
+                              gen_bernoulli_matrix, gen_gaussian_matrix,
+                              gen_sparse_signal, omp, omp_batch, snr)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,84 @@ def test_omp_guarantee_property(seed, k):
     result = omp(A, A @ x, K=k)
     assert result.residual_norm <= 1e-9
     assert snr(x, result.estimate) >= 100.0
+
+
+def _reference_omp(A, y, K, tol=1e-12):
+    """OMP by definition: a fresh least-squares fit after every pick."""
+    norms = np.linalg.norm(A, axis=0)
+    support, r = [], y
+    while len(support) < K and np.linalg.norm(r) > tol:
+        scores = np.abs(A.T @ r) / norms
+        j = int(np.argmax(scores >= scores.max() * (1 - TIE_RTOL)))
+        if j in support:
+            break
+        support.append(j)
+        coef = np.linalg.lstsq(A[:, support], y, rcond=None)[0]
+        r = y - A[:, support] @ coef
+    return sorted(support)
+
+
+def _level_measurements(A, k, trials=12, seed=3):
+    M = A.shape[1]
+    return np.stack([A @ gen_sparse_signal(M, k, (seed, k, t)).to_dense()
+                     for t in range(trials)])
+
+
+def _assert_batch_matches_single(A, Y, K):
+    for y, got in zip(Y, omp_batch(A, Y, K)):
+        one = omp(A, y, K)
+        assert got.support == one.support == _reference_omp(A, y, K)
+        assert got.iterations == one.iterations
+        assert got.rank_deficient == one.rank_deficient
+        assert got.residual_norm == one.residual_norm
+        assert np.array_equal(got.estimate, one.estimate)
+
+
+@pytest.mark.parametrize("make, levels", [
+    (lambda: build_binary_matrix(euler_square(11, 5)).to_dense(), (2, 10, 20, 27)),
+    (lambda: build_binary_matrix(euler_square(23, 10)).to_dense(), (5, 25, 40)),
+    (lambda: gen_gaussian_matrix(55, 121, 7), (3, 15, 27)),
+], ids=["euler_11_5", "euler_23_10", "gaussian_55x121"])
+def test_omp_batch_matches_single_trials(make, levels):
+    A = make().astype(float)
+    for k in levels:
+        # the last row is y = 0, which stops before the first pick
+        Y = np.vstack([_level_measurements(A, k), np.zeros(A.shape[0])])
+        _assert_batch_matches_single(A, Y, k)
+
+
+def test_omp_batch_stall_and_zero_rows():
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    # row 0 leaves the residual e3 after one pick; every score is then 0,
+    # the tie goes to column 0 again and the trial stalls
+    Y = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+    results = omp_batch(A, Y, 2)
+    assert [r.iterations for r in results] == [1, 0, 2]
+    assert results[0].support == [0] and results[0].residual_norm == 1.0
+    _assert_batch_matches_single(A, Y, 2)
+
+
+@pytest.mark.parametrize("first", [[0.3, 0.2, 0.1], [0.1, 0.2, 0.3]])
+def test_omp_exact_tie_goes_to_lower_index(first):
+    # both columns score 0.6 / ||(0.1, 0.2, 0.3)||; summation order rounds
+    # one of the two up, and which one depends on the column order
+    A = np.array([first, first[::-1], [1.0, -1.0, 0.0]]).T
+    assert omp(A, np.ones(3), 1).support == [0]
+
+
+def test_omp_tie_pinned_euler_11_5():
+    # seed 3, level 25, trial 6: at pick 25 columns 82 and 105 tie exactly
+    A = build_binary_matrix(euler_square(11, 5)).to_dense().astype(float)
+    Y = _level_measurements(A, 25, trials=7)
+    for result in (omp_batch(A, Y, 25)[6], omp(A, Y[6], 25)):
+        assert 82 in result.support and 105 not in result.support
+
+
+def test_omp_batch_rejects_negative_k(A55):
+    with pytest.raises(InvalidInput):
+        omp_batch(A55, np.ones((2, 55)), -1)
+    result = omp(A55, A55[:, 5], 0)
+    assert result.iterations == 0 and not result.estimate.any()
 
 
 def test_basis_pursuit_single_column(A55):
