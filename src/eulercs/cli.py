@@ -6,8 +6,8 @@ output files, human summaries to stderr.  Every output artifact gets a
 sibling <out>.manifest.json recording the invocation, so reruns are
 reproducible byte for byte.
 
-Exit codes: 0 success, 1 invariant/verification failure, 2 usage error,
-3 construction infeasible.
+Exit codes: 0 success, 1 invariant/verification failure, 2 usage error
+(including a path that cannot be opened), 3 construction infeasible.
 """
 
 import argparse
@@ -410,6 +410,11 @@ def main(argv=None) -> int:
         return 3
     except (InvalidInput,) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # a missing or unreadable input path, or an unwritable output
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except (ParseError, EulerCSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -215,6 +215,8 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
     Emits one (m/M, k/M) point per row size.  For the "euler" family
     the matrix for row size m is the index (sqrt(M), m/sqrt(M)) one.
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise InvalidInput(f"fraction {fraction!r} must lie in [0, 1]")
     t0 = time.perf_counter()
     rows = []
     for m in row_sizes:

@@ -1,9 +1,21 @@
 """Exact coherence verification and bound computation.
 
-The coherence check is exhaustive: the full Gram matrix over all
-column pairs is formed (sparsely for the constructed matrices), so the
+The coherence check is exhaustive over all M(M-1)/2 column pairs, so the
 1/k bound and the sqrt(M)/m identity become machine-checked facts
-rather than quoted theory.
+rather than quoted theory.  No global Gram matrix is formed:
+
+- A binary matrix (every value 1, rows strictly ascending per column)
+  is proved by its row pairs.  Each column emits its C(k, 2) row pairs
+  as r1*m + r2; two columns share two rows exactly when a code repeats.
+  If none repeats, the max overlap is 1 when some row holds two columns
+  and 0 otherwise.  This is the overlap argument behind mu = 1/k, and it
+  costs O(M k^2) memory instead of the O(M^2 k / n) sparse Gram.
+- Every other matrix (ternary, zero values, a binary file whose row
+  pairs repeat) goes through `gram_extrema`, which forms A^T A one
+  column block at a time under a fixed entry budget.
+
+Both report the lexicographically smallest pair (i, j), i < j, that
+attains the max overlap.
 """
 
 import math
@@ -23,7 +35,8 @@ class CoherenceReport:
     m: int
     M: int
     coherence: float
-    argmax_pair: tuple          # (i, j) 0-based column indices
+    argmax_pair: tuple          # lexicographically smallest 0-based (i, j),
+                                # i < j, attaining max_overlap
     max_overlap: int            # max |<phi_i, phi_j>| before normalization
     welch: float                # Welch bound, nan when M <= m
     density: float
@@ -51,30 +64,89 @@ class CoherenceReport:
         }
 
 
+# Column blocks of the Gram matrix hold at most this many stored entries
+# (bounded above by the row degrees of their supports), so the blocked
+# Gram's memory does not grow with M.
+GRAM_BLOCK_ENTRIES = 1 << 18
+
+
 def gram_extrema(A: sp.spmatrix):
-    """(max |off-diagonal Gram entry|, argmax pair, diagonal) of A^T A."""
-    G = (A.T @ A).tocoo()
-    diag = np.zeros(A.shape[1])
-    mask = G.row != G.col
-    off_abs = np.abs(G.data[mask])
-    diag_mask = ~mask
-    diag[G.row[diag_mask]] = G.data[diag_mask]
-    if off_abs.size == 0:
-        return 0.0, (0, 0), diag
-    pos = int(np.argmax(off_abs))
-    r = G.row[mask][pos]
-    c = G.col[mask][pos]
-    return float(off_abs[pos]), (int(min(r, c)), int(max(r, c))), diag
+    """(max |off-diagonal Gram entry|, argmax pair, diagonal) of A^T A.
+
+    The pair is the lexicographically smallest (i, j), i < j, attaining
+    the max; (0, 1) when every off-diagonal entry is 0.  A^T A is formed
+    one column block at a time: column j has at most as many nonzeros as
+    the summed row degrees of its support, and a block's columns sum to
+    at most GRAM_BLOCK_ENTRIES of those (a single column may exceed it).
+    """
+    A = sp.csc_matrix(A)
+    m, M = A.shape
+    diag = np.asarray(A.multiply(A).sum(axis=0), dtype=np.float64).ravel()
+    row_degree = np.bincount(A.indices, minlength=m)
+    cost = np.concatenate(([0], np.cumsum(row_degree[A.indices])))[A.indptr]
+    best, best_code = 0.0, 1          # code i*M + j of the pair (0, 1)
+    start = 0
+    while start < M:
+        stop = int(np.searchsorted(cost, cost[start] + GRAM_BLOCK_ENTRIES,
+                                   side="right")) - 1
+        stop = min(max(stop, start + 1), M)
+        G = (A.T @ A[:, start:stop]).tocoo()
+        cols = G.col.astype(np.int64) + start
+        upper = G.row < cols
+        vals = np.abs(G.data[upper])
+        if vals.size:
+            peak = float(vals.max())
+            if peak >= best:
+                at_peak = vals == peak
+                code = int((G.row[upper][at_peak].astype(np.int64) * M
+                            + cols[upper][at_peak]).min())
+                best_code = code if peak > best else min(best_code, code)
+                best = peak
+        start = stop
+    return best, divmod(best_code, M), diag
+
+
+def _row_pair_extrema(mat: SensingMatrix):
+    """(max overlap, argmax pair) of a binary matrix from its row pairs.
+
+    None when the proof does not apply: a value other than 1, rows not
+    strictly ascending inside [0, m), or a repeated row pair (overlap
+    >= 2, left to the blocked Gram).
+    """
+    rows, m, k = mat.rows, mat.m, mat.k
+    if (k < 1 or not np.all(mat.vals == 1) or rows.min() < 0 or rows.max() >= m
+            or not np.all(np.diff(rows, axis=1) > 0)):
+        return None
+    first, second = np.triu_indices(k, 1)
+    codes = rows[:, first] * m
+    codes += rows[:, second]
+    codes = codes.ravel()
+    codes.sort()
+    if np.any(codes[1:] == codes[:-1]):
+        return None
+    # group the entries by row, columns ascending within a row: the
+    # smallest pair sharing a row is the smallest adjacent pair in a group
+    flat = rows.ravel()
+    order = np.argsort(flat, kind="stable")
+    shared = flat[order[1:]] == flat[order[:-1]]
+    if not shared.any():
+        return 0.0, (0, 1)
+    cols = order // k
+    code = int((cols[:-1][shared] * mat.M + cols[1:][shared]).min())
+    return 1.0, divmod(code, mat.M)
 
 
 def coherence(mat: SensingMatrix) -> CoherenceReport:
     """Exhaustive coherence of a constructed matrix over all M(M-1)/2 pairs."""
     if mat.M < 2:
         raise InvalidInput("need at least 2 columns")
-    A = mat.to_sparse()
-    max_off, pair, diag = gram_extrema(A)
-    if np.any(diag == 0):
-        raise DegenerateColumn("matrix has a zero column")
+    found = _row_pair_extrema(mat)
+    if found is None:
+        max_off, pair, diag = gram_extrema(mat.to_sparse())
+        if np.any(diag == 0):
+            raise DegenerateColumn("matrix has a zero column")
+    else:
+        max_off, pair = found
     # uniform column weight: every diagonal entry is k, so mu = max_off / k
     mu = max_off / float(mat.k)
     welch = welch_bound(mat.m, mat.M) if mat.M > mat.m else float("nan")

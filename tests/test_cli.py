@@ -158,6 +158,14 @@ def test_bench_phase(tmp_path):
     assert [row["m"] for row in rows] == [22, 33]
 
 
+def test_bench_phase_rejects_fraction_above_one(tmp_path, capsys):
+    out = str(tmp_path / "phase")
+    assert run(["bench", "phase", "--M", "121", "--rows", "22", "--fraction",
+                "1.5", "--trials", "5", "--out", out]) == 2
+    assert "fraction" in capsys.readouterr().err
+    assert not os.path.exists(out + ".json")
+
+
 def test_bench_recon(tmp_path):
     from eulercs.imaging import PatchGrid, haar_inverse, unpatchify
     # constant patches are 1-sparse in the transform domain and survive the
@@ -210,6 +218,28 @@ def test_recover_fails_closed(tmp_path, y_text, k, code):
     yfile.write_text(y_text or ",".join(["1"] * 55) + "\n")
     assert run(["recover", "--matrix", mat, "--y", str(yfile), "--k", k,
                 "--out", str(tmp_path / "xhat.csv")]) == code
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["verify", "{tmp}/nothere.esm"], "nothere.esm"),
+    (["recover", "--matrix", "{tmp}/m.esm", "--y", "{tmp}/nothere.csv",
+      "--k", "1", "--out", "{tmp}/x.csv"], "nothere.csv"),
+    (["cbir", "score", "--db", "{tmp}/nothere", "--queries", "{tmp}"], "nothere"),
+    (["cbir", "index", "--images", "{tmp}/nothere", "--rows", "32",
+      "--patch", "8", "--out", "{tmp}/db"], "nothere"),
+    (["bench", "recon", "--image", "{tmp}/nothere.pgm", "--rows", "32",
+      "--patch", "8", "--out", "{tmp}/r"], "nothere.pgm"),
+    (["verify", "{tmp}"], "{tmp}"),
+], ids=["verify", "recover_y", "cbir_score_db", "cbir_index_images",
+        "bench_recon_image", "verify_directory"])
+def test_missing_path_fails_closed(tmp_path, capsys, argv, path):
+    tmp = str(tmp_path)
+    run(["gen", "--index", "3,2", "--out", f"{tmp}/m.esm"])
+    capsys.readouterr()
+    assert run([a.format(tmp=tmp) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.format(tmp=tmp) in err
 
 
 @pytest.fixture()

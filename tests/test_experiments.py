@@ -181,6 +181,12 @@ def test_phase_transition_rejects_bad_geometry():
         run_phase_transition(121, [23], trials=1)
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+def test_phase_transition_rejects_bad_fraction(fraction):
+    with pytest.raises(InvalidInput):
+        run_phase_transition(121, [22], fraction=fraction, trials=1)
+
+
 def sparse_haar_image(n_patches_side, P, sparsity, seed):
     rng = np.random.default_rng(seed)
     patches = []

@@ -1,17 +1,26 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eulercs
+from eulercs import props
 from eulercs.construct import (SensingMatrix, build_binary_matrix,
-                               build_extended, build_for_row_size)
+                               build_extended, build_for_row_size,
+                               build_ternary)
 from eulercs.errors import (BoundUndefined, DegenerateColumn, InvalidInput,
                             ProvenanceRequired)
 from eulercs.euler import euler_square
 from eulercs.props import (aspect_constant, coherence, dense_coherence,
-                           max_binary_columns, rip_delta, sparsity_guarantee,
-                           welch_bound)
+                           gram_extrema, max_binary_columns, rip_delta,
+                           sparsity_guarantee, welch_bound)
 
 
 def euler_matrix(n, k):
@@ -144,3 +153,147 @@ def test_report_serialization_round_trip():
     assert "coherence=0.5" in text
     record = rep.to_record()
     assert record["m"] == 6 and record["max_overlap"] == 1
+
+
+# ---------------------------------------------------------------------------
+# exhaustive coherence against a dense oracle
+
+def brute_force(mat):
+    """(coherence, max_overlap, argmax_pair) from the dense Gram matrix,
+    with the lexicographically smallest pair (i, j), i < j, at the max."""
+    dense = mat.to_dense()
+    gram = np.abs(dense.T @ dense)
+    first, second = np.triu_indices(mat.M, 1)    # row-major: lexicographic
+    off = gram[first, second]
+    pos = int(np.argmax(off))                    # first occurrence
+    return (float(off[pos]) / mat.k, int(off[pos]),
+            (int(first[pos]), int(second[pos])))
+
+
+def binary(m, columns):
+    rows = np.array(columns)
+    return SensingMatrix(m=m, M=len(columns), alphabet="binary",
+                         k=rows.shape[1], rows=rows, vals=np.ones_like(rows))
+
+
+def assert_matches_oracle(mat):
+    rep = coherence(mat)
+    assert (rep.coherence, rep.max_overlap, rep.argmax_pair) == brute_force(mat)
+    return rep
+
+
+def assert_paths_agree(mat):
+    """The row-pair proof, where it applies, reports what the blocked
+    Gram reports; it declines exactly when a row pair repeats."""
+    max_off, pair, _ = gram_extrema(mat.to_sparse())
+    found = props._row_pair_extrema(mat)
+    assert (found is None) == (max_off > 1)
+    if found is not None:
+        assert found == (max_off, pair)
+
+
+EULER_INDICES = [(3, 2), (4, 3), (5, 3), (5, 4), (7, 3), (8, 3), (11, 5), (23, 10)]
+
+
+@pytest.mark.parametrize("n, k", EULER_INDICES, ids=lambda v: str(v))
+def test_coherence_matches_oracle_euler(n, k):
+    mat = euler_matrix(n, k)
+    rep = assert_matches_oracle(mat)
+    assert rep.max_overlap == 1
+    assert_paths_agree(mat)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_for_row_size(12),
+    lambda: build_for_row_size(20),
+    lambda: build_for_row_size(27),
+    lambda: build_extended(12)[0],
+    lambda: build_extended(20)[0],
+    lambda: build_ternary(5, 1, 1),
+    lambda: build_ternary(2, 2, 1),
+], ids=["rows_12", "rows_20", "rows_27", "extended_12", "extended_20",
+        "ternary_5_1_1", "ternary_2_2_1"])
+def test_coherence_matches_oracle_constructions(build):
+    mat = build()
+    assert_matches_oracle(mat)
+    if mat.alphabet == "binary":
+        assert_paths_agree(mat)
+    else:
+        assert props._row_pair_extrema(mat) is None
+
+
+@pytest.mark.parametrize("m, columns, overlap, pair", [
+    # columns 1 and 3 share rows {0, 1}; 0 and 2 share one row
+    (6, [[0, 2, 4], [0, 1, 3], [2, 3, 5], [0, 1, 5]], 2, (1, 3)),
+    # a repeated column; the earlier pair (0, 1) overlaps only twice
+    (7, [[0, 1, 2], [0, 1, 6], [3, 4, 5], [0, 1, 2]], 3, (0, 3)),
+    # two pairs tie at overlap 2: (0, 3) wins over (1, 2)
+    (6, [[0, 1, 4], [2, 3, 4], [2, 3, 5], [0, 1, 5]], 2, (0, 3)),
+    # disjoint columns: every pair attains 0, so (0, 1)
+    (6, [[0, 1], [2, 3], [4, 5]], 0, (0, 1)),
+    # one-row columns: only columns 1 and 2 share a row
+    (4, [[0], [3], [3], [1]], 1, (1, 2)),
+], ids=["overlap_2", "overlap_3", "tie_at_2", "disjoint", "weight_1"])
+def test_coherence_matches_oracle_small(m, columns, overlap, pair):
+    mat = binary(m, columns)
+    rep = assert_matches_oracle(mat)
+    assert (rep.max_overlap, rep.argmax_pair) == (overlap, pair)
+    assert_paths_agree(mat)
+
+
+@st.composite
+def small_binary(draw):
+    m = draw(st.integers(2, 9))
+    k = draw(st.integers(1, m))
+    M = draw(st.integers(2, 14))
+    columns = [sorted(draw(st.lists(st.integers(0, m - 1), min_size=k,
+                                    max_size=k, unique=True)))
+               for _ in range(M)]
+    return binary(m, columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_binary())
+def test_coherence_matches_oracle_random_binary(mat):
+    assert_matches_oracle(mat)
+    assert_paths_agree(mat)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: euler_matrix(11, 5),
+    lambda: build_ternary(5, 1, 1),
+    lambda: binary(7, [[0, 1, 2], [0, 1, 6], [3, 4, 5], [0, 1, 2]]),
+], ids=["euler_11_5", "ternary_5_1_1", "overlap_3"])
+def test_gram_blocks_do_not_change_the_report(monkeypatch, build):
+    # one column per block: the block seams and the tie merge across
+    # blocks must give the single-block answer
+    A = build().to_sparse()
+    max_off, pair, diag = gram_extrema(A)
+    monkeypatch.setattr(props, "GRAM_BLOCK_ENTRIES", 1)
+    one, one_pair, one_diag = gram_extrema(A)
+    assert (one, one_pair) == (max_off, pair)
+    assert np.array_equal(one_diag, diag)
+
+
+_CAPPED = """
+import json
+from eulercs import build_binary_matrix, coherence, euler_square
+rep = coherence(build_binary_matrix(euler_square(256, 16)))
+print(json.dumps([rep.coherence, rep.max_overlap]))
+"""
+
+
+def test_coherence_256_16_fits_in_one_gib():
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED], capture_output=True,
+                          text=True, preexec_fn=cap, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout) == [1 / 16, 1]
