@@ -15,7 +15,7 @@ from .props import (CoherenceReport, aspect_constant, coherence,
                     sparsity_guarantee, welch_bound)
 from .recovery import (RecoveryResult, SparseSignal, basis_pursuit,
                        gen_bernoulli_matrix, gen_gaussian_matrix,
-                       gen_sparse_signal, omp, snr)
+                       gen_sparse_signal, omp, recover, snr)
 
 __all__ = [
     "__version__",
@@ -27,6 +27,6 @@ __all__ = [
     "normalize", "save_esm", "load_esm",
     "CoherenceReport", "coherence", "dense_coherence", "welch_bound",
     "max_binary_columns", "rip_delta", "sparsity_guarantee", "aspect_constant",
-    "SparseSignal", "RecoveryResult", "omp", "basis_pursuit",
+    "SparseSignal", "RecoveryResult", "recover", "omp", "basis_pursuit",
     "gen_sparse_signal", "gen_gaussian_matrix", "gen_bernoulli_matrix", "snr",
 ]

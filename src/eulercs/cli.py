@@ -6,8 +6,9 @@ output files, human summaries to stderr.  Every output artifact gets a
 sibling <out>.manifest.json recording the invocation, so reruns are
 reproducible byte for byte.
 
-Exit codes: 0 success, 1 invariant/verification failure, 2 usage error
-(including a path that cannot be opened), 3 construction infeasible.
+Exit codes: 0 success, 1 invariant, verification or convergence failure,
+2 usage error (including a path that cannot be opened), 3 construction
+infeasible.
 """
 
 import argparse
@@ -18,11 +19,11 @@ import time
 
 import numpy as np
 
-from . import __version__, construct, experiments, imaging, props
-from .errors import (EulerCSError, HadamardUnavailable, IndexNotConstructible,
-                     IndexTooSmall, InvalidInput, InvalidOrder, NothingToExtend,
-                     ParseError, UnsupportedRowSize)
-from .euler import euler_square, validate_euler_square
+from . import __version__, construct, experiments, imaging, props, recovery
+from .errors import (ConvergenceFailure, EulerCSError, HadamardUnavailable,
+                     IndexNotConstructible, IndexTooSmall, InvalidInput,
+                     InvalidOrder, NothingToExtend, ParseError, UnsupportedRowSize)
+from .euler import EulerSquare, validate_euler_square
 
 _INFEASIBLE = (IndexNotConstructible, UnsupportedRowSize, NothingToExtend,
                HadamardUnavailable, IndexTooSmall, InvalidOrder)
@@ -118,7 +119,8 @@ def _rebuild_failures(mat, spec):
     if not same:
         return ["matrix does not match its provenance rebuild"]
     if spec.family == "euler":
-        val = validate_euler_square(euler_square(spec.n, spec.k))
+        cells = (rebuilt.rows - np.arange(spec.k) * spec.n).reshape(spec.n, spec.n, -1)
+        val = validate_euler_square(EulerSquare(spec.n, spec.k, cells))
         if not val.ok:
             return [f"euler square validation: {val.message}"]
     return []
@@ -216,8 +218,10 @@ def cmd_recover(args):
     except ValueError as exc:
         raise ParseError(f"{args.y}: {exc}") from None
     K = args.k if args.k is not None else mat.m // 2
-    A = mat.to_dense()
-    result = experiments._solve(A, y, K, args.solver)
+    result = recovery.recover(mat, y[None], K, args.solver)[0]
+    if not result.converged:
+        raise ConvergenceFailure(f"{args.solver} did not converge: "
+                                 f"residual={result.residual_norm:.3e}")
     np.savetxt(args.out, result.estimate[None, :], delimiter=",")
     _write_manifest(args.out, "recover", args, None, [args.matrix, args.y],
                     [args.out], 0.0)
@@ -337,7 +341,7 @@ def build_parser():
     sweep.add_argument("--levels", help="explicit comma-separated sparsity levels")
     sweep.add_argument("--trials", type=int, default=1000)
     sweep.add_argument("--threshold", type=float, default=100.0)
-    sweep.add_argument("--solver", choices=["omp", "bp"], default="omp")
+    sweep.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_bench_sweep)
@@ -347,7 +351,7 @@ def build_parser():
     phase.add_argument("--rows", required=True, help="comma-separated row sizes")
     phase.add_argument("--fraction", type=float, default=0.9)
     phase.add_argument("--trials", type=int, default=1000)
-    phase.add_argument("--solver", choices=["omp", "bp"], default="omp")
+    phase.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     phase.add_argument("--family", default="euler",
                        choices=["euler", "gaussian", "bernoulli"])
     phase.add_argument("--seed", type=int, default=0)
@@ -361,7 +365,7 @@ def build_parser():
     recon.add_argument("--levels", type=int)
     recon.add_argument("--family", default="euler",
                        choices=["euler", "gaussian", "bernoulli"])
-    recon.add_argument("--solver", choices=["omp", "bp"], default="omp")
+    recon.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     recon.add_argument("--seed", type=int, default=0)
     recon.add_argument("--out", required=True)
     recon.set_defaults(func=cmd_bench_recon)
@@ -370,7 +374,7 @@ def build_parser():
     rec.add_argument("--matrix", required=True)
     rec.add_argument("--y", required=True, help="CSV measurement vector")
     rec.add_argument("--k", type=int)
-    rec.add_argument("--solver", choices=["omp", "bp"], default="omp")
+    rec.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_recover)
 

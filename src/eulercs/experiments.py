@@ -2,6 +2,7 @@
 
 Every trial draws its signal from a substream keyed by (master seed,
 level, trial index), so a report is fully determined by its config.
+Each batch of trials, and each recon image, is one recovery.recover call.
 Reports carry raw success counts next to percentages so statistical
 re-tests do not have to re-run the solver.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from . import recovery
 from .construct import (SensingMatrix, build_binary_matrix, build_extended,
                         build_for_row_size, build_ternary)
-from .errors import ConvergenceFailure, InvalidInput, ParseError, ShapeError
+from .errors import InvalidInput, ParseError, ShapeError
 from .euler import euler_square
 from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 
@@ -125,29 +126,10 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _solve(A, y, k, solver):
-    if solver == "omp":
-        return recovery.omp(A, y, K=k, tol=1e-12)
-    if solver == "bp":
-        try:
-            return recovery.basis_pursuit(A, y)
-        except ConvergenceFailure as exc:
-            return exc.result
-    raise InvalidInput(f"unknown solver {solver!r}")
-
-
 def _trial_outcomes(A, M, k, solver, threshold_db, seeds):
-    """Whether each seed's k-sparse trial reaches threshold_db.
-
-    OMP solves all the trials in one omp_batch call; basis pursuit
-    runs trial by trial.
-    """
+    """Whether each seed's k-sparse trial reaches threshold_db."""
     signals = [recovery.gen_sparse_signal(M, k, seed).to_dense() for seed in seeds]
-    ys = [A @ x for x in signals]
-    if solver == "omp":
-        results = recovery.omp_batch(A, np.stack(ys), K=k, tol=1e-12)
-    else:
-        results = [_solve(A, y, k, solver) for y in ys]
+    results = recovery.recover(A, np.stack([A @ x for x in signals]), k, solver)
     return [recovery.snr(x, result.estimate) >= threshold_db
             for x, result in zip(signals, results)]
 
@@ -260,10 +242,11 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
                              max_atoms: int = None):
     """Compress every patch through Phi and reconstruct it back.
 
-    Per patch: Haar-transform, measure y = Phi @ w, recover w by the
-    chosen solver, inverse-transform, reassemble.  Returns the
-    reconstructed image and a report with the whole-image SNR and the
-    down-sampling factor M/m.
+    Every patch is Haar-transformed and measured as y = Phi @ w, one
+    recovery.recover call recovers all the w, and they are
+    inverse-transformed and reassembled.  Returns the reconstructed
+    image and a report with the whole-image SNR and the down-sampling
+    factor M/m.
     """
     t0 = time.perf_counter()
     A = Phi.to_dense() if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
@@ -272,13 +255,10 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
         raise ShapeError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")
     grid, patches = patchify(image, patch)
     K = max_atoms if max_atoms is not None else m // 2
-    recon_patches = []
-    for p in patches:
-        w = haar_forward(p, levels)
-        y = A @ w
-        result = _solve(A, y, K, solver)
-        recon_patches.append(haar_inverse(result.estimate, levels))
-    recon = unpatchify(grid, np.stack(recon_patches))
+    Y = np.stack([A @ haar_forward(p, levels) for p in patches])
+    results = recovery.recover(A, Y, K, solver)
+    recon = unpatchify(grid, np.stack([haar_inverse(r.estimate, levels)
+                                       for r in results]))
     snr_db = recovery.snr(np.asarray(image, float).ravel(), recon.ravel())
     report = ExperimentReport(
         kind="recon",

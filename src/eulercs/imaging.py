@@ -294,7 +294,13 @@ def read_pgm(path: str) -> np.ndarray:
     if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
         raise ParseError("not an 8-bit PGM (P2/P5) file", line=1)
     magic = tokens[0]
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise ParseError(f"PGM header {b' '.join(tokens[1:])!r} is not three integers",
+                         line=1) from None
+    if w < 1 or h < 1:
+        raise ParseError(f"PGM size {w}x{h} is not positive", line=1)
     if maxval > 255:
         raise ParseError("only 8-bit PGM supported", line=1)
     if magic == b"P5":
@@ -306,7 +312,12 @@ def read_pgm(path: str) -> np.ndarray:
         samples = data[i:].split()[: w * h]
         if len(samples) < w * h:
             raise ParseError(f"P2 image lists {len(samples)} of {w * h} samples")
-        img = np.array([int(t) for t in samples], dtype=np.uint8)
+        try:
+            img = np.array([int(t) for t in samples])
+        except ValueError:
+            raise ParseError("P2 sample is not an integer") from None
+        if img.min() < 0 or img.max() > maxval:
+            raise ParseError(f"P2 sample outside 0..{maxval}")
     return img.reshape(h, w).astype(np.float64)
 
 

@@ -1,5 +1,7 @@
 """Sparse recovery solvers, signal/baseline generators and the SNR metric.
 
+recover is the one entry point that maps a solver name in SOLVERS to a
+solver; the harness and the CLI reach the solvers only through it.
 There is one orthogonal matching pursuit, omp_batch, which runs every
 trial that shares a matrix at once: each iteration picks one atom per
 trial from a single product R @ A, ties within TIE_RTOL going to the
@@ -28,6 +30,7 @@ from .errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
 
 SNR_CAP_DB = 310.0
 TIE_RTOL = 1e-9        # OMP scores this close to the maximum count as tied
+SOLVERS = ("omp", "bp")
 
 
 @dataclass(eq=False)
@@ -49,8 +52,8 @@ class RecoveryResult:
     support: list
     residual_norm: float
     iterations: int
-    snr_db: float = None
     rank_deficient: bool = False
+    converged: bool = True      # False: basis pursuit's best iterate, not a solution
 
 
 def _as_dense(Phi) -> np.ndarray:
@@ -60,13 +63,7 @@ def _as_dense(Phi) -> np.ndarray:
 
 
 def omp(Phi, y, K: int, tol: float = 1e-12) -> RecoveryResult:
-    """Orthogonal matching pursuit on one measurement vector y.
-
-    The one-trial case of omp_batch: pick the column maximizing
-    |<phi_j, r>| / ||phi_j|| (ties within TIE_RTOL go to the smallest
-    index), stop after K atoms or once ||r|| <= tol, and fit the final
-    coefficients by least squares on the selected support.
-    """
+    """Orthogonal matching pursuit on one measurement vector y (omp_batch's one trial)."""
     return omp_batch(Phi, np.asarray(y, dtype=np.float64).ravel()[None], K, tol)[0]
 
 
@@ -181,6 +178,7 @@ def basis_pursuit(Phi, y, rho: float = 1.0, max_iter: int = 5000,
     u = np.zeros(M)
     x = project(z)
     it = 0
+    converged = False
     for it in range(1, max_iter + 1):
         x = project(z - u)
         z_prev = z
@@ -191,19 +189,37 @@ def basis_pursuit(Phi, y, rho: float = 1.0, max_iter: int = 5000,
         primal = np.linalg.norm(x - z)
         dual = rho * np.linalg.norm(z - z_prev)
         scale = max(1.0, np.linalg.norm(x))
-        if feas <= tol_feas and primal <= tol_gap * scale and dual <= tol_gap * scale:
+        converged = feas <= tol_feas and primal <= tol_gap * scale and dual <= tol_gap * scale
+        if converged:
             break
-    else:
-        result = RecoveryResult(
-            estimate=x, support=list(np.nonzero(np.abs(z) > 10 * tol_gap)[0]),
-            residual_norm=float(np.linalg.norm(A @ x - y)), iterations=it)
+    result = RecoveryResult(
+        estimate=x, support=[int(i) for i in np.flatnonzero(np.abs(z) > 10 * tol_gap)],
+        residual_norm=float(np.linalg.norm(A @ x - y)), iterations=it,
+        converged=bool(converged))
+    if not converged:
         raise ConvergenceFailure(
             f"basis pursuit did not converge in {max_iter} iterations", result)
+    return result
 
-    return RecoveryResult(estimate=x,
-                          support=list(int(i) for i in np.nonzero(np.abs(z) > 10 * tol_gap)[0]),
-                          residual_norm=float(np.linalg.norm(A @ x - y)),
-                          iterations=it)
+
+def recover(Phi, Y, K: int, solver: str) -> list:
+    """One RecoveryResult per row of Y from the solver named in SOLVERS.
+
+    "omp" is one omp_batch call of at most K atoms.  "bp" runs
+    basis_pursuit row by row (K unused); a row that does not converge
+    comes back as its best iterate with converged=False.
+    """
+    if solver == "omp":
+        return omp_batch(Phi, Y, K, tol=1e-12)
+    if solver != "bp":
+        raise InvalidInput(f"unknown solver {solver!r}")
+    results = []
+    for y in np.asarray(Y, dtype=np.float64):
+        try:
+            results.append(basis_pursuit(Phi, y))
+        except ConvergenceFailure as exc:
+            results.append(exc.result)
+    return results
 
 
 def gen_sparse_signal(M: int, k: int, seed) -> SparseSignal:

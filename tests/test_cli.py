@@ -220,6 +220,28 @@ def test_recover_fails_closed(tmp_path, y_text, k, code):
                 "--out", str(tmp_path / "xhat.csv")]) == code
 
 
+@pytest.mark.parametrize("feasible", [False, True], ids=["infeasible", "feasible"])
+def test_recover_bp_fails_closed(tmp_path, capsys, feasible):
+    mat = str(tmp_path / "m.esm")
+    run(["gen", "--index", "11,5", "--out", mat])
+    A = load_esm(mat).to_dense().astype(float)
+    # the layer blocks' row sums of 1 + arange(55) differ: no exact solution
+    y = A[:, 4] * 1.5 - A[:, 77] * 2.0 if feasible else 1.0 + np.arange(55)
+    yfile = str(tmp_path / "y.csv")
+    np.savetxt(yfile, y[None, :], delimiter=",")
+    out = tmp_path / "xhat.csv"
+    capsys.readouterr()
+    code = run(["recover", "--matrix", mat, "--y", yfile, "--solver", "bp",
+                "--k", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    if feasible:
+        assert code == 0 and out.exists()
+        assert err.startswith("support=[4, 77] ")
+    else:
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, path", [
     (["verify", "{tmp}/nothere.esm"], "nothere.esm"),
     (["recover", "--matrix", "{tmp}/m.esm", "--y", "{tmp}/nothere.csv",

@@ -5,13 +5,14 @@ import pytest
 
 from eulercs import recovery
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import InvalidInput, ParseError, ShapeError
+from eulercs.errors import ConvergenceFailure, InvalidInput, ParseError, ShapeError
 from eulercs.euler import euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
                                  _trial_outcomes, make_matrix,
                                  run_patch_reconstruction,
                                  run_phase_transition, run_sweep)
-from eulercs.imaging import PatchGrid, haar_inverse, unpatchify
+from eulercs.imaging import (PatchGrid, haar_forward, haar_inverse, patchify,
+                             unpatchify)
 
 
 def small_sweep(seed=7, trials=25, levels=(1, 2, 3)):
@@ -216,3 +217,41 @@ def test_patch_reconstruction_factor_echo():
         # 121 columns cannot measure a 16x16 patch
         run_patch_reconstruction(np.zeros((16, 16)), Phi, 16)
     assert Phi.M / Phi.m == pytest.approx(2.2)
+
+
+def _per_patch_recon(image, A, P, levels, solve):
+    """Reference recon: one solver call per patch."""
+    grid, patches = patchify(image, P)
+    return unpatchify(grid, np.stack([
+        haar_inverse(solve(A @ haar_forward(p, levels)).estimate, levels)
+        for p in patches]))
+
+
+@pytest.mark.parametrize("matrix, levels", [
+    ("euler_8_4", None), ("euler_8_4", 2), ("gaussian_32x64", None),
+], ids=["euler_8_4", "euler_8_4_levels_2", "gaussian_32x64"])
+def test_patch_reconstruction_matches_per_patch_omp(matrix, levels):
+    A = (build_binary_matrix(euler_square(8, 4)).to_dense().astype(float)
+         if matrix == "euler_8_4" else recovery.gen_gaussian_matrix(32, 64, 5))
+    rng = np.random.default_rng(3)
+    image = np.cumsum(rng.integers(0, 9, (32, 32)), axis=1).astype(float)
+    image[:8, :8] = 0.0                 # a patch measured as y = 0
+    recon, _ = run_patch_reconstruction(image, A, 8, levels=levels)
+    want = _per_patch_recon(image, A, 8, levels,
+                            lambda y: recovery.omp(A, y, 16, tol=1e-12))
+    assert np.array_equal(recon, want)
+
+
+def test_patch_reconstruction_bp_matches_per_patch_bp():
+    A = build_binary_matrix(euler_square(8, 4)).to_dense().astype(float)
+    image = np.random.default_rng(4).integers(0, 256, (16, 16)).astype(float)
+
+    def solve(y):
+        try:
+            return recovery.basis_pursuit(A, y)
+        except ConvergenceFailure as exc:
+            return exc.result
+
+    recon, report = run_patch_reconstruction(image, A, 8, solver="bp")
+    assert np.array_equal(recon, _per_patch_recon(image, A, 8, None, solve))
+    assert report.config["solver"] == "bp"

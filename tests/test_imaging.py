@@ -205,8 +205,14 @@ def test_pgm_ascii(tmp_path):
 
 
 @pytest.mark.parametrize("content", [b"P5\n3 2\n255\n\x00\x01\x02\x03\x04",
-                                     b"P2\n3 2\n255\n0 1 2\n3 4\n"],
-                         ids=["p5_raster", "p2_samples"])
+                                     b"P2\n3 2\n255\n0 1 2\n3 4\n",
+                                     b"P5\n4x 4\n255\n" + bytes(16),
+                                     b"P2\n3 1\n255\n0 300 2\n",
+                                     b"P2\n-3 2\n255\n0 1 2\n3 4 5\n",
+                                     b"P2\n3 1\n255\n0 x 2\n"],
+                         ids=["p5_raster", "p2_samples", "non_integer_size",
+                              "p2_sample_above_maxval", "negative_width",
+                              "p2_non_integer_sample"])
 def test_pgm_truncated_raster(tmp_path, content):
     path = tmp_path / "short.pgm"
     path.write_bytes(content)

@@ -9,7 +9,7 @@ from eulercs.errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
 from eulercs.euler import euler_square
 from eulercs.recovery import (SNR_CAP_DB, TIE_RTOL, basis_pursuit,
                               gen_bernoulli_matrix, gen_gaussian_matrix,
-                              gen_sparse_signal, omp, omp_batch, snr)
+                              gen_sparse_signal, omp, omp_batch, recover, snr)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,41 @@ def test_basis_pursuit_infeasible_raises(A55):
         basis_pursuit(A55, y + np.arange(55), max_iter=20, tol_feas=1e-14)
     assert exc.value.result is not None
     assert exc.value.result.estimate.shape == (121,)
+
+
+def test_basis_pursuit_support_holds_int(A55):
+    converged = basis_pursuit(A55, A55[:, 3])
+    with pytest.raises(ConvergenceFailure) as exc:
+        basis_pursuit(A55, np.ones(55) + np.arange(55), max_iter=20, tol_feas=1e-14)
+    for result in (converged, exc.value.result):
+        assert result.support
+        assert all(type(i) is int for i in result.support)
+    assert converged.converged and not exc.value.result.converged
+
+
+def test_recover_rejects_unknown_solver(A55):
+    with pytest.raises(InvalidInput):
+        recover(A55, np.ones((2, 55)), 2, "lasso")
+
+
+def test_recover_returns_nonconverged_bp_rows(A55):
+    infeasible = np.ones(55) + np.arange(55)
+    Y = np.stack([A55[:, 3], infeasible, A55[:, 7] - A55[:, 90]])
+    results = recover(A55, Y, 2, "bp")
+    assert [r.converged for r in results] == [True, False, True]
+    assert results[1].estimate.shape == (121,)
+    with pytest.raises(ConvergenceFailure) as exc:
+        basis_pursuit(A55, infeasible)
+    assert np.array_equal(results[1].estimate, exc.value.result.estimate)
+    for y, result in zip(Y[[0, 2]], results[::2]):
+        assert np.array_equal(result.estimate, basis_pursuit(A55, y).estimate)
+
+
+def test_recover_omp_is_one_omp_batch(A55):
+    Y = np.stack([A55[:, 3] + 2 * A55[:, 50], np.zeros(55), np.arange(55.0)])
+    for got, want in zip(recover(A55, Y, 4, "omp"), omp_batch(A55, Y, 4)):
+        assert got.support == want.support and got.converged
+        assert np.array_equal(got.estimate, want.estimate)
 
 
 def test_gen_sparse_signal_distinct_support():
