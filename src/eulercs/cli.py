@@ -250,14 +250,17 @@ def cmd_cbir_index(args):
     entries = _scan_images(args.images)
     if not entries:
         raise InvalidInput(f"no .pgm images found in {args.images}")
-    feats = []
-    for _, _, path in entries:
-        feats.append(imaging.extract_features(imaging.read_pgm(path), mat, P,
-                                              args.levels))
+    feats = None
+    for i, (_, _, path) in enumerate(entries):
+        feat = imaging.extract_features(imaging.read_pgm(path), mat, P,
+                                        args.levels)
+        if feats is None:
+            feats = np.empty((len(entries), feat.size))
+        feats[i] = feat
     db = imaging.FeatureDB(ids=[e[0] for e in entries],
                            labels=[e[1] for e in entries],
                            paths=[e[2] for e in entries],
-                           features=np.stack(feats), patch=P,
+                           features=feats, patch=P,
                            levels=args.levels if args.levels is not None else -1,
                            matrix_provenance=mat.provenance)
     imaging.save_feature_db(db, args.out)

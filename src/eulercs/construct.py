@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (DegenerateColumn, HadamardUnavailable, IndexTooSmall,
                      InvalidInput, NothingToExtend, ParseError,
@@ -38,14 +37,22 @@ class SensingMatrix:
         if self.rows.shape != (self.M, self.k) or self.vals.shape != (self.M, self.k):
             raise InvalidInput("support arrays must have shape (M, k)")
 
-    def to_sparse(self) -> sp.csc_matrix:
+    def to_sparse(self):
+        """scipy.sparse.csc_matrix view; scipy.sparse loads on first use."""
+        import scipy.sparse as sp
         indptr = np.arange(0, (self.M + 1) * self.k, self.k)
         return sp.csc_matrix(
             (self.vals.ravel().astype(np.float64), self.rows.ravel(), indptr),
             shape=(self.m, self.M))
 
     def to_dense(self) -> np.ndarray:
-        return np.asarray(self.to_sparse().todense())
+        """(m, M) float64 array in Fortran order, equal to to_sparse().todense().
+
+        Entries at a repeated (row, column) are summed, as csc does.
+        """
+        A = np.zeros((self.m, self.M), order="F")
+        np.add.at(A, (self.rows, np.arange(self.M)[:, None]), self.vals)
+        return A
 
     @property
     def density(self) -> float:

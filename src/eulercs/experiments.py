@@ -242,11 +242,11 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
                              max_atoms: int = None):
     """Compress every patch through Phi and reconstruct it back.
 
-    Every patch is Haar-transformed and measured as y = Phi @ w, one
-    recovery.recover call recovers all the w, and they are
-    inverse-transformed and reassembled.  Returns the reconstructed
-    image and a report with the whole-image SNR and the down-sampling
-    factor M/m.
+    The patch stack is Haar-transformed in one call, every patch is
+    measured as y = Phi @ w, one recovery.recover call recovers all the
+    w, and one inverse transform turns them back into patches for
+    reassembly.  Returns the reconstructed image and a report with the
+    whole-image SNR and the down-sampling factor M/m.
     """
     t0 = time.perf_counter()
     A = Phi.to_dense() if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
@@ -255,10 +255,11 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
         raise ShapeError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")
     grid, patches = patchify(image, patch)
     K = max_atoms if max_atoms is not None else m // 2
-    Y = np.stack([A @ haar_forward(p, levels) for p in patches])
+    # one product per patch: a single A @ W.T need not round the same way
+    Y = np.stack([A @ w for w in haar_forward(patches, levels)])
     results = recovery.recover(A, Y, K, solver)
-    recon = unpatchify(grid, np.stack([haar_inverse(r.estimate, levels)
-                                       for r in results]))
+    recon = unpatchify(grid, haar_inverse(np.stack([r.estimate for r in results]),
+                                          levels))
     snr_db = recovery.snr(np.asarray(image, float).ravel(), recon.ravel())
     report = ExperimentReport(
         kind="recon",

@@ -6,6 +6,11 @@ patch is Haar-transformed to a sparse coefficient vector, compressed by
 a sensing matrix T (feature = concatenation of T @ coeffs over patches
 in row-major order), and queries are ranked by zero-lag normalized
 cross-correlation between whole feature vectors.
+
+The Haar transforms work on the trailing axes: haar_forward maps
+(..., P, P) to (..., P*P) and haar_inverse maps (..., P*P) back to
+(..., P, P), so a whole (M', P, P) patch stack is one call, with the
+same bits as one call per patch.
 """
 
 import hashlib
@@ -34,47 +39,52 @@ def _check_patch_size(P: int, levels):
     return levels
 
 
-def haar_forward(patch: np.ndarray, levels: int = None) -> np.ndarray:
-    """Orthonormal 2-D Haar transform; returns the flattened P*P vector."""
-    a = np.asarray(patch, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
+    """Orthonormal 2-D Haar transform of the trailing P x P axes.
+
+    Maps (..., P, P) to (..., P*P): a single patch gives one flattened
+    vector, a stack of patches one vector per patch.  Every entry comes
+    from the same (a +- b) / sqrt(2) steps whatever the leading shape,
+    so a stack transforms bit for bit as its patches would one by one.
+    """
+    a = np.asarray(patches, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise PatchSizeError(f"patch must be square, got {a.shape}")
-    P = a.shape[0]
+    P = a.shape[-1]
     levels = _check_patch_size(P, levels)
     out = a.copy()
     s = P
     for _ in range(levels):
-        blk = out[:s, :s]
-        for axis in (1, 0):
-            b = np.moveaxis(blk, axis, -1)
-            lo = (b[..., 0::2] + b[..., 1::2]) / SQRT2
-            hi = (b[..., 0::2] - b[..., 1::2]) / SQRT2
-            blk = np.moveaxis(np.concatenate([lo, hi], axis=-1), -1, axis)
-        out[:s, :s] = blk
+        for axis in (-1, -2):
+            b = np.moveaxis(out[..., :s, :s], axis, -1)   # a view into out
+            even, odd = b[..., 0::2], b[..., 1::2]
+            lo = (even + odd) / SQRT2
+            hi = (even - odd) / SQRT2
+            b[..., :s // 2] = lo
+            b[..., s // 2:] = hi
         s //= 2
-    return out.ravel()
+    return out.reshape(a.shape[:-2] + (P * P,))
 
 
 def haar_inverse(coeffs: np.ndarray, levels: int = None) -> np.ndarray:
-    """Inverse of haar_forward; returns the P x P patch."""
-    v = np.asarray(coeffs, dtype=np.float64).ravel()
-    P = int(round(math.sqrt(v.size)))
-    if P * P != v.size:
-        raise PatchSizeError(f"coefficient length {v.size} is not a square")
+    """Inverse of haar_forward: maps (..., P*P) to (..., P, P)."""
+    v = np.asarray(coeffs, dtype=np.float64)
+    if v.ndim < 1:
+        raise PatchSizeError("coefficients need at least one axis")
+    P = int(round(math.sqrt(v.shape[-1])))
+    if P * P != v.shape[-1]:
+        raise PatchSizeError(f"coefficient length {v.shape[-1]} is not a square")
     levels = _check_patch_size(P, levels)
-    out = v.reshape(P, P).copy()
-    sizes = [P >> t for t in range(levels)]
-    for s in reversed(sizes):
-        blk = out[:s, :s]
-        for axis in (0, 1):
-            b = np.moveaxis(blk, axis, -1)
-            half = s // 2
+    out = v.reshape(v.shape[:-1] + (P, P)).copy()
+    for s in reversed([P >> t for t in range(levels)]):
+        half = s // 2
+        for axis in (-2, -1):
+            b = np.moveaxis(out[..., :s, :s], axis, -1)   # a view into out
             lo, hi = b[..., :half], b[..., half:]
-            merged = np.empty_like(b)
-            merged[..., 0::2] = (lo + hi) / SQRT2
-            merged[..., 1::2] = (lo - hi) / SQRT2
-            blk = np.moveaxis(merged, -1, axis)
-        out[:s, :s] = blk
+            even = (lo + hi) / SQRT2
+            odd = (lo - hi) / SQRT2
+            b[..., 0::2] = even
+            b[..., 1::2] = odd
     return out
 
 
@@ -118,7 +128,7 @@ def extract_features(image: np.ndarray, T: SensingMatrix, P: int,
         raise ShapeError(f"matrix has {T.M} columns, patch needs {P * P}")
     grid, patches = patchify(image, P)
     A = T.to_dense()
-    coeffs = np.stack([haar_forward(p, levels) for p in patches])   # (M', P*P)
+    coeffs = haar_forward(patches, levels)   # (M', P*P)
     return (coeffs @ A.T).ravel()
 
 
@@ -161,7 +171,7 @@ def save_feature_db(db: FeatureDB, directory: str) -> None:
                   f"hash={db.provenance_hash}\n")
         f.write(header.encode())
         f.write(db.matrix_provenance.encode() + b"\n")
-        f.write(np.ascontiguousarray(db.features, dtype=np.float64).tobytes())
+        np.ascontiguousarray(db.features, dtype=np.float64).tofile(f)
 
 
 def load_feature_db(directory: str) -> FeatureDB:
@@ -188,13 +198,18 @@ def load_feature_db(directory: str) -> FeatureDB:
         if n < 0 or L < 0:
             raise ParseError(f"negative count={n} or len={L}", line=2)
         provenance = decode_utf8(f.readline(), line=3).rstrip("\n")
-        blob = f.read(n * L * 8)
-    if len(blob) != n * L * 8:
-        raise ParseError(f"feature blob has {len(blob)} bytes, expected {n * L * 8}")
+        # size the blob before allocating, so a header claiming more rows
+        # than the file holds fails as a parse error, not a huge allocation
+        expected = n * L * 8
+        held = min(os.fstat(f.fileno()).st_size - f.tell(), expected)
+        if held == expected:
+            data = np.empty((n, L), dtype=np.float64)
+            held = f.readinto(data)
+    if held != expected:
+        raise ParseError(f"feature blob has {held} bytes, expected {expected}")
     if n != len(ids):
         raise ParseError(f"manifest lists {len(ids)} entries, blob has {n}")
-    data = np.frombuffer(blob, dtype=np.float64).reshape(n, L)
-    return FeatureDB(ids=ids, labels=labels, paths=paths, features=data.copy(),
+    return FeatureDB(ids=ids, labels=labels, paths=paths, features=data,
                      patch=patch, levels=levels, matrix_provenance=provenance,
                      provenance_hash=provenance_hash)
 
@@ -316,8 +331,8 @@ def read_pgm(path: str) -> np.ndarray:
             img = np.array([int(t) for t in samples])
         except ValueError:
             raise ParseError("P2 sample is not an integer") from None
-        if img.min() < 0 or img.max() > maxval:
-            raise ParseError(f"P2 sample outside 0..{maxval}")
+    if img.min() < 0 or img.max() > maxval:
+        raise ParseError(f"{magic.decode()} sample outside 0..{maxval}")
     return img.reshape(h, w).astype(np.float64)
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .construct import SensingMatrix
 from .errors import (BoundUndefined, DegenerateColumn, InvalidInput,
@@ -70,15 +69,18 @@ class CoherenceReport:
 GRAM_BLOCK_ENTRIES = 1 << 18
 
 
-def gram_extrema(A: sp.spmatrix):
+def gram_extrema(A):
     """(max |off-diagonal Gram entry|, argmax pair, diagonal) of A^T A.
 
+    A is any scipy.sparse matrix; scipy.sparse loads here, so only the
+    matrices the row-pair proof cannot settle pay for importing it.
     The pair is the lexicographically smallest (i, j), i < j, attaining
     the max; (0, 1) when every off-diagonal entry is 0.  A^T A is formed
     one column block at a time: column j has at most as many nonzeros as
     the summed row degrees of its support, and a block's columns sum to
     at most GRAM_BLOCK_ENTRIES of those (a single column may exceed it).
     """
+    import scipy.sparse as sp
     A = sp.csc_matrix(A)
     m, M = A.shape
     diag = np.asarray(A.multiply(A).sum(axis=0), dtype=np.float64).ravel()
@@ -117,9 +119,14 @@ def _row_pair_extrema(mat: SensingMatrix):
     if (k < 1 or not np.all(mat.vals == 1) or rows.min() < 0 or rows.max() >= m
             or not np.all(np.diff(rows, axis=1) > 0)):
         return None
-    first, second = np.triu_indices(k, 1)
-    codes = rows[:, first] * m
-    codes += rows[:, second]
+    # the pair codes r_a*m + r_b, a < b, written one first row a at a
+    # time so no second (M, C(k, 2)) array is ever held
+    codes = np.empty((mat.M, k * (k - 1) // 2), dtype=np.int64)
+    start = 0
+    for a in range(k - 1):
+        stop = start + k - 1 - a
+        np.add(rows[:, a + 1:], rows[:, a:a + 1] * m, out=codes[:, start:stop])
+        start = stop
     codes = codes.ravel()
     codes.sort()
     if np.any(codes[1:] == codes[:-1]):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from eulercs.construct import (build_binary_matrix, build_extended,
-                               build_for_row_size, build_hadamard,
-                               build_ternary, load_esm, normalize, save_csv,
-                               save_esm)
+from eulercs.construct import (SensingMatrix, build_binary_matrix,
+                               build_extended, build_for_row_size,
+                               build_hadamard, build_ternary, load_esm,
+                               normalize, save_csv, save_esm)
 from eulercs.errors import (HadamardUnavailable, IndexTooSmall, NothingToExtend,
                             ParseError, UnsupportedRowSize)
 from eulercs.euler import euler_square
@@ -161,6 +161,25 @@ def test_ternary_with_truncated_hadamard():
     off = gram_extrema(mat.to_sparse())[0]
     assert off <= 1
     assert "hadamard=4" in mat.provenance
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_binary_matrix(euler_square(8, 4)),
+    lambda: build_extended(12)[0],
+    lambda: build_ternary(5, 1, 1),
+    # repeated rows: csc sums duplicates, to 2 in column 0 and 0 in column 2
+    lambda: SensingMatrix(m=4, M=3, alphabet="ternary", k=2,
+                          rows=[[1, 1], [0, 3], [2, 2]],
+                          vals=[[1, 1], [1, -1], [1, -1]]),
+], ids=["euler", "extended", "ternary", "repeated_row"])
+def test_to_dense_matches_sparse(build):
+    mat = build()
+    dense = mat.to_dense()
+    ref = np.asarray(mat.to_sparse().todense())
+    assert dense.dtype == ref.dtype == np.float64
+    assert np.array_equal(dense, ref)
+    assert dense.tobytes(order="A") == ref.tobytes(order="A")
+    assert dense.flags.f_contiguous == ref.flags.f_contiguous
 
 
 def test_normalize():

@@ -42,6 +42,43 @@ def test_haar_rejects_non_power_of_two():
         haar_forward(np.zeros((8, 8)), levels=4)
 
 
+def _haar_loop(fn, arr, in_shape, out_shape, levels):
+    """fn applied one patch or vector at a time, restacked."""
+    lead = arr.shape[:arr.ndim - len(in_shape)]
+    flat = arr.reshape((-1,) + in_shape)
+    return np.stack([fn(x, levels) for x in flat]).reshape(lead + out_shape)
+
+
+@pytest.mark.parametrize("P", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_haar_batched_equals_per_patch_loop(P, lead):
+    rng = np.random.default_rng(P)
+    for levels in range(P.bit_length()):
+        patches = rng.standard_normal(lead + (P, P)) * 100
+        coeffs = haar_forward(patches, levels)
+        assert coeffs.shape == lead + (P * P,)
+        if lead:
+            assert np.array_equal(coeffs, _haar_loop(
+                haar_forward, patches, (P, P), (P * P,), levels))
+        back = haar_inverse(coeffs, levels)
+        assert back.shape == lead + (P, P)
+        if lead:
+            assert np.array_equal(back, _haar_loop(
+                haar_inverse, coeffs, (P * P,), (P, P), levels))
+        assert np.abs(back - patches).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8), (16,), ()])
+def test_haar_forward_rejects_non_square_input(shape):
+    with pytest.raises(PatchSizeError):
+        haar_forward(np.zeros(shape))
+
+
+def test_haar_inverse_rejects_non_square_length():
+    with pytest.raises(PatchSizeError):
+        haar_inverse(np.zeros((3, 8)))
+
+
 def test_patchify_256():
     grid, patches = patchify(np.zeros((256, 256)), 32)
     assert grid.num_patches == 64
@@ -179,7 +216,10 @@ def test_feature_db_round_trip(tmp_path):
     lambda data: data[:-5],
     lambda data: data.replace(b" levels=", b" levels", 1),
     lambda data: data.replace(b" hash=", b" hsh=", 1),
-], ids=["truncated_blob", "token_without_equals", "missing_key"])
+    # a count far past the file's size fails before any allocation
+    lambda data: data.replace(b"count=5 ", b"count=1000000000000 ", 1),
+], ids=["truncated_blob", "token_without_equals", "missing_key",
+        "overstated_count"])
 def test_feature_db_corruption_fails_closed(tmp_path, corrupt):
     db = make_db(np.random.default_rng(7).standard_normal((5, 9)))
     save_feature_db(db, str(tmp_path / "db"))
@@ -187,6 +227,13 @@ def test_feature_db_corruption_fails_closed(tmp_path, corrupt):
     blob.write_bytes(corrupt(blob.read_bytes()))
     with pytest.raises(ParseError):
         load_feature_db(str(tmp_path / "db"))
+
+
+def test_feature_db_blob_is_row_major_float64(tmp_path):
+    feats = np.random.default_rng(9).standard_normal((4, 6))[:, ::2]   # strided
+    save_feature_db(make_db(feats), str(tmp_path / "db"))
+    data = (tmp_path / "db" / "features.bin").read_bytes()
+    assert data.endswith(b"euler n=8 k=4\n" + np.ascontiguousarray(feats).tobytes())
 
 
 def test_pgm_round_trip(tmp_path):
@@ -209,10 +256,11 @@ def test_pgm_ascii(tmp_path):
                                      b"P5\n4x 4\n255\n" + bytes(16),
                                      b"P2\n3 1\n255\n0 300 2\n",
                                      b"P2\n-3 2\n255\n0 1 2\n3 4 5\n",
-                                     b"P2\n3 1\n255\n0 x 2\n"],
+                                     b"P2\n3 1\n255\n0 x 2\n",
+                                     b"P5 2 1 100\n\xc8\x05"],
                          ids=["p5_raster", "p2_samples", "non_integer_size",
                               "p2_sample_above_maxval", "negative_width",
-                              "p2_non_integer_sample"])
+                              "p2_non_integer_sample", "p5_byte_above_maxval"])
 def test_pgm_truncated_raster(tmp_path, content):
     path = tmp_path / "short.pgm"
     path.write_bytes(content)

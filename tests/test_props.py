@@ -297,3 +297,22 @@ def test_coherence_256_16_fits_in_one_gib():
                           text=True, preexec_fn=cap, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert json.loads(proc.stdout) == [1 / 16, 1]
+
+
+_LAZY_SPARSE = """
+import sys
+import eulercs, eulercs.cli
+assert "scipy.sparse" not in sys.modules, "scipy.sparse loaded at import"
+from eulercs import build_ternary, coherence
+rep = coherence(build_ternary(5, 1, 1))
+print(rep.max_overlap, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_scipy_sparse_loads_only_for_the_gram_path():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SPARSE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.split() == ["1", "True"]
