@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__, construct, experiments, imaging, props, recovery
 from .errors import (ConvergenceFailure, EulerCSError, HadamardUnavailable,
                      IndexNotConstructible, IndexTooSmall, InvalidInput,
-                     InvalidOrder, NothingToExtend, ParseError, UnsupportedRowSize)
+                     InvalidOrder, NothingToExtend, ParseError, ShapeError,
+                     UnsupportedRowSize)
 from .euler import EulerSquare, validate_euler_square
 
 _INFEASIBLE = (IndexNotConstructible, UnsupportedRowSize, NothingToExtend,
@@ -106,8 +107,34 @@ def cmd_gen(args):
 # ---------------------------------------------------------------------------
 # verify
 
+def _fits_header(mat, spec):
+    """Whether the provenance line's matrix can be the one the header describes.
+
+    Decided from the line's numbers alone, so a line that claims a huge
+    matrix fails before anything is built.  A claim fits when its columns
+    and column weight are no more than the header's and its numbers agree
+    with each other.  The header's cols and k are bounded by the file's
+    own lines, so rebuilding a claim that fits costs about as much as
+    reading the file did.
+    """
+    if spec.family == "ternary":
+        if spec.p > 1 and spec.i > mat.M.bit_length():   # then p**i > M
+            return False
+        n = spec.p ** spec.i
+        k = n - spec.j
+        return n * n * k <= mat.M and k <= mat.k
+    if spec.family == "rows":
+        via = experiments.MatrixSpec.from_provenance(mat.provenance.split(" via ")[1])
+        return spec.row_size == via.n * via.k and _fits_header(mat, via)
+    # euler and extended: the n*n columns of the order-n square come first
+    return spec.n * spec.n <= mat.M and (spec.family != "euler" or spec.k <= mat.k)
+
+
 def _rebuild_failures(mat, spec):
     """Ways `mat` differs from the matrix its provenance spec builds."""
+    if not _fits_header(mat, spec):
+        return [f"provenance {mat.provenance!r} does not fit the header "
+                f"rows={mat.m} cols={mat.M} k={mat.k}"]
     try:
         rebuilt = spec.build()
     except EulerCSError as exc:
@@ -134,8 +161,9 @@ def cmd_verify(args):
     rebuilt.  The file must then keep column overlap <= 1 and match the
     rebuild in shape, alphabet, column weight, support, values and
     provenance; an euler square must also validate.  A malformed line of
-    those families is a ParseError, and a claim that cannot be built
-    fails.  Any other provenance is only reported.
+    those families is a ParseError, a claim that does not fit the header
+    fails before anything is built, and one that cannot be built fails.
+    Any other provenance is only reported.
     """
     mat = construct.load_esm(args.matrix)
     spec = experiments.MatrixSpec.from_provenance(mat.provenance)
@@ -256,6 +284,9 @@ def cmd_cbir_index(args):
                                         args.levels)
         if feats is None:
             feats = np.empty((len(entries), feat.size))
+        elif feat.size != feats.shape[1]:
+            raise ShapeError(f"{path}: {feat.size} features, but {entries[0][2]} "
+                             f"gives {feats.shape[1]}; index images of one size")
         feats[i] = feat
     db = imaging.FeatureDB(ids=[e[0] for e in entries],
                            labels=[e[1] for e in entries],

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .errors import (DegenerateColumn, HadamardUnavailable, IndexTooSmall,
                      InvalidInput, NothingToExtend, ParseError,
                      UnsupportedRowSize, decode_utf8)
@@ -257,18 +258,68 @@ def normalize(mat: SensingMatrix) -> np.ndarray:
 # file format: "ESM v1" text header + one support line per column
 
 def save_esm(mat: SensingMatrix, path: str) -> None:
+    ternary = mat.alphabet == "ternary"
+    support = mat.rows + 1
+    if ternary:
+        support = np.stack([support, mat.vals], axis=-1).reshape(mat.M, -1)
+    line = " ".join(["%d:%d" if ternary else "%d"] * mat.k) + "\n"
     with open(path, "w") as f:
         f.write(f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n")
         f.write(f"{mat.provenance or 'unknown'}\n")
-        for c in range(mat.M):
-            if mat.alphabet == "binary":
-                f.write(" ".join(str(int(r) + 1) for r in mat.rows[c]) + "\n")
-            else:
-                f.write(" ".join(f"{int(r) + 1}:{int(v)}"
-                                 for r, v in zip(mat.rows[c], mat.vals[c])) + "\n")
+        f.writelines(textio.format_lines(support, line))
+
+
+def _support_token(tok: str, ternary: bool, line: int) -> tuple:
+    """(row, value) of one 'r' (binary) or 'r:v' (ternary) support token."""
+    try:
+        r, v = tok.split(":") if ternary else (tok, "1")
+        entry = (int(r) - 1, int(v))
+    except ValueError:
+        entry = None
+    if entry is None or not all(-2 ** 63 <= x < 2 ** 63 for x in entry):
+        raise ParseError(f"bad support token {tok!r}", line=line)
+    return entry
+
+
+def _read_support(body: list, k: int, ternary: bool):
+    """(rows, vals, error) of the column lines before the first malformed one.
+
+    Lines as save_esm writes them convert as one array.  From the first
+    line in another form on, each line is split on whitespace and its
+    tokens are read with int().  A malformed line has a token count
+    other than k or a token that does not read; `error` is its
+    ParseError, or None when every line reads.
+    """
+    token = textio.NUMBER + (":-?" + textio.NUMBER if ternary else "")
+    values, n = textio.canonical_prefix(body, textio.repeated(token, k))
+    head = values.reshape(n, k, 1 + ternary)
+    rows = head[:, :, 0] - 1
+    vals = head[:, :, 1] if ternary else np.ones_like(rows)
+    tail, error = [], None
+    try:
+        for c in range(n, len(body)):
+            parts = body[c].split()
+            if len(parts) != k:
+                raise ParseError(f"column {c + 1} has {len(parts)} entries, expected {k}",
+                                 line=3 + c)
+            tail.append([_support_token(tok, ternary, 3 + c) for tok in parts])
+    except ParseError as exc:
+        error = exc
+    if tail:
+        tail = np.array(tail, dtype=np.int64)
+        rows = np.concatenate([rows, tail[:, :, 0]])
+        vals = np.concatenate([vals, tail[:, :, 1]])
+    return rows, vals, error
 
 
 def load_esm(path: str) -> SensingMatrix:
+    """Read an ESM v1 file; a malformed one raises ParseError with its line.
+
+    Where a file has several faults, the one reported is the first in
+    line order: per column line, token count, then each token, then row
+    range, then ascent; ternary values other than +-1 only after every
+    column line is sound.
+    """
     with open(path, "rb") as f:
         lines = decode_utf8(f.read()).splitlines()
     if not lines or not lines[0].startswith("ESM v1 "):
@@ -288,28 +339,15 @@ def load_esm(path: str) -> SensingMatrix:
     if len(lines) > 2 + M:
         raise ParseError(f"unexpected line after the {M} column lines", line=3 + M)
     provenance = lines[1]
-    rows = np.zeros((M, k), dtype=np.int64)
-    vals = np.ones((M, k), dtype=np.int64)
-    for c in range(M):
-        parts = lines[2 + c].split()
-        if len(parts) != k:
-            raise ParseError(f"column {c + 1} has {len(parts)} entries, expected {k}",
-                             line=3 + c)
-        for l, tok in enumerate(parts):
-            try:
-                if alphabet == "ternary":
-                    r, v = tok.split(":")
-                    rows[c, l] = int(r) - 1
-                    vals[c, l] = int(v)
-                else:
-                    rows[c, l] = int(tok) - 1
-            except ValueError:
-                raise ParseError(f"bad support token {tok!r}", line=3 + c)
-        if rows[c].min() < 0 or rows[c].max() >= m:
-            raise ParseError(f"row index out of range in column {c + 1}", line=3 + c)
-        if np.any(np.diff(rows[c]) <= 0):
-            raise ParseError(f"rows not strictly ascending in column {c + 1}",
-                             line=3 + c)
+    rows, vals, error = _read_support(lines[2:], k, alphabet == "ternary")
+    out_of_range = (rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)
+    bad = np.flatnonzero(out_of_range | (np.diff(rows, axis=1) <= 0).any(axis=1))
+    if bad.size:
+        c = int(bad[0])
+        what = "row index out of range" if out_of_range[c] else "rows not strictly ascending"
+        raise ParseError(f"{what} in column {c + 1}", line=3 + c)
+    if error is not None:
+        raise error
     bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
     if bad.size:
         raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",

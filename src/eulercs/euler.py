@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import (DegreeMismatch, DegreeTooLarge, IndexNotConstructible,
                      InvalidInput, InvalidOrder, ParseError)
 from .fields import GaloisField, build_field
@@ -120,8 +121,9 @@ def euler_square(n: int, k: int) -> EulerSquare:
     """Build an Euler square of index (n, k) when the classical bound allows.
 
     Requires k <= minpp(n) - 1 where minpp(n) is the smallest prime-power
-    component of n.  Each component square is built at full degree and
-    reduced to k; components fold via the product in increasing-prime order.
+    component of n.  Each component square is built at degree k, which
+    gives the first k coordinates of its full-degree square; components
+    fold via the product in increasing-prime order.
     """
     if n < 3:
         raise InvalidOrder(f"order n={n} must be >= 3")
@@ -135,7 +137,7 @@ def euler_square(n: int, k: int) -> EulerSquare:
     square = None
     for p, r, q in fac.components:
         F = build_field(p, r)
-        comp = reduce_degree(mols_prime_power(F, q - 1), k)
+        comp = mols_prime_power(F, k)
         square = comp if square is None else macneish_product(square, comp)
     square.provenance = f"euler n={n} k={k}"
     return square
@@ -151,24 +153,28 @@ def validate_euler_square(E: EulerSquare) -> ValidationReport:
     if cells.min() < 0 or cells.max() >= n:
         loc = np.unravel_index(np.argmax((cells < 0) | (cells >= n)), cells.shape)
         return ValidationReport(False, "cell value out of range", tuple(int(v) for v in loc))
-    expected = np.arange(n)
+    # Latin: one count of the codes (r*n + line)*n + value over every row,
+    # then every column, of every layer; (k, n) True where a line repeats
+    layers = np.ascontiguousarray(np.moveaxis(cells, 2, 0))   # (k, n, n)
+    line_codes = np.arange(k * n).reshape(k, n, 1) * n
+    row_repeats, col_repeats = (
+        np.bincount((line_codes + view).ravel(), minlength=k * n * n)
+        .reshape(k, n, n).max(axis=2) > 1
+        for view in (layers, layers.transpose(0, 2, 1)))
     for r in range(k):
-        layer = cells[:, :, r]
-        rows_ok = np.all(np.sort(layer, axis=1) == expected[None, :], axis=1)
-        if not rows_ok.all():
-            i = int(np.argmin(rows_ok))
+        if row_repeats[r].any():
             return ValidationReport(False, f"row-Latin violation in coordinate {r}",
-                                    (i, -1, r))
-        cols_ok = np.all(np.sort(layer, axis=0) == expected[:, None], axis=0)
-        if not cols_ok.all():
-            j = int(np.argmin(cols_ok))
+                                    (int(np.argmax(row_repeats[r])), -1, r))
+        if col_repeats[r].any():
             return ValidationReport(False, f"column-Latin violation in coordinate {r}",
-                                    (-1, j, r))
+                                    (-1, int(np.argmax(col_repeats[r])), r))
+    # orthogonality: one count of the n^2 codes per layer pair; the
+    # stable sort only locates the first repeated code of a failing pair
+    flat_layers = layers.reshape(k, n * n)
     for r in range(k):
         for s in range(r + 1, k):
-            codes = cells[:, :, r] * n + cells[:, :, s]
-            flat = codes.ravel()
-            if len(np.unique(flat)) != n * n:
+            flat = flat_layers[r] * n + flat_layers[s]
+            if np.bincount(flat, minlength=n * n).max() > 1:
                 order = np.argsort(flat, kind="stable")
                 dup = order[np.nonzero(np.diff(flat[order]) == 0)[0][0] + 1]
                 i, j = divmod(int(dup), n)
@@ -180,32 +186,48 @@ def validate_euler_square(E: EulerSquare) -> ValidationReport:
 
 def to_text(E: EulerSquare) -> str:
     """Serialize: header 'n k', then n lines of n comma-joined k-tuples."""
-    lines = [f"{E.n} {E.k}"]
-    for i in range(E.n):
-        lines.append(" ".join(",".join(str(int(v)) for v in E.cells[i, j])
-                              for j in range(E.n)))
-    return "\n".join(lines) + "\n"
+    line = " ".join([",".join(["%d"] * E.k)] * E.n) + "\n"
+    rows = E.cells.reshape(E.n, E.n * E.k)
+    return f"{E.n} {E.k}\n" + "".join(textio.format_lines(rows, line))
+
+
+def _scan_row(line: str, i: int, n: int, k: int) -> np.ndarray:
+    """(n, k) cells of row i from a line split on whitespace and commas."""
+    parts = line.split()
+    if len(parts) != n:
+        raise ParseError(f"expected {n} cells in row {i + 1}", line=i + 2)
+    row = []
+    for cell in parts:
+        vals = cell.split(",")
+        if len(vals) != k:
+            raise ParseError(f"expected {k} coordinates in cell", line=i + 2)
+        try:
+            row.append([int(v) for v in vals])
+        except ValueError:
+            raise ParseError(f"non-integer coordinate in cell {cell!r}", line=i + 2)
+    try:
+        return np.array(row, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"coordinate beyond int64 in row {i + 1}", line=i + 2) from None
 
 
 def from_text(text: str) -> EulerSquare:
-    lines = [ln for ln in text.strip().splitlines()]
+    """Parse to_text's format; a malformed text raises ParseError with its line.
+
+    Rows as to_text writes them convert as one array; from the first row
+    in another form on, rows are scanned one by one.
+    """
+    lines = text.strip().splitlines()
     try:
         n, k = map(int, lines[0].split())
     except (ValueError, IndexError):
         raise ParseError("bad header, expected 'n k'", line=1)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", line=len(lines))
-    cells = np.zeros((n, n, k), dtype=np.int64)
-    for i in range(n):
-        parts = lines[i + 1].split()
-        if len(parts) != n:
-            raise ParseError(f"expected {n} cells in row {i + 1}", line=i + 2)
-        for j, cell in enumerate(parts):
-            vals = cell.split(",")
-            if len(vals) != k:
-                raise ParseError(f"expected {k} coordinates in cell", line=i + 2)
-            try:
-                cells[i, j] = [int(v) for v in vals]
-            except ValueError:
-                raise ParseError(f"non-integer coordinate in cell {cell!r}", line=i + 2)
-    return EulerSquare(n=n, k=k, cells=cells, provenance="from-text")
+    if k < 0:
+        raise ParseError(f"degree k={k} is negative", line=1)
+    cell = textio.repeated(textio.NUMBER, k, ",")
+    values, done = textio.canonical_prefix(lines[1:], textio.repeated(cell, n))
+    rows = [values.reshape(done, n, k)]
+    rows += [_scan_row(lines[i + 1], i, n, k)[None] for i in range(done, n)]
+    return EulerSquare(n=n, k=k, cells=np.concatenate(rows), provenance="from-text")

@@ -318,3 +318,44 @@ def test_non_utf8_byte_fails_closed(tmp_path, corpus, name, old, line):
     argv = (["verify", str(path)] if name.endswith(".esm") else
             ["cbir", "query", "--db", str(db), "--image", str(imgdir / "c0_0.pgm")])
     assert run(argv) == 1
+
+
+@pytest.mark.parametrize("gen, provenance", [
+    (["--index", "3,2"], "euler n=4099 k=2"),
+    (["--index", "3,2"], "euler n=3 k=4099"),
+    (["--index", "3,2"], "rows m=8198 via euler n=4099 k=2"),
+    (["--index", "3,2"], "rows m=99999999999999999999 via euler n=3 k=2"),
+    (["--index", "3,2"], "extended n=4100 k=3 stages=2"),
+    (["--ternary", "5,1,1"], "ternary p=4099 i=1 j=1 hadamard=4100"),
+    (["--ternary", "5,1,1"], "ternary p=2 i=1000000000 j=1 hadamard=4"),
+], ids=["euler_order", "euler_degree", "rows_square", "rows_count", "extended",
+        "ternary_prime", "ternary_power"])
+def test_verify_rejects_hostile_provenance_before_build(tmp_path, capsys, monkeypatch,
+                                                        gen, provenance):
+    out = tmp_path / "m.esm"
+    assert run(["gen", *gen, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    lines[1] = provenance
+    out.write_text("\n".join(lines) + "\n")
+
+    def no_build(spec):
+        raise AssertionError(f"verify built {spec}")
+
+    monkeypatch.setattr("eulercs.experiments.MatrixSpec.build", no_build)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "does not fit the header" in capsys.readouterr().err
+
+
+def test_cbir_index_mixed_image_sizes(tmp_path, capsys):
+    imgdir = tmp_path / "imgs"
+    imgdir.mkdir()
+    rng = np.random.default_rng(3)
+    write_pgm(rng.integers(0, 256, (16, 16)).astype(float), str(imgdir / "a_0.pgm"))
+    write_pgm(rng.integers(0, 256, (16, 24)).astype(float), str(imgdir / "b_0.pgm"))
+    capsys.readouterr()
+    assert run(["cbir", "index", "--images", str(imgdir), "--rows", "32",
+                "--patch", "8", "--out", str(tmp_path / "db")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "b_0.pgm" in err

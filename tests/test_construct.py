@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                build_extended, build_for_row_size,
                                build_hadamard, build_ternary, load_esm,
                                normalize, save_csv, save_esm)
 from eulercs.errors import (HadamardUnavailable, IndexTooSmall, NothingToExtend,
-                            ParseError, UnsupportedRowSize)
+                            ParseError, UnsupportedRowSize, decode_utf8)
 from eulercs.euler import euler_square
 from eulercs.props import gram_extrema
 
@@ -244,6 +246,178 @@ def test_esm_rejects_extra_line_and_bad_value(tmp_path, ternary, index, text, li
     with pytest.raises(ParseError) as exc:
         load_esm(path)
     assert exc.value.line == line
+
+
+def _esm_variant(tmp_path, ternary, index, text, newline="\n"):
+    """Path of a (3,2) binary or (5,1,1) ternary ESM with line `index` set to `text`."""
+    mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
+    path = tmp_path / "m.esm"
+    save_esm(mat, str(path))
+    lines = path.read_text().splitlines()
+    if index is not None:
+        lines[index] = text if text is not None else lines[index].replace(":", " ", 1)
+    path.write_bytes((newline.join(lines) + newline).encode())
+    return str(path), mat
+
+
+# Each defect with what load_esm has always made of it: the ParseError
+# (line, message), or None where the file reads as the unmodified matrix.
+@pytest.mark.parametrize("ternary, index, text, newline, expected", [
+    (False, 3, "", "\n", (4, "column 2 has 0 entries, expected 2")),
+    (False, 2, "1 #4", "\n", (3, "bad support token '#4'")),
+    (False, 2, "1 4 # x", "\n", (3, "column 1 has 4 entries, expected 2")),
+    (False, 2, "1.0 4", "\n", (3, "bad support token '1.0'")),
+    (False, 2, "+1 4", "\n", None),
+    (False, 2, "١ 4", "\n", None),             # ARABIC-INDIC DIGIT ONE
+    (False, None, None, "\r\n", None),
+    (False, 2, "1\t4", "\n", None),
+    (False, 2, " 1  4 ", "\n", None),
+    (False, 2, "1", "\n", (3, "column 1 has 1 entries, expected 2")),
+    (False, 2, "1 4 5", "\n", (3, "column 1 has 3 entries, expected 2")),
+    (False, 2, "1 4_0", "\n", (3, "row index out of range in column 1")),
+    (False, 2, "4 1", "\n", (3, "rows not strictly ascending in column 1")),
+    (True, 2, None, "\n", (3, "column 1 has 5 entries, expected 4")),  # '1 1' for '1:1'
+], ids=["blank_line", "hash_token", "hash_comment", "float", "plus_sign",
+        "non_ascii_digit", "crlf", "tab", "extra_spaces", "short_line", "long_line",
+        "underscore", "descending", "ternary_space"])
+def test_esm_defect_corpus(tmp_path, ternary, index, text, newline, expected):
+    path, mat = _esm_variant(tmp_path, ternary, index, text, newline)
+    if expected is None:
+        back = load_esm(path)
+        assert np.array_equal(back.rows, mat.rows)
+        assert np.array_equal(back.vals, mat.vals)
+    else:
+        with pytest.raises(ParseError) as exc:
+            load_esm(path)
+        assert (exc.value.line, str(exc.value)) == expected
+
+
+def _reference_load_esm(data: bytes):
+    """The per-token ESM reader load_esm replaced, on the file's bytes."""
+    lines = decode_utf8(data).splitlines()
+    if not lines or not lines[0].startswith("ESM v1 "):
+        raise ParseError("missing 'ESM v1' header", line=1)
+    try:
+        fields = dict(tok.split("=") for tok in lines[0].split()[2:])
+        m, M, k = int(fields["rows"]), int(fields["cols"]), int(fields["k"])
+        alphabet = fields["alphabet"]
+    except (KeyError, ValueError):
+        raise ParseError("malformed header fields", line=1)
+    if alphabet not in ("binary", "ternary"):
+        raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
+    if k < 1 or m < 1 or M < 0:
+        raise ParseError(f"counts rows={m} cols={M} k={k} out of range", line=1)
+    if len(lines) < 2 + M:
+        raise ParseError(f"expected {M} column lines", line=len(lines))
+    if len(lines) > 2 + M:
+        raise ParseError(f"unexpected line after the {M} column lines", line=3 + M)
+    rows = np.zeros((M, k), dtype=np.int64)
+    vals = np.ones((M, k), dtype=np.int64)
+    for c in range(M):
+        parts = lines[2 + c].split()
+        if len(parts) != k:
+            raise ParseError(f"column {c + 1} has {len(parts)} entries, expected {k}",
+                             line=3 + c)
+        for l, tok in enumerate(parts):
+            try:
+                if alphabet == "ternary":
+                    r, v = tok.split(":")
+                    rows[c, l] = int(r) - 1
+                    vals[c, l] = int(v)
+                else:
+                    rows[c, l] = int(tok) - 1
+            except ValueError:
+                raise ParseError(f"bad support token {tok!r}", line=3 + c)
+        if rows[c].min() < 0 or rows[c].max() >= m:
+            raise ParseError(f"row index out of range in column {c + 1}", line=3 + c)
+        if np.any(np.diff(rows[c]) <= 0):
+            raise ParseError(f"rows not strictly ascending in column {c + 1}",
+                             line=3 + c)
+    bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
+    if bad.size:
+        raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
+                         line=3 + int(bad[0]))
+    return m, M, k, alphabet, rows, vals, lines[1]
+
+
+# bytes a mutation may write: the format's own, the traps of a
+# whole-array reader, and bytes that are not UTF-8 on their own
+_MUTATION_BYTES = st.sampled_from(list(b"0123456789 :-+#.,\t\r\n\x0b\xa0\xff") +
+                                  [0xd9, 0xa1, 0xef, 0xbc, 0x91])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ternary=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                                st.floats(0, 1, exclude_max=True), _MUTATION_BYTES),
+                      min_size=1, max_size=4))
+def test_esm_byte_mutations_read_as_before(tmp_path, ternary, edits):
+    mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
+    path = tmp_path / "fuzz.esm"
+    save_esm(mat, str(path))
+    data = bytearray(path.read_bytes())
+    for op, where, byte in edits:
+        at = int(where * len(data))
+        if op == "set":
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    path.write_bytes(data)
+    try:
+        expected = _reference_load_esm(bytes(data))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_esm(str(path))
+        assert (got.value.line, str(got.value)) == (exc.line, str(exc))
+        return
+    back = load_esm(str(path))
+    assert (back.m, back.M, back.k, back.alphabet) == expected[:4]
+    assert np.array_equal(back.rows, expected[4])
+    assert np.array_equal(back.vals, expected[5])
+    assert back.provenance == expected[6]
+
+
+@pytest.mark.parametrize("token", ["99999999999999999999", "-9223372036854775807"])
+def test_esm_huge_token_is_parse_error(tmp_path, token):
+    path, _ = _esm_variant(tmp_path, False, 4, f"1 {token}")
+    with pytest.raises(ParseError) as exc:
+        load_esm(path)
+    assert exc.value.line == 5
+
+
+def test_esm_faults_reported_in_line_order(tmp_path):
+    # a range fault on a line the fast path reads comes before a bad
+    # token on a later line, and a bad token before a later range fault
+    path, _ = _esm_variant(tmp_path, False, 3, "2 9")
+    lines = (tmp_path / "m.esm").read_text().splitlines()
+    lines[6] = "3 x"
+    (tmp_path / "m.esm").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_esm(path)
+    assert (exc.value.line, str(exc.value)) == (4, "row index out of range in column 2")
+    lines[3], lines[8] = "2\t5", "1 0"
+    (tmp_path / "m.esm").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_esm(path)
+    assert (exc.value.line, str(exc.value)) == (7, "bad support token 'x'")
+
+
+def test_esm_bytes_and_round_trip_at_scale(tmp_path):
+    # more columns than one write block, on both alphabets
+    for mat in (build_binary_matrix(euler_square(101, 7)), build_ternary(9, 1, 1)):
+        path = tmp_path / "m.esm"
+        save_esm(mat, str(path))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + mat.M
+        tokens = ([str(r + 1) for r in mat.rows[-1]] if mat.alphabet == "binary" else
+                  [f"{r + 1}:{v}" for r, v in zip(mat.rows[-1], mat.vals[-1])])
+        assert lines[-1] == " ".join(tokens)
+        back = load_esm(str(path))
+        assert np.array_equal(back.rows, mat.rows)
+        assert np.array_equal(back.vals, mat.vals)
 
 
 def test_csv_export(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,67 @@ def test_from_text_non_integer_cell():
     with pytest.raises(ParseError) as exc:
         from_text(text)
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("index, r, s, location", [
+    ((5, 4), 1, 3, (1, 3, 1)),
+    ((7, 3), 0, 2, (1, 6, 0)),
+])
+def test_validator_reports_latin_but_not_orthogonal(index, r, s, location):
+    E = euler_square(*index)
+    cells = E.cells.copy()
+    cells[:, :, s] = cells[:, :, r]   # still Latin in every coordinate
+    report = validate_euler_square(EulerSquare(*index, cells=cells))
+    assert not report.ok
+    assert report.message == f"orthogonality violation for coordinates ({r},{s})"
+    assert report.location == location
+
+
+def test_text_round_trip_31_30():
+    E = euler_square(31, 30)
+    text = to_text(E)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "2505e98b06adbde092127d0d49b31e400153e63bd81eb56167b193e469c66283"
+    R = from_text(text)
+    assert (R.n, R.k) == (31, 30)
+    assert np.array_equal(R.cells, E.cells)
+
+
+def test_from_text_reads_other_spacing_and_signs():
+    lines = to_text(euler_square(5, 4)).splitlines()
+    lines[2] = "\t" + lines[2].replace(" ", "\t ")
+    lines[3] = lines[3].replace("0,", "+0,", 1)
+    R = from_text("\n".join(lines) + "\n")
+    assert np.array_equal(R.cells, euler_square(5, 4).cells)
+
+
+@pytest.mark.parametrize("row, text, line", [
+    (2, "0,1", 3),                       # too few cells
+    (3, "0,1 1,2 2,3 3,4 4,0,1", 4),     # a cell with too many coordinates
+    (5, "0,1 1,2 2,3 3,4 4,x", 6),       # non-integer after the fast rows
+], ids=["cells", "coordinates", "non_integer"])
+def test_from_text_names_the_bad_line(row, text, line):
+    lines = to_text(euler_square(5, 2)).splitlines()
+    lines[row] = text
+    with pytest.raises(ParseError) as exc:
+        from_text("\n".join(lines) + "\n")
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1 -1\n0\n", 1),                           # negative degree
+    ("1 1\n99999999999999999999\n", 2),         # coordinate beyond int64
+], ids=["negative_degree", "huge_coordinate"])
+def test_from_text_rejects_unrepresentable(text, line):
+    with pytest.raises(ParseError) as exc:
+        from_text(text)
+    assert exc.value.line == line
+
+
+def test_validator_reports_column_violation():
+    E = euler_square(5, 3)
+    cells = E.cells.copy()
+    cells[3, :, 1] = cells[0, :, 1]   # rows stay Latin, columns repeat
+    report = validate_euler_square(EulerSquare(n=5, k=3, cells=cells))
+    assert report.message == "column-Latin violation in coordinate 1"
+    assert report.location == (-1, 0, 1)
