@@ -21,6 +21,8 @@ from .errors import (DegenerateColumn, HadamardUnavailable, IndexTooSmall,
 from .euler import EulerSquare, euler_square, factorize
 from .fields import is_prime
 
+INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass(eq=False)
 class SensingMatrix:
@@ -292,9 +294,6 @@ def _read_support(body: list, k: int, ternary: bool):
     """
     token = textio.NUMBER + (":-?" + textio.NUMBER if ternary else "")
     values, n = textio.canonical_prefix(body, textio.repeated(token, k))
-    head = values.reshape(n, k, 1 + ternary)
-    rows = head[:, :, 0] - 1
-    vals = head[:, :, 1] if ternary else np.ones_like(rows)
     tail, error = [], None
     try:
         for c in range(n, len(body)):
@@ -304,7 +303,12 @@ def _read_support(body: list, k: int, ternary: bool):
                                  line=3 + c)
             tail.append([_support_token(tok, ternary, 3 + c) for tok in parts])
     except ParseError as exc:
+        if n == 0 and not tail:
+            raise       # nothing read before it, so k need not fit an array shape
         error = exc
+    head = values.reshape(n, k, 1 + ternary)
+    rows = head[:, :, 0] - 1
+    vals = head[:, :, 1] if ternary else np.ones_like(rows)
     if tail:
         tail = np.array(tail, dtype=np.int64)
         rows = np.concatenate([rows, tail[:, :, 0]])
@@ -332,12 +336,17 @@ def load_esm(path: str) -> SensingMatrix:
         raise ParseError("malformed header fields", line=1)
     if alphabet not in ("binary", "ternary"):
         raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
-    if k < 1 or m < 1 or M < 0:
-        raise ParseError(f"counts rows={m} cols={M} k={k} out of range", line=1)
+    counts = f"counts rows={m} cols={M} k={k} out of range"
+    if k < 1 or m < 1 or M < 0 or max(m, M, k) > INT64_MAX:
+        raise ParseError(counts, line=1)
     if len(lines) < 2 + M:
         raise ParseError(f"expected {M} column lines", line=len(lines))
     if len(lines) > 2 + M:
         raise ParseError(f"unexpected line after the {M} column lines", line=3 + M)
+    if k > m and M == 0:
+        # no column holds k distinct rows below m; with columns, the
+        # first column line is where that shows and is reported
+        raise ParseError(counts, line=1)
     provenance = lines[1]
     rows, vals, error = _read_support(lines[2:], k, alphabet == "ternary")
     out_of_range = (rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)

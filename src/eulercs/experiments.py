@@ -25,7 +25,10 @@ from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 # "2": OMP breaks exact score ties toward the lowest column index, where
 # rounding used to decide them.  Sweep and phase rows are unchanged on
 # every acceptance config; recon SNRs move where patches have tied picks.
-REPORT_VERSION = "2"
+# "3": OMP's estimate is the coefficient vector its inverse Gram already
+# holds, not a final least-squares refit.  Sweep and phase rows are
+# unchanged; recon SNRs move in their last digits.
+REPORT_VERSION = "3"
 
 # Deterministic family -> (the provenance line its construction writes,
 # as a pattern whose named groups are MatrixSpec fields; the builder).

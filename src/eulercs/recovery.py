@@ -6,9 +6,10 @@ There is one orthogonal matching pursuit, omp_batch, which runs every
 trial that shares a matrix at once: each iteration picks one atom per
 trial from a single product R @ A, ties within TIE_RTOL going to the
 lowest index, and updates an inverse Gram of the selected columns by a
-rank-one step instead of re-solving least squares.  Only the final
-coefficients come from a least-squares fit, one per trial.  omp is its
-one-trial case.
+rank-one step instead of re-solving least squares.  The coefficients
+that inverse gives are each trial's estimate; a pick whose column lies
+within PIVOT_RTOL of the span already held ends the trial instead.  omp
+is its one-trial case.
 
 All randomness flows through numpy's default_rng (PCG64); a seed may be
 a single integer or a sequence of integers (master seed plus substream
@@ -30,6 +31,9 @@ from .errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
 
 SNR_CAP_DB = 310.0
 TIE_RTOL = 1e-9        # OMP scores this close to the maximum count as tied
+# OMP takes no column whose squared distance from the span it holds is at
+# most this fraction of the column's squared norm
+PIVOT_RTOL = 1e-10
 SOLVERS = ("omp", "bp")
 
 
@@ -75,13 +79,16 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
     and the lowest index within relative TIE_RTOL of the row maximum
     wins, so exact ties go to the smallest index whatever the rounding.
     The inverse Gram of the selected columns grows by a rank-one step
-    per pick and gives the coefficients; the residual is then formed
-    explicitly as y - A_S c.  A trial stops after K atoms, once
-    ||r|| <= tol, or when it picks a column it already holds (a
-    numerical stall).  Each trial's result is then one least-squares
-    fit of y on its support in pick order, so the estimate,
-    residual_norm and rank_deficient are those of that fit.  The Gram
-    A^T A is never formed; the state takes (m + K) * K floats per trial.
+    per pick and gives the least-squares coefficients c; the residual
+    is then formed explicitly as y - A_S c.  A trial stops after K
+    atoms, once ||r|| <= tol, when it picks a column it already holds
+    (a numerical stall), or when the rank-one pivot, the squared
+    distance of the picked column from the span of those held, is not
+    above PIVOT_RTOL times its squared norm: that column is not taken
+    and the trial is flagged rank_deficient.  A trial's estimate is its
+    last c and its residual_norm is the norm of its last residual; no
+    least-squares fit is solved afresh.  The Gram A^T A is never
+    formed; the state takes (m + K) * K floats per trial.
     """
     A = _as_dense(Phi)
     Y = np.asarray(Y, dtype=np.float64)
@@ -100,9 +107,13 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
 
     At = np.ascontiguousarray(A.T)
     sq = np.einsum("mj,mj->j", A, A)
-    picks = np.full((Y.shape[0], K), -1)        # pick order, per trial
+    T = Y.shape[0]
+    picks = np.full((T, K), -1)                 # pick order, per trial
+    coef = np.zeros((T, K))                     # last coefficients, in pick order
+    rnorm = np.linalg.norm(Y, axis=1)           # last residual norm
+    rank_deficient = np.zeros(T, dtype=bool)
     # state of the active trials only, row i belongs to trial live[i]
-    live = np.flatnonzero(np.linalg.norm(Y, axis=1) > tol)
+    live = np.flatnonzero(rnorm > tol)
     Yl = Rl = Y[live]
     As = np.empty((live.size, K, m))            # selected columns, as rows
     Ginv = np.empty((live.size, K, K))          # inverse Gram of As
@@ -114,18 +125,23 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
         scores /= norms
         j = np.argmax(scores >= scores.max(axis=1, keepdims=True) * (1.0 - TIE_RTOL),
                       axis=1)
-        fresh = (picks[live, :it] != j[:, None]).all(axis=1)
-        if not fresh.all():                     # stalled trials stop here
-            live, j = live[fresh], j[fresh]
-            Yl, As, Ginv, z = Yl[fresh], As[fresh], Ginv[fresh], z[fresh]
-        picks[live, it] = j
         # grow the inverse Gram by the new column a: with b = As a,
-        # u = Ginv b and d = 1 / (a.a - b.u), the new inverse is
-        # [[Ginv + d u u^T, -d u], [-d u^T, d]]
-        a = As[:, it] = At[j]
+        # u = Ginv b and the pivot p = a.a - b.u, the squared distance of
+        # a from the span of As, the new inverse is
+        # [[Ginv + u u^T / p, -u / p], [-u^T / p, 1 / p]]
+        a = At[j]
         b = As[:, :it] @ a[:, :, None]
         u = Ginv[:, :it, :it] @ b
-        d = 1.0 / (sq[j] - (b.transpose(0, 2, 1) @ u)[:, 0, 0])
+        pivot = sq[j] - (b.transpose(0, 2, 1) @ u)[:, 0, 0]
+        fresh = (picks[live, :it] != j[:, None]).all(axis=1)
+        take = fresh & (pivot > PIVOT_RTOL * sq[j])
+        if not take.all():                      # stalled and dependent picks stop here
+            rank_deficient[live[fresh & ~take]] = True
+            live, j, a, u, pivot = live[take], j[take], a[take], u[take], pivot[take]
+            Yl, As, Ginv, z = Yl[take], As[take], Ginv[take], z[take]
+        picks[live, it] = j
+        As[:, it] = a
+        d = 1.0 / pivot
         du = u * d[:, None, None]
         Ginv[:, :it, :it] += du @ u.transpose(0, 2, 1)
         Ginv[:, :it, it:it + 1] = -du
@@ -134,41 +150,42 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
         z[:, it] = (a[:, None, :] @ Yl[:, :, None])[:, 0]
         C = Ginv[:, :it + 1, :it + 1] @ z[:, :it + 1]
         Rl = Yl - (C.transpose(0, 2, 1) @ As[:, :it + 1])[:, 0]
-        more = np.sqrt((Rl * Rl).sum(axis=1)) > tol
+        coef[live, :it + 1] = C[:, :, 0]
+        rnorm[live] = r = np.sqrt((Rl * Rl).sum(axis=1))
+        more = r > tol
         if not more.all():
             live, Yl, Rl = live[more], Yl[more], Rl[more]
             As, Ginv, z = As[more], Ginv[more], z[more]
 
-    results = []
-    for y, row in zip(Y, picks):
-        sel = row[row >= 0]
-        sub = A[:, sel]
-        coef, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        x = np.zeros(M)
-        x[sel] = coef
-        results.append(RecoveryResult(
-            estimate=x, support=sorted(int(i) for i in sel),
-            residual_norm=float(np.linalg.norm(y - sub @ coef)),
-            iterations=int(sel.size), rank_deficient=bool(rank < sel.size)))
-    return results
+    held = picks >= 0
+    X = np.zeros((T, M))
+    X[np.nonzero(held)[0], picks[held]] = coef[held]
+    iterations = held.sum(axis=1)
+    return [RecoveryResult(estimate=X[t], support=np.sort(picks[t, :n]).tolist(),
+                           residual_norm=float(rnorm[t]), iterations=int(n),
+                           rank_deficient=bool(rank_deficient[t]))
+            for t, n in enumerate(iterations)]
 
 
 def basis_pursuit(Phi, y, rho: float = 1.0, max_iter: int = 5000,
-                  tol_feas: float = 1e-10, tol_gap: float = 1e-8) -> RecoveryResult:
+                  tol_feas: float = 1e-10, tol_gap: float = 1e-8,
+                  pinv: np.ndarray = None) -> RecoveryResult:
     """l1 minimization subject to Phi x = y, by alternating splitting.
 
-    Iterates (a) projection onto the affine feasible set via a cached
-    pseudoinverse and (b) elementwise soft thresholding with threshold
-    1/rho.  Deterministic for fixed parameters.  Raises
-    ConvergenceFailure (carrying the best iterate) if the residuals do
-    not fall below the tolerances within max_iter sweeps.
+    Iterates (a) projection onto the affine feasible set via the
+    pseudoinverse of Phi (`pinv`, computed here when None) and (b)
+    elementwise soft thresholding with threshold 1/rho.  Deterministic
+    for fixed parameters.  Raises ConvergenceFailure (carrying the best
+    iterate) if the residuals do not fall below the tolerances within
+    max_iter sweeps.
     """
     A = _as_dense(Phi)
     y = np.asarray(y, dtype=np.float64).ravel()
     m, M = A.shape
     if y.shape[0] != m:
         raise ShapeError(f"y has length {y.shape[0]}, expected {m}")
-    pinv = np.linalg.pinv(A)
+    if pinv is None:
+        pinv = np.linalg.pinv(A)
     base = pinv @ y              # min-norm feasible point (up to rank of A)
 
     def project(v):
@@ -206,17 +223,20 @@ def recover(Phi, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
     "omp" is one omp_batch call of at most K atoms.  "bp" runs
-    basis_pursuit row by row (K unused); a row that does not converge
-    comes back as its best iterate with converged=False.
+    basis_pursuit row by row (K unused) on one dense A and its one
+    pseudoinverse; a row that does not converge comes back as its best
+    iterate with converged=False.
     """
     if solver == "omp":
         return omp_batch(Phi, Y, K, tol=1e-12)
     if solver != "bp":
         raise InvalidInput(f"unknown solver {solver!r}")
+    A = _as_dense(Phi)
+    pinv = np.linalg.pinv(A)
     results = []
     for y in np.asarray(Y, dtype=np.float64):
         try:
-            results.append(basis_pursuit(Phi, y))
+            results.append(basis_pursuit(A, y, pinv=pinv))
         except ConvergenceFailure as exc:
             results.append(exc.result)
     return results

@@ -129,6 +129,13 @@ def test_verify_malformed_file(tmp_path):
     assert run(["verify", str(bad)]) == 1
 
 
+def test_verify_huge_header_k_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.esm"
+    bad.write_text("ESM v1 rows=6 cols=0 alphabet=binary k=99999999999999999999\nx\n")
+    assert run(["verify", str(bad)]) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_bench_sweep(tmp_path):
     out = str(tmp_path / "sweep")
     assert run(["bench", "sweep", "--index", "3,2", "--kmax", "2",

@@ -388,6 +388,25 @@ def test_esm_huge_token_is_parse_error(tmp_path, token):
     assert exc.value.line == 5
 
 
+@pytest.mark.parametrize("header, body, line", [
+    ("rows=6 cols=0 alphabet=binary k=99999999999999999999", "", 1),
+    ("rows=6 cols=0 alphabet=binary k=4611686018427387904", "", 1),
+    ("rows=6 cols=0 alphabet=binary k=7", "", 1),
+    ("rows=99999999999999999999 cols=0 alphabet=binary k=2", "", 1),
+    ("rows=6 cols=99999999999999999999 alphabet=binary k=2", "", 1),
+    # with columns, k > rows shows on the first column line, as always
+    ("rows=6 cols=1 alphabet=binary k=4611686018427387904", "1 2\n", 3),
+    ("rows=6 cols=1 alphabet=ternary k=4611686018427387904", "1:1 2:-1\n", 3),
+], ids=["k_beyond_int64", "k_beyond_shape", "k_above_rows", "rows_beyond_int64",
+        "cols_beyond_int64", "k_beyond_shape_with_column", "ternary_k_beyond_shape"])
+def test_esm_header_counts_fail_closed(tmp_path, header, body, line):
+    path = tmp_path / "m.esm"
+    path.write_text(f"ESM v1 {header}\nprovenance\n{body}")
+    with pytest.raises(ParseError) as exc:
+        load_esm(str(path))
+    assert exc.value.line == line
+
+
 def test_esm_faults_reported_in_line_order(tmp_path):
     # a range fault on a line the fast path reads comes before a bad
     # token on a later line, and a bad token before a later range fault

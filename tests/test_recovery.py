@@ -131,6 +131,59 @@ def test_omp_batch_rejects_negative_k(A55):
     assert result.iterations == 0 and not result.estimate.any()
 
 
+@pytest.mark.parametrize("make, levels", [
+    (lambda: build_binary_matrix(euler_square(11, 5)).to_dense(), range(1, 28)),
+    (lambda: gen_gaussian_matrix(55, 121, 7), range(1, 28)),
+    (lambda: build_binary_matrix(euler_square(23, 10)).to_dense(), range(1, 41, 3)),
+], ids=["euler_11_5", "gaussian_55x121", "euler_23_10"])
+def test_omp_estimate_is_least_squares_on_its_support(make, levels, monkeypatch):
+    A = make().astype(float)
+    Ys = {k: _level_measurements(A, k) for k in levels}
+    monkeypatch.setattr(np.linalg, "lstsq", None)     # the fit comes from the loop
+    results = {k: omp_batch(A, Y, k) for k, Y in Ys.items()}
+    monkeypatch.undo()
+    for k, Y in Ys.items():
+        for y, result in zip(Y, results[k]):
+            want = np.zeros(A.shape[1])
+            want[result.support] = np.linalg.lstsq(A[:, result.support], y, rcond=None)[0]
+            assert not result.rank_deficient
+            assert np.linalg.norm(result.estimate - want) <= 1e-12 * np.linalg.norm(want)
+            assert result.residual_norm == pytest.approx(
+                np.linalg.norm(y - A @ want), rel=1e-6, abs=1e-12)
+
+
+def _rank_two_case():
+    """A 3x4 matrix of rank 2 and a y with a component off its plane."""
+    rng = np.random.default_rng(0)
+    B = rng.standard_normal((3, 2))
+    A = B @ rng.standard_normal((2, 4))
+    return A, B @ np.array([1.0, -2.0]) + np.cross(B[:, 0], B[:, 1])
+
+
+def test_omp_stops_before_a_dependent_column():
+    # the first two picks span A's plane; the third best column lies in
+    # it, so its pivot is rounding noise and the trial stops at two
+    A, y = _rank_two_case()
+    result = omp(A, y, 3)
+    assert result.support == [0, 2] and result.iterations == 2
+    assert result.rank_deficient
+    assert np.all(np.isfinite(result.estimate))
+    assert result.residual_norm == pytest.approx(0.304979, abs=1e-6)
+    fit = np.linalg.lstsq(A[:, [0, 2]], y, rcond=None)[0]
+    assert np.allclose(result.estimate[[0, 2]], fit, rtol=1e-12, atol=0)
+
+
+def test_omp_batch_matches_omp_on_a_dependent_column():
+    A, y = _rank_two_case()
+    Y = np.stack([y, A[:, 1], y])
+    one = omp(A, y, 3)
+    for got in omp_batch(A, Y, 3)[::2]:
+        assert got.support == one.support
+        assert got.rank_deficient and one.rank_deficient
+        assert got.residual_norm == one.residual_norm
+        assert np.array_equal(got.estimate, one.estimate)
+
+
 def test_basis_pursuit_single_column(A55):
     result = basis_pursuit(A55, A55[:, 3])
     expect = np.zeros(121)
