@@ -20,14 +20,16 @@ import time
 import numpy as np
 
 from . import __version__, construct, experiments, imaging, props, recovery
-from .errors import (ConvergenceFailure, EulerCSError, HadamardUnavailable,
-                     IndexNotConstructible, IndexTooSmall, InvalidInput,
-                     InvalidOrder, NothingToExtend, ParseError, ShapeError,
-                     UnsupportedRowSize)
+from .errors import (ConvergenceFailure, EulerCSError, FieldTooLarge,
+                     HadamardUnavailable, IndexNotConstructible, IndexTooSmall,
+                     InvalidInput, InvalidOrder, NothingToExtend, ParseError,
+                     ShapeError, UnsupportedRowSize)
 from .euler import EulerSquare, validate_euler_square
 
+# a request that does not fit in memory is infeasible here too
 _INFEASIBLE = (IndexNotConstructible, UnsupportedRowSize, NothingToExtend,
-               HadamardUnavailable, IndexTooSmall, InvalidOrder)
+               HadamardUnavailable, IndexTooSmall, InvalidOrder, FieldTooLarge,
+               MemoryError)
 
 
 def _write_manifest(out_path, subcommand, args, seed, inputs, outputs, wall):
@@ -304,7 +306,11 @@ def cmd_cbir_index(args):
 
 def _db_and_matrix(db_dir):
     db = imaging.load_feature_db(db_dir)
-    mat = construct.load_esm(os.path.join(db_dir, "matrix.esm"))
+    path = os.path.join(db_dir, "matrix.esm")
+    mat = construct.load_esm(path)
+    if mat.provenance != db.matrix_provenance:
+        raise ParseError(f"{path}: provenance {mat.provenance!r} is not the "
+                         f"feature database's {db.matrix_provenance!r}", line=2)
     levels = None if db.levels < 0 else db.levels
     return db, mat, levels
 
@@ -374,7 +380,7 @@ def build_parser():
     sweep.add_argument("--kmax", type=int, default=10)
     sweep.add_argument("--levels", help="explicit comma-separated sparsity levels")
     sweep.add_argument("--trials", type=int, default=1000)
-    sweep.add_argument("--threshold", type=float, default=100.0)
+    sweep.add_argument("--threshold", type=float, default=experiments.SUCCESS_DB)
     sweep.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", required=True)
@@ -444,7 +450,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _INFEASIBLE as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (InvalidInput,) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -343,9 +343,10 @@ def load_esm(path: str) -> SensingMatrix:
         raise ParseError(f"expected {M} column lines", line=len(lines))
     if len(lines) > 2 + M:
         raise ParseError(f"unexpected line after the {M} column lines", line=3 + M)
-    if k > m and M == 0:
-        # no column holds k distinct rows below m; with columns, the
-        # first column line is where that shows and is reported
+    if M == 0 and (k > m or k > INT64_MAX // 16):
+        # no column holds k distinct rows below m, and numpy cannot shape
+        # the empty (0, k) support of two int64 per entry; with columns,
+        # the first column line is where that shows and is reported
         raise ParseError(counts, line=1)
     provenance = lines[1]
     rows, vals, error = _read_support(lines[2:], k, alphabet == "ternary")

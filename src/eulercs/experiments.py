@@ -3,8 +3,9 @@
 Every trial draws its signal from a substream keyed by (master seed,
 level, trial index), so a report is fully determined by its config.
 Each batch of trials, and each recon image, is one recovery.recover call.
-Reports carry raw success counts next to percentages so statistical
-re-tests do not have to re-run the solver.
+A trial succeeds when its SNR reaches SUCCESS_DB or a sweep's own
+threshold.  Reports carry raw success counts next to percentages so
+statistical re-tests do not have to re-run the solver.
 """
 
 import json
@@ -29,6 +30,8 @@ from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 # holds, not a final least-squares refit.  Sweep and phase rows are
 # unchanged; recon SNRs move in their last digits.
 REPORT_VERSION = "3"
+
+SUCCESS_DB = 100.0      # recovery.snr at which a trial succeeds
 
 # Deterministic family -> (the provenance line its construction writes,
 # as a pattern whose named groups are MatrixSpec fields; the builder).
@@ -94,7 +97,7 @@ class SweepConfig:
     matrix: MatrixSpec
     sparsity_levels: tuple
     trials: int = 1000
-    threshold_db: float = 100.0
+    threshold_db: float = SUCCESS_DB
     solver: str = "omp"
     master_seed: int = 0
 
@@ -110,11 +113,10 @@ class ExperimentReport:
     kind: str
     config: dict
     rows: list
-    version: str = REPORT_VERSION
     wall_clock: float = 0.0     # informational; excluded from the canonical record
 
     def to_json(self) -> str:
-        record = {"version": self.version, "kind": self.kind,
+        record = {"version": REPORT_VERSION, "kind": self.kind,
                   "config": self.config, "rows": self.rows}
         return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
@@ -152,14 +154,7 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
         rows.append({"k": int(level), "successes": int(successes),
                      "trials": cfg.trials,
                      "success_pct": 100.0 * successes / cfg.trials})
-    report = ExperimentReport(kind="sweep",
-                              config={"matrix": asdict(cfg.matrix),
-                                      "sparsity_levels": list(cfg.sparsity_levels),
-                                      "trials": cfg.trials,
-                                      "threshold_db": cfg.threshold_db,
-                                      "solver": cfg.solver,
-                                      "master_seed": cfg.master_seed},
-                              rows=rows)
+    report = ExperimentReport(kind="sweep", config=asdict(cfg), rows=rows)
     report.wall_clock = time.perf_counter() - t0
     return report
 
@@ -193,9 +188,8 @@ def _level_reaches_fraction(A, M, k, solver, threshold_db, fraction, trials, see
 
 def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
                          trials: int = 1000, solver: str = "omp",
-                         master_seed: int = 0, family: str = "euler",
-                         threshold_db: float = 100.0) -> ExperimentReport:
-    """Largest sparsity reaching the success fraction, per row size.
+                         master_seed: int = 0, family: str = "euler") -> ExperimentReport:
+    """Largest sparsity reaching the success fraction at SUCCESS_DB, per row size.
 
     Emits one (m/M, k/M) point per row size.  For the "euler" family
     the matrix for row size m is the index (sqrt(M), m/sqrt(M)) one.
@@ -221,7 +215,7 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
         k = 1
         while k <= m:
             seeds = [(master_seed, m, k, t) for t in range(trials)]
-            if _level_reaches_fraction(A, M, k, solver, threshold_db,
+            if _level_reaches_fraction(A, M, k, solver, SUCCESS_DB,
                                        fraction, trials, seeds):
                 k_star = k
                 k += 1
@@ -233,7 +227,7 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
                               config={"M": M, "row_sizes": list(row_sizes),
                                       "fraction": fraction, "trials": trials,
                                       "solver": solver, "family": family,
-                                      "threshold_db": threshold_db,
+                                      "threshold_db": SUCCESS_DB,
                                       "master_seed": master_seed},
                               rows=rows)
     report.wall_clock = time.perf_counter() - t0
@@ -241,15 +235,14 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
 
 
 def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
-                             levels: int = None, solver: str = "omp",
-                             max_atoms: int = None):
+                             levels: int = None, solver: str = "omp"):
     """Compress every patch through Phi and reconstruct it back.
 
     The patch stack is Haar-transformed in one call, every patch is
-    measured as y = Phi @ w, one recovery.recover call recovers all the
-    w, and one inverse transform turns them back into patches for
-    reassembly.  Returns the reconstructed image and a report with the
-    whole-image SNR and the down-sampling factor M/m.
+    measured as y = Phi @ w, one recovery.recover call of m // 2 atoms
+    recovers all the w, and one inverse transform turns them back into
+    patches for reassembly.  Returns the reconstructed image and a
+    report with the whole-image SNR and the down-sampling factor M/m.
     """
     t0 = time.perf_counter()
     A = Phi.to_dense() if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
@@ -257,7 +250,7 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
     if M != patch * patch:
         raise ShapeError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")
     grid, patches = patchify(image, patch)
-    K = max_atoms if max_atoms is not None else m // 2
+    K = m // 2
     # one product per patch: a single A @ W.T need not round the same way
     Y = np.stack([A @ w for w in haar_forward(patches, levels)])
     results = recovery.recover(A, Y, K, solver)

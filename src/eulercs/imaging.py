@@ -5,7 +5,9 @@ A database member is cut into P x P patches (P a power of two), each
 patch is Haar-transformed to a sparse coefficient vector, compressed by
 a sensing matrix T (feature = concatenation of T @ coeffs over patches
 in row-major order), and queries are ranked by zero-lag normalized
-cross-correlation between whole feature vectors.
+cross-correlation between whole feature vectors.  A saved FeatureDB
+names T by its provenance line, and loading checks the hash stored
+beside it.
 
 The Haar transforms work on the trailing axes: haar_forward maps
 (..., P, P) to (..., P*P) and haar_inverse maps (..., P*P) back to
@@ -141,18 +143,10 @@ class FeatureDB:
     patch: int
     levels: int
     matrix_provenance: str = ""
-    provenance_hash: str = ""
 
-    def __post_init__(self):
-        if not self.provenance_hash:
-            self.provenance_hash = hashlib.sha256(
-                self.matrix_provenance.encode()).hexdigest()[:16]
-
-    def label_of(self, ident: str) -> str:
-        try:
-            return self.labels[self.ids.index(ident)]
-        except ValueError:
-            raise LabelError(f"unknown identifier {ident!r}")
+    @property
+    def provenance_hash(self) -> str:
+        return hashlib.sha256(self.matrix_provenance.encode()).hexdigest()[:16]
 
 
 _FDB_MAGIC = b"ESFDB1\n"
@@ -192,7 +186,7 @@ def load_feature_db(directory: str) -> FeatureDB:
             fields = dict(tok.split("=") for tok in header.split())
             n, L = int(fields["count"]), int(fields["len"])
             patch, levels = int(fields["patch"]), int(fields["levels"])
-            provenance_hash = fields["hash"]
+            stored_hash = fields["hash"]
         except (KeyError, ValueError):
             raise ParseError("malformed feature header fields", line=2)
         if n < 0 or L < 0:
@@ -209,9 +203,12 @@ def load_feature_db(directory: str) -> FeatureDB:
         raise ParseError(f"feature blob has {held} bytes, expected {expected}")
     if n != len(ids):
         raise ParseError(f"manifest lists {len(ids)} entries, blob has {n}")
-    return FeatureDB(ids=ids, labels=labels, paths=paths, features=data,
-                     patch=patch, levels=levels, matrix_provenance=provenance,
-                     provenance_hash=provenance_hash)
+    db = FeatureDB(ids=ids, labels=labels, paths=paths, features=data,
+                   patch=patch, levels=levels, matrix_provenance=provenance)
+    if stored_hash != db.provenance_hash:
+        raise ParseError(f"hash={stored_hash} is not the provenance line's "
+                         f"{db.provenance_hash}", line=2)
+    return db
 
 
 def _norm_corr(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,8 +16,8 @@ a single integer or a sequence of integers (master seed plus substream
 indices), so every experiment trial is replayable bit-for-bit.
 
 The SNR here is the ratio-of-norms form 10*log10(||x|| / ||x - x~||),
-not the conventional squared-norm ratio; the 100 dB success threshold
-used by the experiment harness is calibrated to it.
+not the conventional squared-norm ratio; the harness's 100 dB success
+threshold, experiments.SUCCESS_DB, is calibrated to it.
 """
 
 import math
@@ -34,6 +34,7 @@ TIE_RTOL = 1e-9        # OMP scores this close to the maximum count as tied
 # OMP takes no column whose squared distance from the span it holds is at
 # most this fraction of the column's squared norm
 PIVOT_RTOL = 1e-10
+BP_TOL_GAP = 1e-8      # basis pursuit's residual gap, relative to max(1, ||x||)
 SOLVERS = ("omp", "bp")
 
 
@@ -167,17 +168,15 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
             for t, n in enumerate(iterations)]
 
 
-def basis_pursuit(Phi, y, rho: float = 1.0, max_iter: int = 5000,
-                  tol_feas: float = 1e-10, tol_gap: float = 1e-8,
+def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10,
                   pinv: np.ndarray = None) -> RecoveryResult:
     """l1 minimization subject to Phi x = y, by alternating splitting.
 
     Iterates (a) projection onto the affine feasible set via the
     pseudoinverse of Phi (`pinv`, computed here when None) and (b)
-    elementwise soft thresholding with threshold 1/rho.  Deterministic
-    for fixed parameters.  Raises ConvergenceFailure (carrying the best
-    iterate) if the residuals do not fall below the tolerances within
-    max_iter sweeps.
+    elementwise soft thresholding with threshold 1.  Deterministic.
+    Raises ConvergenceFailure (carrying the best iterate) if the
+    residuals do not fall within tol_feas and BP_TOL_GAP in max_iter sweeps.
     """
     A = _as_dense(Phi)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -200,17 +199,17 @@ def basis_pursuit(Phi, y, rho: float = 1.0, max_iter: int = 5000,
         x = project(z - u)
         z_prev = z
         w = x + u
-        z = np.sign(w) * np.maximum(np.abs(w) - 1.0 / rho, 0.0)
+        z = np.sign(w) * np.maximum(np.abs(w) - 1.0, 0.0)
         u = u + x - z
         feas = np.linalg.norm(A @ x - y)
         primal = np.linalg.norm(x - z)
-        dual = rho * np.linalg.norm(z - z_prev)
-        scale = max(1.0, np.linalg.norm(x))
-        converged = feas <= tol_feas and primal <= tol_gap * scale and dual <= tol_gap * scale
+        dual = np.linalg.norm(z - z_prev)
+        gap = BP_TOL_GAP * max(1.0, np.linalg.norm(x))
+        converged = feas <= tol_feas and primal <= gap and dual <= gap
         if converged:
             break
     result = RecoveryResult(
-        estimate=x, support=[int(i) for i in np.flatnonzero(np.abs(z) > 10 * tol_gap)],
+        estimate=x, support=[int(i) for i in np.flatnonzero(np.abs(z) > 10 * BP_TOL_GAP)],
         residual_norm=float(np.linalg.norm(A @ x - y)), iterations=it,
         converged=bool(converged))
     if not converged:

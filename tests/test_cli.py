@@ -136,6 +136,15 @@ def test_verify_huge_header_k_exits_1(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_verify_unshapeable_empty_matrix_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.esm"
+    bad.write_text("ESM v1 rows=4611686018427387904 cols=0 alphabet=binary "
+                   "k=4611686018427387904\nx\n")
+    assert run(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: counts ") and err.endswith(" out of range\n")
+
+
 def test_bench_sweep(tmp_path):
     out = str(tmp_path / "sweep")
     assert run(["bench", "sweep", "--index", "3,2", "--kmax", "2",
@@ -366,3 +375,37 @@ def test_cbir_index_mixed_image_sizes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "b_0.pgm" in err
+
+
+def test_gen_field_above_cap_exits_3(tmp_path, capsys):
+    assert run(["gen", "--index", "65537,2", "--out", str(tmp_path / "m.esm")]) == 3
+    assert capsys.readouterr().err == "error: q=65537 exceeds cap 65536\n"
+
+
+def test_gen_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def no_memory(square):
+        raise MemoryError("Unable to allocate 73.0 GiB")
+
+    monkeypatch.setattr("eulercs.experiments.build_binary_matrix", no_memory)
+    out = tmp_path / "m.esm"
+    assert run(["gen", "--index", "7,2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 73.0 GiB\n"
+    assert not out.exists()
+
+
+def test_cbir_matrix_must_match_feature_db(tmp_path, corpus, capsys):
+    imgdir, _ = corpus
+    db = tmp_path / "db"
+    assert run(["cbir", "index", "--images", str(imgdir), "--rows", "32",
+                "--patch", "8", "--out", str(db)]) == 0
+    esm = db / "matrix.esm"
+    lines = esm.read_text().splitlines()
+    lines[1] = "euler n=8 k=5"
+    esm.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["cbir", "query", "--db", str(db),
+                "--image", str(imgdir / "c0_0.pgm")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "euler n=8 k=4" in captured.err

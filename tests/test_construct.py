@@ -397,8 +397,11 @@ def test_esm_huge_token_is_parse_error(tmp_path, token):
     # with columns, k > rows shows on the first column line, as always
     ("rows=6 cols=1 alphabet=binary k=4611686018427387904", "1 2\n", 3),
     ("rows=6 cols=1 alphabet=ternary k=4611686018427387904", "1:1 2:-1\n", 3),
+    # rows and k in range, but no (0, k) support array can be shaped
+    ("rows=4611686018427387904 cols=0 alphabet=binary k=4611686018427387904", "", 1),
 ], ids=["k_beyond_int64", "k_beyond_shape", "k_above_rows", "rows_beyond_int64",
-        "cols_beyond_int64", "k_beyond_shape_with_column", "ternary_k_beyond_shape"])
+        "cols_beyond_int64", "k_beyond_shape_with_column", "ternary_k_beyond_shape",
+        "rows_and_k_beyond_shape"])
 def test_esm_header_counts_fail_closed(tmp_path, header, body, line):
     path = tmp_path / "m.esm"
     path.write_text(f"ESM v1 {header}\nprovenance\n{body}")

@@ -1,0 +1,94 @@
+"""Byte-mutation fuzzing of the text and binary readers.
+
+Each reader gets valid input with a few units set, inserted or deleted,
+or with its tail cut off.  Whatever it makes of that, it either returns
+or raises an EulerCSError subclass; any other exception fails the test.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulercs.errors import EulerCSError
+from eulercs.euler import euler_square, from_text, to_text
+from eulercs.imaging import FeatureDB, load_feature_db, read_pgm, save_feature_db
+
+# bytes the formats give meaning to, then any byte at all
+_BYTES = st.one_of(st.sampled_from(list(b"0123456789 \t\r\n-+:,=#.eP\x00\xff")),
+                   st.integers(0, 255))
+# the same for text, with characters that str.split, str.splitlines or
+# int() treat specially, then any character at all
+_CHARS = st.one_of(st.sampled_from(list("0123456789 \t\r\n-+:,_\x00\x0b\x1c\x85\xa0"
+                                        "\u2028\u3000\u0663\uff11\xb2")),
+                   st.characters())
+
+_SQUARE = to_text(euler_square(5, 3))
+_P5 = b"P5\n3 2\n255\n" + bytes([0, 17, 255, 128, 9, 200])
+_P2 = b"P2\n# two rows\n3 2\n200\n0 17 200\n128 9 100\n"
+
+
+@st.composite
+def _mutated(draw, data, units):
+    """`data` after one to four random edits, each drawing new units from `units`."""
+    out = list(data)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(out)))
+        edit = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        if edit == "insert" or i == len(out):
+            out.insert(i, draw(units))
+        elif edit == "set":
+            out[i] = draw(units)
+        elif edit == "delete":
+            del out[i]
+        else:
+            del out[i:]
+    return bytes(out) if isinstance(data, bytes) else "".join(out)
+
+
+@pytest.fixture(scope="module")
+def feature_db_files(tmp_path_factory):
+    """The two files of a saved two-row feature database, by name."""
+    directory = tmp_path_factory.mktemp("fdb")
+    save_feature_db(FeatureDB(ids=["a_0", "b_0"], labels=["a", "b"],
+                              paths=["a_0.pgm", "b_0.pgm"],
+                              features=np.array([[1.5, -2.0, 0.25], [0.0, 3.0, -1.0]]),
+                              patch=8, levels=-1, matrix_provenance="euler n=8 k=4"),
+                    str(directory))
+    return {name: (directory / name).read_bytes()
+            for name in ("manifest.tsv", "features.bin")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated(_SQUARE, _CHARS))
+def test_from_text_fails_closed(text):
+    try:
+        from_text(text)
+    except EulerCSError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([_P5, _P2]).flatmap(lambda pgm: _mutated(pgm, _BYTES)))
+def test_read_pgm_fails_closed(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        read_pgm(str(path))
+    except EulerCSError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["manifest.tsv", "features.bin"]), st.data())
+def test_load_feature_db_fails_closed(tmp_path_factory, feature_db_files, name, data):
+    files = dict(feature_db_files)
+    files[name] = data.draw(_mutated(files[name], _BYTES))
+    directory = tmp_path_factory.getbasetemp() / "fuzz_fdb"
+    directory.mkdir(exist_ok=True)
+    for file_name, content in files.items():
+        (directory / file_name).write_bytes(content)
+    try:
+        load_feature_db(str(directory))
+    except EulerCSError:
+        pass

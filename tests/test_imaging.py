@@ -218,8 +218,10 @@ def test_feature_db_round_trip(tmp_path):
     lambda data: data.replace(b" hash=", b" hsh=", 1),
     # a count far past the file's size fails before any allocation
     lambda data: data.replace(b"count=5 ", b"count=1000000000000 ", 1),
+    # the same length, so only the header's hash tells
+    lambda data: data.replace(b"euler n=8 k=4\n", b"euler n=8 k=5\n", 1),
 ], ids=["truncated_blob", "token_without_equals", "missing_key",
-        "overstated_count"])
+        "overstated_count", "provenance_edited"])
 def test_feature_db_corruption_fails_closed(tmp_path, corrupt):
     db = make_db(np.random.default_rng(7).standard_normal((5, 9)))
     save_feature_db(db, str(tmp_path / "db"))
