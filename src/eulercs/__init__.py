@@ -7,9 +7,10 @@ __version__ = "0.1.0"
 from .construct import (HadamardMatrix, SensingMatrix, build_binary_matrix,
                         build_extended, build_for_row_size, build_hadamard,
                         build_ternary, load_esm, normalize, save_esm)
-from .euler import (EulerSquare, euler_square, factorize, macneish_product,
+from .euler import (EulerSquare, euler_square, macneish_product,
                     mols_prime_power, reduce_degree, validate_euler_square)
-from .fields import GaloisField, build_field, field_inv, find_irreducible
+from .fields import (GaloisField, build_field, factorize, field_inv,
+                     find_irreducible)
 from .props import (CoherenceReport, aspect_constant, coherence,
                     dense_coherence, max_binary_columns, rip_delta,
                     sparsity_guarantee, welch_bound)

@@ -18,8 +18,8 @@ from . import textio
 from .errors import (DegenerateColumn, HadamardUnavailable, IndexTooSmall,
                      InvalidInput, NothingToExtend, ParseError,
                      UnsupportedRowSize, decode_utf8)
-from .euler import EulerSquare, euler_square, factorize
-from .fields import is_prime
+from .euler import EulerSquare, euler_square
+from .fields import factorize, is_prime
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -87,11 +87,11 @@ def build_for_row_size(m: int) -> SensingMatrix:
     """
     if m < 6:
         raise UnsupportedRowSize(f"row size {m} is below the smallest constructible (6)")
-    if is_prime(m):
-        raise UnsupportedRowSize(f"row size {m} is prime")
     fac = factorize(m)
     if len(fac.components) == 1:
         p, i, _ = fac.components[0]
+        if i == 1:
+            raise UnsupportedRowSize(f"row size {m} is prime")
         if i == 2:
             raise UnsupportedRowSize(f"row size {m} is the square of prime {p}")
         E = euler_square(p ** (i - 1), p)
@@ -230,6 +230,8 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
     """
     if j not in (1, 2):
         raise InvalidInput(f"j={j} must be 1 or 2")
+    if p < 2 or i < 1:
+        raise InvalidInput(f"need p >= 2 and i >= 1, got p={p} i={i}")
     n = p ** i
     k = n - j
     if k < 2:

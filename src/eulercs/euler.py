@@ -17,41 +17,7 @@ import numpy as np
 from . import textio
 from .errors import (DegreeMismatch, DegreeTooLarge, IndexNotConstructible,
                      InvalidInput, InvalidOrder, ParseError)
-from .fields import GaloisField, build_field
-
-
-@dataclass(frozen=True)
-class PrimePowerFactorization:
-    m: int
-    components: tuple  # ((prime, exponent, prime**exponent), ...) primes increasing
-
-    @property
-    def values(self):
-        return tuple(v for _, _, v in self.components)
-
-    @property
-    def min_value(self):
-        return min(self.values)
-
-
-def factorize(m: int) -> PrimePowerFactorization:
-    """Exact prime-power decomposition by trial division."""
-    if m < 2:
-        raise InvalidInput(f"m={m} must be >= 2")
-    comps = []
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            comps.append((d, e, d ** e))
-        d += 1
-    if rest > 1:
-        comps.append((rest, 1, rest))
-    return PrimePowerFactorization(m=m, components=tuple(comps))
+from .fields import GaloisField, build_field, factorize
 
 
 @dataclass(eq=False)
@@ -214,8 +180,8 @@ def _scan_row(line: str, i: int, n: int, k: int) -> np.ndarray:
 def from_text(text: str) -> EulerSquare:
     """Parse to_text's format; a malformed text raises ParseError with its line.
 
-    Rows as to_text writes them convert as one array; from the first row
-    in another form on, rows are scanned one by one.
+    Every row is scanned by one line reader, which takes cells split on
+    whitespace and coordinates split on commas, each read with int().
     """
     lines = text.strip().splitlines()
     try:
@@ -224,10 +190,7 @@ def from_text(text: str) -> EulerSquare:
         raise ParseError("bad header, expected 'n k'", line=1)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", line=len(lines))
-    if k < 0:
-        raise ParseError(f"degree k={k} is negative", line=1)
-    cell = textio.repeated(textio.NUMBER, k, ",")
-    values, done = textio.canonical_prefix(lines[1:], textio.repeated(cell, n))
-    rows = [values.reshape(done, n, k)]
-    rows += [_scan_row(lines[i + 1], i, n, k)[None] for i in range(done, n)]
-    return EulerSquare(n=n, k=k, cells=np.concatenate(rows), provenance="from-text")
+    if n < 1 or k < 0:
+        raise ParseError(f"index ({n},{k}) needs n >= 1 and k >= 0", line=1)
+    cells = np.array([_scan_row(lines[i + 1], i, n, k) for i in range(n)])
+    return EulerSquare(n=n, k=k, cells=cells, provenance="from-text")

@@ -7,6 +7,7 @@ irreducible of degree r.  `build_field` fills row a of the add and mul
 tables from row a // p, by poly(a) = (a mod p) + x*poly(a // p).  Each
 table is a dense q x q int64 array of 8*q^2 bytes: 128 MiB at q = 4096,
 32 GiB at the 2^16 cap, so memory bounds the largest usable field.
+`factorize`, the package's one trial division, stops at that cap too.
 """
 
 from dataclasses import dataclass, field
@@ -14,24 +15,60 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionByZero, FieldTooLarge, InvalidPrime
+from .errors import DivisionByZero, FieldTooLarge, InvalidInput, InvalidPrime
 
 DEFAULT_FIELD_CAP = 2 ** 16
 
 
+@dataclass(frozen=True)
+class PrimePowerFactorization:
+    m: int
+    components: tuple  # ((prime, exponent, prime**exponent), ...) primes increasing
+
+    @property
+    def values(self):
+        return tuple(v for _, _, v in self.components)
+
+    @property
+    def min_value(self):
+        return min(self.values)
+
+
+def factorize(m: int) -> PrimePowerFactorization:
+    """Prime-power decomposition by trial division up to DEFAULT_FIELD_CAP.
+
+    Exact while the part left after the divisors up to the cap is below
+    (cap+1)^2.  A larger part has only prime factors above the cap, which
+    no field table can hold, so FieldTooLarge is raised at once.
+    """
+    if m < 2:
+        raise InvalidInput(f"m={m} must be >= 2")
+    comps = []
+    rest = m
+    d = 2
+    while d * d <= rest:
+        if d > DEFAULT_FIELD_CAP:
+            raise FieldTooLarge(
+                f"{m} has a prime factor above cap {DEFAULT_FIELD_CAP}")
+        if rest % d == 0:
+            e = 0
+            while rest % d == 0:
+                rest //= d
+                e += 1
+            comps.append((d, e, d ** e))
+        d += 1
+    if rest > 1:
+        comps.append((rest, 1, rest))
+    return PrimePowerFactorization(m=m, components=tuple(comps))
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime, decided by `factorize`.
+
+    An n that `factorize` refuses raises FieldTooLarge; no field
+    characteristic, Paley-core order or row size can be built that large.
+    """
+    return n >= 2 and factorize(n).components == ((n, 1, n),)
 
 
 def _poly_trim(a):

@@ -20,7 +20,6 @@ attains the max overlap.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -202,10 +201,6 @@ def sparsity_guarantee(mu):
         raise InvalidInput(f"mu={mu} must be non-negative")
     if mu == 0:
         return math.inf
-    if isinstance(mu, Fraction):
-        bound = (1 + 1 / mu) / 2
-        k = bound.numerator // bound.denominator
-        return k - 1 if k == bound else k
     bound = (1 + 1 / mu) / 2
     k = math.floor(bound)
     return k - 1 if k == bound else k

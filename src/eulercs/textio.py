@@ -1,10 +1,9 @@
-"""Whole-array text I/O shared by the ESM matrix and Euler-square formats.
-
-Both formats are lines of integers.  A writer formats a block of lines
-with one %-format.  A reader converts the leading lines that are in the
-writer's own form with one regular-expression match and one numpy call;
-only from the first line in another form on does it scan line by line,
-accepting what `str.split` and `int` accept and naming the first bad line.
+"""Whole-array text I/O: the ESM and Euler-square writers format a block
+of lines with one %-format.  The ESM reader, which every `verify` runs,
+converts the leading lines in the writer's own form with one regular
+expression match and one numpy call; from the first line in another form
+on it scans line by line, accepting what `str.split` and `int` accept and
+naming the first bad line.
 """
 
 import re
@@ -18,11 +17,11 @@ BLOCK_VALUES = 1 << 16
 NUMBER = r"[0-9]{1,18}"
 
 
-def repeated(token, count, sep=" "):
-    """Pattern of `count` `token`s separated by `sep`; none match if count < 1."""
+def repeated(token, count):
+    """Pattern of `count` space-separated `token`s; none match if count < 1."""
     if count < 1:
         return "(?!)"
-    return rf"(?:{token}{sep}){{{count - 1}}}{token}"
+    return rf"(?:{token} ){{{count - 1}}}{token}"
 
 
 def format_lines(values, line):
@@ -39,7 +38,7 @@ def format_lines(values, line):
 def canonical_prefix(lines, line_pattern):
     """Numbers of the leading lines that fully match `line_pattern`.
 
-    The pattern may separate numbers by spaces, ':' or ','.  Returns
+    The pattern may separate numbers by spaces or ':'.  Returns
     (values, n): the first n lines match and `values` holds their
     numbers in order as one int64 array.
     """
@@ -52,5 +51,5 @@ def canonical_prefix(lines, line_pattern):
     n = len(lines)
     if not all(map(match, lines)):
         n = next(i for i, line in enumerate(lines) if not match(line))
-    head = " ".join(lines[:n]).replace(":", " ").replace(",", " ")
+    head = " ".join(lines[:n]).replace(":", " ")
     return np.fromstring(head, dtype=np.int64, sep=" "), n

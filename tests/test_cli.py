@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -409,3 +410,18 @@ def test_cbir_matrix_must_match_feature_db(tmp_path, corpus, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "euler n=8 k=4" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--index", "1000000000000000003,2"],
+    ["--rows", "1000000000000000003"],
+    ["--ternary", "40,40,1"],
+], ids=["index", "rows", "ternary"])
+def test_gen_huge_request_exits_3_at_once(tmp_path, capsys, argv):
+    # each has a prime factor above the field cap, which trial division
+    # finds by stopping at the cap instead of dividing on up to sqrt(n)
+    t0 = time.perf_counter()
+    assert run(["gen", *argv, "--out", str(tmp_path / "m.esm")]) == 3
+    assert time.perf_counter() - t0 < 2.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,8 +7,9 @@ from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                build_extended, build_for_row_size,
                                build_hadamard, build_ternary, load_esm,
                                normalize, save_csv, save_esm)
-from eulercs.errors import (HadamardUnavailable, IndexTooSmall, NothingToExtend,
-                            ParseError, UnsupportedRowSize, decode_utf8)
+from eulercs.errors import (HadamardUnavailable, IndexTooSmall, InvalidInput,
+                            NothingToExtend, ParseError, UnsupportedRowSize,
+                            decode_utf8)
 from eulercs.euler import euler_square
 from eulercs.props import gram_extrema
 
@@ -448,3 +449,11 @@ def test_csv_export(tmp_path):
     save_csv(mat, path)
     dense = np.loadtxt(path, delimiter=",")
     assert np.array_equal(dense, REFERENCE_6x9)
+
+
+@pytest.mark.parametrize("p, i", [(0, -1), (1, 3), (-2, 4), (2, 0)])
+def test_ternary_rejects_base_or_exponent_out_of_range(p, i):
+    # 0 ** -1 divided by zero; (-2) ** 4 built a matrix whose provenance
+    # line verify cannot parse back
+    with pytest.raises(InvalidInput):
+        build_ternary(p, i, 1)

@@ -238,7 +238,8 @@ def test_from_text_names_the_bad_line(row, text, line):
 @pytest.mark.parametrize("text, line", [
     ("1 -1\n0\n", 1),                           # negative degree
     ("1 1\n99999999999999999999\n", 2),         # coordinate beyond int64
-], ids=["negative_degree", "huge_coordinate"])
+    ("0 99999999999999999999\n", 1),            # no cell, so no row bounds k
+], ids=["negative_degree", "huge_coordinate", "order_zero"])
 def test_from_text_rejects_unrepresentable(text, line):
     with pytest.raises(ParseError) as exc:
         from_text(text)

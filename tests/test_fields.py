@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from eulercs.errors import DivisionByZero, FieldTooLarge, InvalidPrime
-from eulercs.fields import (_code_to_poly, _poly_mod, build_field, field_inv,
-                            find_irreducible, is_prime)
+from eulercs.fields import (_code_to_poly, _poly_mod, build_field, factorize,
+                            field_inv, find_irreducible, is_prime)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
@@ -145,3 +145,22 @@ def test_table_bytes_pinned(p, r):
     digests = tuple(hashlib.sha256(t.astype(np.int64).tobytes()).hexdigest()
                     for t in (F.add_table, F.mul_table))
     assert digests == TABLE_SHA256[(p, r)]
+
+
+def test_factorize_exact_below_the_cap_squared():
+    # 65521 is the largest prime up to the cap, 65537 the smallest above it
+    assert factorize(65521 * 65537).components == ((65521, 1, 65521), (65537, 1, 65537))
+    assert factorize(2 ** 40).components == ((2, 40, 2 ** 40),)
+
+
+def test_factorize_refuses_two_primes_above_the_cap():
+    with pytest.raises(FieldTooLarge):
+        factorize(65537 * 65539)
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = np.ones(20000, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 142):
+        sieve[d * d::d] = False
+    assert [is_prime(n) for n in range(20000)] == sieve.tolist()

@@ -5,11 +5,15 @@ or with its tail cut off.  Whatever it makes of that, it either returns
 or raises an EulerCSError subclass; any other exception fails the test.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulercs.cli import main
 from eulercs.errors import EulerCSError
 from eulercs.euler import euler_square, from_text, to_text
 from eulercs.imaging import FeatureDB, load_feature_db, read_pgm, save_feature_db
@@ -92,3 +96,65 @@ def test_load_feature_db_fails_closed(tmp_path_factory, feature_db_files, name, 
         load_feature_db(str(directory))
     except EulerCSError:
         pass
+
+
+# Comma-list flags of the CLI, each with the fixed flags that make every
+# run small: orders of at most 40, one trial per level.
+_LIST_FLAGS = {
+    "gen_index": (["gen"], "--index", ["--out", "m.esm"]),
+    "gen_ternary": (["gen"], "--ternary", ["--out", "t.esm"]),
+    "sweep_levels": (["bench", "sweep", "--index", "11,5", "--trials", "1"], "--levels",
+                     ["--out", "s"]),
+    "phase_rows": (["bench", "phase", "--M", "121", "--trials", "1"], "--rows",
+                   ["--out", "p"]),
+}
+# values near the edge cases (0, 1, 2, negatives) half of the time
+_SMALL = st.one_of(st.integers(-2, 3), st.integers(-40, 40))
+_JUNK = st.sampled_from(["", " ", "x", "1.5", "+3", " 4", "1e2", "0x1", "٣"])
+
+
+@st.composite
+def _ternary_ints(draw):
+    """p, i, j with |p|**i <= 16 when i >= 1, so k is below 16 and the
+    matrix below 1 MB; --ternary 2,20,1 would build a 2^20-order Sylvester
+    Hadamard matrix before any size check."""
+    i = draw(_SMALL)
+    bound = 40 if i < 1 else max(b for b in range(1, 17) if b ** i <= 16)
+    p = draw(st.one_of(st.integers(-min(bound, 2), min(bound, 3)),
+                       st.integers(-bound, bound)))
+    return [p, i, draw(_SMALL)]
+
+
+@st.composite
+def _list_value(draw, flag):
+    """A comma list: small integers, sometimes with a junk item."""
+    if flag == "gen_ternary" and draw(st.booleans()):
+        items = draw(_ternary_ints())
+    else:
+        # three numbers for --ternary come only from _ternary_ints
+        items = draw(st.lists(_SMALL, max_size=4).filter(
+            lambda xs: flag != "gen_ternary" or len(xs) != 3))
+    items = [str(x) for x in items]
+    if draw(st.integers(0, 4)) == 0:
+        items.insert(draw(st.integers(0, len(items))), draw(_JUNK))
+    return ",".join(items)
+
+
+@pytest.mark.parametrize("flag", list(_LIST_FLAGS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_list_flags_fail_closed(tmp_path_factory, flag, data):
+    head, option, tail = _LIST_FLAGS[flag]
+    value = data.draw(_list_value(flag), label=option)
+    out = tmp_path_factory.getbasetemp() / "fuzz_cli"
+    out.mkdir(exist_ok=True)
+    argv = head + [f"{option}={value}", tail[0], str(out / tail[1])]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:     # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
