@@ -205,7 +205,6 @@ def cmd_bench_sweep(args):
               if args.levels else tuple(range(1, args.kmax + 1)))
     cfg = experiments.SweepConfig(matrix=spec, sparsity_levels=levels,
                                   trials=args.trials,
-                                  threshold_db=args.threshold,
                                   solver=args.solver, master_seed=args.seed)
     report = experiments.run_sweep(cfg)
     _emit_report(report, args.out, args, args.seed, [])
@@ -380,7 +379,6 @@ def build_parser():
     sweep.add_argument("--kmax", type=int, default=10)
     sweep.add_argument("--levels", help="explicit comma-separated sparsity levels")
     sweep.add_argument("--trials", type=int, default=1000)
-    sweep.add_argument("--threshold", type=float, default=experiments.SUCCESS_DB)
     sweep.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", required=True)

@@ -236,13 +236,14 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
     k = n - j
     if k < 2:
         raise IndexTooSmall(f"degree k={k} must be >= 2")
+    # the square first: its field cap bounds k before any Sylvester doubling
+    phi = build_binary_matrix(euler_square(n, k))
     try:
         H = build_hadamard(k).entries
         h_used = k
     except HadamardUnavailable:
         H = build_hadamard(k + 1).entries[:k, :k]
         h_used = k + 1
-    phi = build_binary_matrix(euler_square(n, k))
     # column order: all k spawned columns of phi column 0, then column 1, ...
     rows = np.repeat(phi.rows, k, axis=0)
     vals = np.tile(H.T, (phi.M, 1))

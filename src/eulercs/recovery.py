@@ -9,7 +9,11 @@ lowest index, and updates an inverse Gram of the selected columns by a
 rank-one step instead of re-solving least squares.  The coefficients
 that inverse gives are each trial's estimate; a pick whose column lies
 within PIVOT_RTOL of the span already held ends the trial instead.  omp
-is its one-trial case.
+is its one-trial case.  basis_pursuit is the l1 homotopy, one
+measurement vector at a time: its joins and leaves break ties by the
+same TIE_RTOL and lowest-index rule, and its estimate is the exact fit
+on the active set it ends with, exact to rounding once that set is the
+signal's support.
 
 All randomness flows through numpy's default_rng (PCG64); a seed may be
 a single integer or a sequence of integers (master seed plus substream
@@ -30,11 +34,10 @@ from .errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
                      ShapeError, UndefinedSNR)
 
 SNR_CAP_DB = 310.0
-TIE_RTOL = 1e-9        # OMP scores this close to the maximum count as tied
+TIE_RTOL = 1e-9        # OMP scores and homotopy breakpoints this close count as tied
 # OMP takes no column whose squared distance from the span it holds is at
 # most this fraction of the column's squared norm
 PIVOT_RTOL = 1e-10
-BP_TOL_GAP = 1e-8      # basis pursuit's residual gap, relative to max(1, ||x||)
 SOLVERS = ("omp", "bp")
 
 
@@ -58,7 +61,9 @@ class RecoveryResult:
     residual_norm: float
     iterations: int
     rank_deficient: bool = False
-    converged: bool = True      # False: basis pursuit's best iterate, not a solution
+    # False: basis pursuit ran out of steps or missed tol_feas; the estimate
+    # is its last iterate, not a solution
+    converged: bool = True
 
 
 def _as_dense(Phi) -> np.ndarray:
@@ -168,53 +173,82 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
             for t, n in enumerate(iterations)]
 
 
-def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10,
-                  pinv: np.ndarray = None) -> RecoveryResult:
-    """l1 minimization subject to Phi x = y, by alternating splitting.
+def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10) -> RecoveryResult:
+    """l1 minimization subject to Phi x = y, by the l1 homotopy.
 
-    Iterates (a) projection onto the affine feasible set via the
-    pseudoinverse of Phi (`pinv`, computed here when None) and (b)
-    elementwise soft thresholding with threshold 1.  Deterministic.
-    Raises ConvergenceFailure (carrying the best iterate) if the
-    residuals do not fall within tol_feas and BP_TOL_GAP in max_iter sweeps.
+    Follows the minimizer of 1/2 ||y - A x||^2 + lam ||x||_1 from
+    lam = ||A^T y||_inf, where x = 0, down to lam = 0 (Osborne, Presnell
+    and Turlach 2000; Donoho and Tsaig 2008).  On an active set S with
+    signs s the path moves along d = (A_S^T A_S)^-1 s_S while every
+    correlation c = A^T (y - A x) changes at the rate a = A^T A_S d.  At
+    each breakpoint the first of these that holds is done, ties going
+    to the lowest index:
+      1. an active column whose coefficient is exactly 0 and that d
+         moves against its sign (s d < -TIE_RTOL) leaves;
+      2. an inactive column at the boundary (|c| >= lam (1 - TIE_RTOL))
+         whose correlation would grow faster than lam shrinks
+         (sign(c) a < 1 - TIE_RTOL) joins;
+      3. otherwise lam falls to the next join, the next coefficient to
+         reach 0, or 0.  A step within TIE_RTOL * lam0 (lam0 the first
+         lam) of lam itself goes all the way to lam = 0 and ends the path.
+    The estimate is then the exact fit of y on the final active set.
+    Each pass is one step.  Deterministic.  Raises ConvergenceFailure
+    (carrying the last iterate) when max_iter steps do not reach lam = 0,
+    or when the fit leaves a residual above tol_feas.
     """
     A = _as_dense(Phi)
     y = np.asarray(y, dtype=np.float64).ravel()
     m, M = A.shape
     if y.shape[0] != m:
         raise ShapeError(f"y has length {y.shape[0]}, expected {m}")
-    if pinv is None:
-        pinv = np.linalg.pinv(A)
-    base = pinv @ y              # min-norm feasible point (up to rank of A)
-
-    def project(v):
-        return v - pinv @ (A @ v) + base
-
-    z = np.zeros(M)
-    u = np.zeros(M)
-    x = project(z)
+    x = np.zeros(M)
+    sign = np.zeros(M)                          # nonzero exactly on the active set
+    lam = lam0 = float(np.abs(A.T @ y).max(initial=0.0))
+    done = lam == 0.0
     it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        x = project(z - u)
-        z_prev = z
-        w = x + u
-        z = np.sign(w) * np.maximum(np.abs(w) - 1.0, 0.0)
-        u = u + x - z
-        feas = np.linalg.norm(A @ x - y)
-        primal = np.linalg.norm(x - z)
-        dual = np.linalg.norm(z - z_prev)
-        gap = BP_TOL_GAP * max(1.0, np.linalg.norm(x))
-        converged = feas <= tol_feas and primal <= gap and dual <= gap
-        if converged:
+    while not done and it < max_iter:
+        it += 1
+        S = np.flatnonzero(sign)
+        c = A.T @ (y - A @ x)
+        d = np.linalg.solve(A[:, S].T @ A[:, S], sign[S])
+        a = A.T @ (A[:, S] @ d)
+        leave = S[(x[S] == 0) & (sign[S] * d < -TIE_RTOL)]
+        if leave.size:
+            sign[leave[0]] = 0.0
+            continue
+        join = np.flatnonzero((sign == 0) & (np.abs(c) >= lam * (1.0 - TIE_RTOL))
+                              & (np.sign(c) * a < 1.0 - TIE_RTOL))
+        if join.size:
+            sign[join[0]] = np.sign(c[join[0]])
+            continue
+        # the step at which an inactive correlation meets +lam or -lam,
+        # and at which an active coefficient reaches 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            meet = np.minimum(np.where(1.0 - a > TIE_RTOL, (lam - c) / (1.0 - a), np.inf),
+                              np.where(1.0 + a > TIE_RTOL, (lam + c) / (1.0 + a), np.inf))
+            zero = np.where(x[S] * d < 0, -x[S] / d, np.inf)
+        meet[S] = np.inf
+        gamma = min(meet.min(initial=np.inf), zero.min(initial=np.inf))
+        if gamma >= lam - TIE_RTOL * lam0:
+            done = True
             break
-    result = RecoveryResult(
-        estimate=x, support=[int(i) for i in np.flatnonzero(np.abs(z) > 10 * BP_TOL_GAP)],
-        residual_norm=float(np.linalg.norm(A @ x - y)), iterations=it,
-        converged=bool(converged))
-    if not converged:
+        x[S] += gamma * d
+        lam -= gamma
+        x[S[zero == gamma]] = 0.0
+    S = np.flatnonzero(sign)
+    if done:
+        x[S] = np.linalg.solve(A[:, S].T @ A[:, S], A[:, S].T @ y)
+    residual = float(np.linalg.norm(A @ x - y))
+    result = RecoveryResult(estimate=x, support=[int(j) for j in S],
+                            residual_norm=residual, iterations=it,
+                            converged=done and residual <= tol_feas)
+    if not done:
         raise ConvergenceFailure(
-            f"basis pursuit did not converge in {max_iter} iterations", result)
+            f"basis pursuit did not reach lam = 0 in {max_iter} steps", result)
+    if not result.converged:
+        raise ConvergenceFailure(
+            f"basis pursuit ends {residual:.3g} from y, above tol_feas={tol_feas:g}",
+            result)
     return result
 
 
@@ -222,20 +256,18 @@ def recover(Phi, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
     "omp" is one omp_batch call of at most K atoms.  "bp" runs
-    basis_pursuit row by row (K unused) on one dense A and its one
-    pseudoinverse; a row that does not converge comes back as its best
-    iterate with converged=False.
+    basis_pursuit row by row (K unused) on one dense A; a row that does
+    not converge comes back as its last iterate with converged=False.
     """
     if solver == "omp":
         return omp_batch(Phi, Y, K, tol=1e-12)
     if solver != "bp":
         raise InvalidInput(f"unknown solver {solver!r}")
     A = _as_dense(Phi)
-    pinv = np.linalg.pinv(A)
     results = []
     for y in np.asarray(Y, dtype=np.float64):
         try:
-            results.append(basis_pursuit(A, y, pinv=pinv))
+            results.append(basis_pursuit(A, y))
         except ConvergenceFailure as exc:
             results.append(exc.result)
     return results

@@ -416,10 +416,12 @@ def test_cbir_matrix_must_match_feature_db(tmp_path, corpus, capsys):
     ["--index", "1000000000000000003,2"],
     ["--rows", "1000000000000000003"],
     ["--ternary", "40,40,1"],
-], ids=["index", "rows", "ternary"])
+    ["--ternary", "2,20,1"],
+], ids=["index", "rows", "ternary", "ternary_power_of_two"])
 def test_gen_huge_request_exits_3_at_once(tmp_path, capsys, argv):
-    # each has a prime factor above the field cap, which trial division
-    # finds by stopping at the cap instead of dividing on up to sqrt(n)
+    # each needs a field above the cap: trial division finds a prime factor
+    # above it by stopping at the cap instead of dividing on up to sqrt(n),
+    # and the ternary build consults the cap before any Sylvester doubling
     t0 = time.perf_counter()
     assert run(["gen", *argv, "--out", str(tmp_path / "m.esm")]) == 3
     assert time.perf_counter() - t0 < 2.0

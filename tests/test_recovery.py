@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulercs
 from eulercs.construct import build_binary_matrix
 from eulercs.errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
                             ShapeError, UndefinedSNR)
@@ -235,6 +240,43 @@ def test_recover_returns_nonconverged_bp_rows(A55):
     assert np.array_equal(results[1].estimate, exc.value.result.estimate)
     for y, result in zip(Y[[0, 2]], results[::2]):
         assert np.array_equal(result.estimate, basis_pursuit(A55, y).estimate)
+
+
+@pytest.mark.parametrize("matrix", ["euler_11_5", "gaussian_55x121"])
+def test_basis_pursuit_reaches_the_lp_optimum(A55, matrix):
+    from scipy.optimize import linprog
+    A = A55 if matrix == "euler_11_5" else gen_gaussian_matrix(55, 121, 7)
+    for k in (4, 8, 12, 16, 20):
+        for t in range(20):
+            y = A @ gen_sparse_signal(121, k, (7, k, t)).to_dense()
+            result = basis_pursuit(A, y)
+            assert result.converged
+            # min 1.(u + v) subject to A (u - v) = y, u, v >= 0
+            lp = linprog(np.ones(242), A_eq=np.hstack([A, -A]), b_eq=y,
+                         bounds=(0, None), method="highs")
+            assert lp.status == 0
+            assert np.abs(result.estimate).sum() <= (1 + 1e-9) * lp.fun, (k, t)
+
+
+_NO_LP_SOLVER = """
+import sys
+import numpy as np
+import eulercs.cli
+from eulercs import recover
+A = np.eye(3, 4)
+A[:, 3] = 1.0
+results = recover(A, np.array([[1.0, 0.0, 0.0]]), 0, "bp")
+print(results[0].support, "scipy.optimize" in sys.modules)
+"""
+
+
+def test_basis_pursuit_imports_no_lp_solver():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_LP_SOLVER],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.split() == ["[0]", "False"]
 
 
 def test_recover_omp_is_one_omp_batch(A55):
