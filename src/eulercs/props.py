@@ -7,19 +7,24 @@ rather than quoted theory.  No global Gram matrix is formed:
 - A binary matrix (every value 1, rows strictly ascending per column)
   is proved by its row pairs.  Each column emits its C(k, 2) row pairs
   as r1*m + r2; two columns share two rows exactly when a code repeats.
-  If none repeats, the max overlap is 1 when some row holds two columns
-  and 0 otherwise.  This is the overlap argument behind mu = 1/k, and it
-  costs O(M k^2) memory instead of the O(M^2 k / n) sparse Gram.
+  The codes are laid out pair-major, one contiguous block of M codes
+  per position pair, in the narrowest unsigned type that holds m*m - 1,
+  and sorted in place.  If none repeats, the max overlap is 1 when some
+  row holds two columns and 0 otherwise.  This is the overlap argument
+  behind mu = 1/k, and it costs O(M k^2) memory instead of the
+  O(M^2 k / n) sparse Gram.
 - Every other matrix (ternary, zero values, a binary file whose row
   pairs repeat) goes through `gram_extrema`, which forms A^T A one
   column block at a time under a fixed entry budget.
 
+A matrix with more rows than entries (m > M*k) has its rows in use
+renumbered in order first, so neither proof makes an array of length m.
 Both report the lexicographically smallest pair (i, j), i < j, that
 attains the max overlap.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,44 +116,67 @@ def _row_pair_extrema(mat: SensingMatrix):
     """(max overlap, argmax pair) of a binary matrix from its row pairs.
 
     None when the proof does not apply: a value other than 1, rows not
-    strictly ascending inside [0, m), or a repeated row pair (overlap
-    >= 2, left to the blocked Gram).
+    strictly ascending, or a repeated row pair (overlap >= 2, left to
+    the blocked Gram).  The rows must lie in [0, m), as `coherence`
+    checks.
+
+    The codes r_a*m + r_b, a < b, are laid out pair-major, one
+    contiguous block of M codes per position pair (a, b), in the
+    narrowest unsigned type that holds m*m - 1.  Above 2**32 rows a
+    uint64 code can wrap; that can only merge two distinct pairs into a
+    false repeat, which sends the matrix to the exact Gram, while equal
+    pairs always give equal codes.
     """
     rows, m, k = mat.rows, mat.m, mat.k
-    if (k < 1 or not np.all(mat.vals == 1) or rows.min() < 0 or rows.max() >= m
-            or not np.all(np.diff(rows, axis=1) > 0)):
+    if k < 1 or not np.all(mat.vals == 1) or not np.all(np.diff(rows, axis=1) > 0):
         return None
-    # the pair codes r_a*m + r_b, a < b, written one first row a at a
-    # time so no second (M, C(k, 2)) array is ever held
-    codes = np.empty((mat.M, k * (k - 1) // 2), dtype=np.int64)
+    dtype = np.min_scalar_type(min(m * m - 1, 2 ** 64 - 1))
+    by_position = rows.T.astype(dtype)
+    codes = np.empty((k * (k - 1) // 2, mat.M), dtype=dtype)
     start = 0
     for a in range(k - 1):
         stop = start + k - 1 - a
-        np.add(rows[:, a + 1:], rows[:, a:a + 1] * m, out=codes[:, start:stop])
+        np.add(by_position[a + 1:], by_position[a] * m, out=codes[start:stop])
         start = stop
     codes = codes.ravel()
     codes.sort()
     if np.any(codes[1:] == codes[:-1]):
         return None
-    # group the entries by row, columns ascending within a row: the
-    # smallest pair sharing a row is the smallest adjacent pair in a group
-    flat = rows.ravel()
-    order = np.argsort(flat, kind="stable")
-    shared = flat[order[1:]] == flat[order[:-1]]
-    if not shared.any():
+    # no pair repeats, so two columns overlap in at most one row; i is
+    # the first column holding a row of degree > 1, and j the first
+    # other column holding one of i's rows (j > i, or j would itself be
+    # a sharing column before i).  Setting i's rows to degree 0 marks
+    # them, since every row a column holds has degree >= 1.
+    degree = np.bincount(rows.ravel(), minlength=m)
+    sharing = (degree[rows] > 1).any(axis=1)
+    if not sharing.any():
         return 0.0, (0, 1)
-    cols = order // k
-    code = int((cols[:-1][shared] * mat.M + cols[1:][shared]).min())
-    return 1.0, divmod(code, mat.M)
+    i = int(np.argmax(sharing))
+    degree[rows[i]] = 0
+    holds = (degree[rows] == 0).any(axis=1)
+    holds[i] = False
+    return 1.0, (i, int(np.argmax(holds)))
 
 
 def coherence(mat: SensingMatrix) -> CoherenceReport:
-    """Exhaustive coherence of a constructed matrix over all M(M-1)/2 pairs."""
+    """Exhaustive coherence of a constructed matrix over all M(M-1)/2 pairs.
+
+    A matrix with more rows than entries (m > M*k) is proved on its rows
+    in use, renumbered in order, so neither proof holds an array of
+    length m; the report keeps the matrix's own m.
+    """
     if mat.M < 2:
         raise InvalidInput("need at least 2 columns")
-    found = _row_pair_extrema(mat)
+    rows = mat.rows
+    if rows.size and (rows.min() < 0 or rows.max() >= mat.m):
+        raise InvalidInput(f"row index outside [0, {mat.m})")
+    proved = mat
+    if mat.m > rows.size > 0:
+        used, inverse = np.unique(rows, return_inverse=True)
+        proved = replace(mat, m=used.size, rows=inverse.reshape(rows.shape))
+    found = _row_pair_extrema(proved)
     if found is None:
-        max_off, pair, diag = gram_extrema(mat.to_sparse())
+        max_off, pair, diag = gram_extrema(proved.to_sparse())
         if np.any(diag == 0):
             raise DegenerateColumn("matrix has a zero column")
     else:

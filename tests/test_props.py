@@ -259,6 +259,92 @@ def test_coherence_matches_oracle_random_binary(mat):
     assert_paths_agree(mat)
 
 
+@st.composite
+def binary_supports(draw):
+    """Binary supports with M <= 40 and k <= 6, m sometimes above M*k;
+    half the time one column takes two rows of another, so a row pair
+    repeats, at whatever positions the two columns hold it."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(k, 60))
+    M = draw(st.integers(2, 40))
+    column = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+    columns = [sorted(draw(column)) for _ in range(M)]
+    if k >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(M)))[:2]
+        pair = draw(st.permutations(columns[a]))[:2]
+        others = [r for r in range(m) if r not in pair]
+        columns[b] = sorted(pair + draw(st.permutations(others))[:k - 2])
+    return binary(m, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_supports())
+def test_coherence_matches_oracle_planted_repeats(mat):
+    assert_matches_oracle(mat)
+    assert_paths_agree(mat)
+
+
+@pytest.mark.parametrize("m", [16, 17, 256, 257, 65536, 65537])
+def test_row_pair_codes_at_the_type_boundaries(m):
+    # the last two rows give the largest code, m*m - m - 1; at m = 2**b + 1
+    # a code of 2*b bits would wrap (m-2, m-1) onto (0, m-2), a false
+    # repeat.  A third column equal to the second really repeats it.
+    distinct = binary(m, [[0, m - 2], [m - 2, m - 1]])
+    repeated = binary(m, [[0, m - 2], [m - 2, m - 1], [m - 2, m - 1]])
+    for mat in (distinct, repeated):
+        assert_matches_oracle(mat)
+        assert_paths_agree(mat)
+    assert props._row_pair_extrema(distinct) == (1.0, (0, 1))
+    assert coherence(repeated).argmax_pair == (1, 2)
+
+
+@pytest.mark.parametrize("m, columns, overlap, pair", [
+    # rows {5, 9} sit at positions (1, 2) in column 0 and (0, 1) in column 2
+    (13, [[0, 5, 9], [1, 2, 3], [5, 9, 12]], 2, (0, 2)),
+    # the repeated pair is the first two rows of one column, the last two
+    # of the other; columns 0 and 1 share one row before it
+    (9, [[0, 4, 8], [0, 1, 2], [3, 6, 7], [1, 2, 5]], 2, (1, 3)),
+], ids=["positions_12_01", "positions_01_12"])
+def test_repeat_at_different_positions(m, columns, overlap, pair):
+    mat = binary(m, columns)
+    rep = assert_matches_oracle(mat)
+    assert (rep.max_overlap, rep.argmax_pair) == (overlap, pair)
+    assert_paths_agree(mat)
+
+
+def spread(mat, m):
+    """mat with its rows mapped in order into m rows, m > M*k."""
+    return SensingMatrix(m=m, M=mat.M, alphabet=mat.alphabet, k=mat.k,
+                         rows=mat.rows * (m // mat.m), vals=mat.vals)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: euler_matrix(5, 3),
+    lambda: binary(7, [[0, 1, 2], [0, 1, 6], [3, 4, 5], [0, 1, 2]]),
+    lambda: binary(6, [[0, 1], [2, 3], [4, 5]]),
+    lambda: binary(4, [[0], [3], [3], [1]]),
+    lambda: build_ternary(5, 1, 1),
+], ids=["euler_5_3", "overlap_3", "disjoint", "weight_1", "ternary_5_1_1"])
+def test_rows_beyond_the_entries_are_renumbered(build):
+    # 10**15 rows: an array of length m (8 PB) cannot be allocated, so
+    # either proof that made one would raise MemoryError
+    mat = build()
+    wide = spread(mat, 10 ** 15)
+    rep, wide_rep = coherence(mat), coherence(wide)
+    assert (wide_rep.coherence, wide_rep.max_overlap, wide_rep.argmax_pair) == (
+        rep.coherence, rep.max_overlap, rep.argmax_pair)
+    assert (wide_rep.m, wide_rep.density) == (10 ** 15, wide.density)
+    assert math.isnan(wide_rep.welch)
+
+
+@pytest.mark.parametrize("m, row", [(4, 5), (4, -1), (40, 45), (40, -1)])
+def test_rows_outside_the_matrix_are_rejected(m, row):
+    # scipy's sparse product reads past its arrays on a row >= m
+    mat = binary(m, [[0, 1], [1, row], [2, 3]])
+    with pytest.raises(InvalidInput, match="row index outside"):
+        coherence(mat)
+
+
 @pytest.mark.parametrize("build", [
     lambda: euler_matrix(11, 5),
     lambda: build_ternary(5, 1, 1),
@@ -297,6 +383,34 @@ def test_coherence_256_16_fits_in_one_gib():
                           text=True, preexec_fn=cap, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert json.loads(proc.stdout) == [1 / 16, 1]
+
+
+@pytest.mark.parametrize("columns, overlap", [
+    (["1 9999999999", "1 5", "5 10000000000"], 1),
+    (["1 9999999999", "2 5", "1 9999999999"], 2),
+], ids=["distinct_pairs", "repeated_pair"])
+def test_verify_rows_beyond_the_entries_within_one_gib(tmp_path, columns, overlap):
+    # 10**10 rows: an array of length m is 80 GB, so verify must prove
+    # the three columns on the rows they use
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    path = tmp_path / "wide.esm"
+    path.write_text("ESM v1 rows=10000000000 cols=3 alphabet=binary k=2\n"
+                    "unknown\n" + "\n".join(columns) + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eulercs.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "eulercs.cli", "verify", str(path)],
+                          capture_output=True, text=True, preexec_fn=cap,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "rows=10000000000"
+    assert f"max_overlap={overlap}" in lines
 
 
 _LAZY_SPARSE = """
