@@ -33,10 +33,14 @@ class SensingMatrix:
     rows: np.ndarray     # (M, k) 0-based row indices, ascending per column
     vals: np.ndarray     # (M, k) entry values at those rows
     provenance: str = ""
+    # the dense operator, scattered on the first to_dense() call
+    _dense: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.vals = np.asarray(self.vals, dtype=np.int64)
+        # read-only views: to_dense() caches the operator these supports give
+        self.rows = np.asarray(self.rows, dtype=np.int64).view()
+        self.vals = np.asarray(self.vals, dtype=np.int64).view()
+        self.rows.flags.writeable = self.vals.flags.writeable = False
         if self.rows.shape != (self.M, self.k) or self.vals.shape != (self.M, self.k):
             raise InvalidInput("support arrays must have shape (M, k)")
 
@@ -51,11 +55,17 @@ class SensingMatrix:
     def to_dense(self) -> np.ndarray:
         """(m, M) float64 array in Fortran order, equal to to_sparse().todense().
 
-        Entries at a repeated (row, column) are summed, as csc does.
+        Entries at a repeated (row, column) are summed, as csc does.  The
+        array is scattered once per matrix and every call returns it, read
+        only, as `rows` and `vals` are; `dataclasses.replace` gives a new
+        matrix with an array of its own.
         """
-        A = np.zeros((self.m, self.M), order="F")
-        np.add.at(A, (self.rows, np.arange(self.M)[:, None]), self.vals)
-        return A
+        if self._dense is None:
+            A = np.zeros((self.m, self.M), order="F")
+            np.add.at(A, (self.rows, np.arange(self.M)[:, None]), self.vals)
+            A.flags.writeable = False
+            self._dense = A
+        return self._dense
 
     @property
     def density(self) -> float:

@@ -87,12 +87,16 @@ class MatrixSpec:
 
 
 def make_matrix(spec: MatrixSpec) -> np.ndarray:
-    """Dense float measurement matrix for a MatrixSpec."""
+    """Dense float measurement matrix for a MatrixSpec, read only for every
+    family, as `SensingMatrix.to_dense()` returns it; copy it to write."""
     if spec.family == "gaussian":
-        return recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
-    if spec.family == "bernoulli":
-        return recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
-    return spec.build().to_dense()
+        A = recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
+    elif spec.family == "bernoulli":
+        A = recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
+    else:
+        return spec.build().to_dense()
+    A.flags.writeable = False
+    return A
 
 
 @dataclass

@@ -12,7 +12,11 @@ beside it.
 The Haar transforms work on the trailing axes: haar_forward maps
 (..., P, P) to (..., P*P) and haar_inverse maps (..., P*P) back to
 (..., P, P), so a whole (M', P, P) patch stack is one call, with the
-same bits as one call per patch.
+same bits as one call per patch.  They work on a copy with the patch
+index innermost, so each level is six whole-stack steps on even/odd
+slices of the two patch axes.  extract_features multiplies by the
+matrix's one cached dense operator (SensingMatrix.to_dense), so the
+images of a database share it.
 """
 
 import hashlib
@@ -24,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import SensingMatrix
-from .errors import (LabelError, ParseError, PatchGridError, PatchSizeError,
-                     ShapeError, decode_utf8)
+from .errors import (InvalidInput, LabelError, ParseError, PatchGridError,
+                     PatchSizeError, ShapeError, decode_utf8)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,6 +45,20 @@ def _check_patch_size(P: int, levels):
     return levels
 
 
+def _patch_last(a: np.ndarray, P: int) -> np.ndarray:
+    """(..., P, P) as a C-ordered (P, P, N) copy: patch index innermost.
+
+    Every Haar step then runs over whole rows of N patches rather than
+    over the P/2 strided entries of one patch row at a time.
+    """
+    return a.reshape(-1, P, P).transpose(1, 2, 0).copy()
+
+
+def _patch_first(out: np.ndarray, shape: tuple) -> np.ndarray:
+    """Inverse of _patch_last, as a C-ordered array of the given shape."""
+    return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(shape)
+
+
 def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
     """Orthonormal 2-D Haar transform of the trailing P x P axes.
 
@@ -54,18 +72,24 @@ def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
         raise PatchSizeError(f"patch must be square, got {a.shape}")
     P = a.shape[-1]
     levels = _check_patch_size(P, levels)
-    out = a.copy()
+    out = _patch_last(a, P)
+    buf = np.empty_like(out)
     s = P
     for _ in range(levels):
-        for axis in (-1, -2):
-            b = np.moveaxis(out[..., :s, :s], axis, -1)   # a view into out
-            even, odd = b[..., 0::2], b[..., 1::2]
-            lo = (even + odd) / SQRT2
-            hi = (even - odd) / SQRT2
-            b[..., :s // 2] = lo
-            b[..., s // 2:] = hi
-        s //= 2
-    return out.reshape(a.shape[:-2] + (P * P,))
+        half = s // 2
+        blk, tmp = out[:s, :s], buf[:s, :s]
+        # columns, then rows: the sums and differences of the even/odd
+        # pairs go to tmp, so both halves exist before blk is overwritten
+        even, odd = blk[:, 0::2], blk[:, 1::2]
+        np.add(even, odd, out=tmp[:, :half])
+        np.subtract(even, odd, out=tmp[:, half:])
+        np.divide(tmp, SQRT2, out=blk)
+        even, odd = blk[0::2], blk[1::2]
+        np.add(even, odd, out=tmp[:half])
+        np.subtract(even, odd, out=tmp[half:])
+        np.divide(tmp, SQRT2, out=blk)
+        s = half
+    return _patch_first(out, a.shape[:-2] + (P * P,))
 
 
 def haar_inverse(coeffs: np.ndarray, levels: int = None) -> np.ndarray:
@@ -77,17 +101,21 @@ def haar_inverse(coeffs: np.ndarray, levels: int = None) -> np.ndarray:
     if P * P != v.shape[-1]:
         raise PatchSizeError(f"coefficient length {v.shape[-1]} is not a square")
     levels = _check_patch_size(P, levels)
-    out = v.reshape(v.shape[:-1] + (P, P)).copy()
+    out = _patch_last(v, P)
+    buf = np.empty_like(out)
     for s in reversed([P >> t for t in range(levels)]):
         half = s // 2
-        for axis in (-2, -1):
-            b = np.moveaxis(out[..., :s, :s], axis, -1)   # a view into out
-            lo, hi = b[..., :half], b[..., half:]
-            even = (lo + hi) / SQRT2
-            odd = (lo - hi) / SQRT2
-            b[..., 0::2] = even
-            b[..., 1::2] = odd
-    return out
+        blk, tmp = out[:s, :s], buf[:s, :s]
+        # rows, then columns: the undone pairs interleave back through tmp
+        lo, hi = blk[:half], blk[half:]
+        np.add(lo, hi, out=tmp[0::2])
+        np.subtract(lo, hi, out=tmp[1::2])
+        np.divide(tmp, SQRT2, out=blk)
+        lo, hi = blk[:, :half], blk[:, half:]
+        np.add(lo, hi, out=tmp[:, 0::2])
+        np.subtract(lo, hi, out=tmp[:, 1::2])
+        np.divide(tmp, SQRT2, out=blk)
+    return _patch_first(out, v.shape[:-1] + (P, P))
 
 
 @dataclass(frozen=True)
@@ -221,8 +249,14 @@ def _norm_corr(a: np.ndarray, b: np.ndarray) -> float:
     return float(da @ db / (na * nb))
 
 
+def _check_topn(topn: int):
+    if not isinstance(topn, (int, np.integer)) or topn < 1:
+        raise InvalidInput(f"topn={topn!r} is not an integer of at least 1")
+
+
 def retrieve(query_feature: np.ndarray, db: FeatureDB, topn: int = 10):
     """Ranked [(id, label, similarity)], descending; ties stable by id."""
+    _check_topn(topn)
     q = np.asarray(query_feature, dtype=np.float64).ravel()
     if q.size != db.features.shape[1]:
         raise ShapeError(f"feature length {q.size} != database {db.features.shape[1]}")
@@ -256,6 +290,7 @@ def score_retrieval(rankings: list, query_labels: list, db_labels: dict,
     db_labels: id -> class for every retrievable item; N_m for a query
     is the size of its class within the database.
     """
+    _check_topn(topn)
     class_sizes = {}
     for label in db_labels.values():
         class_sizes[label] = class_sizes.get(label, 0) + 1

@@ -314,6 +314,22 @@ def test_cbir_pipeline(tmp_path, corpus, capsys):
     assert "confusion[c0]=" in out
 
 
+@pytest.mark.parametrize("topn", ["0", "-1"])
+def test_cbir_topn_below_one_exits_2(tmp_path, corpus, capsys, topn):
+    imgdir, qdir = corpus
+    db = str(tmp_path / "db")
+    assert run(["cbir", "index", "--images", str(imgdir), "--rows", "32",
+                "--patch", "8", "--out", db]) == 0
+    capsys.readouterr()
+    assert run(["cbir", "query", "--db", db, "--image", str(imgdir / "c1_2.pgm"),
+                "--topn", topn]) == 2
+    assert run(["cbir", "score", "--db", db, "--queries", str(qdir),
+                "--topn", topn]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"error: topn={topn} is not an integer of at least 1") == 2
+
+
 @pytest.mark.parametrize("name, old, line", [
     ("matrix.esm", b"euler n=", 2),
     ("features.bin", b"count=", 2),

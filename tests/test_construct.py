@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,6 +185,40 @@ def test_to_dense_matches_sparse(build):
     assert np.array_equal(dense, ref)
     assert dense.tobytes(order="A") == ref.tobytes(order="A")
     assert dense.flags.f_contiguous == ref.flags.f_contiguous
+
+
+def test_to_dense_is_one_read_only_array_per_matrix():
+    mat = build_binary_matrix(euler_square(3, 2))
+    dense = mat.to_dense()
+    assert mat.to_dense() is dense
+    assert not dense.flags.writeable
+    with pytest.raises(ValueError):
+        dense[0, 0] = 5.0
+    assert np.array_equal(dense, REFERENCE_6x9)
+
+
+def test_supports_are_read_only_and_the_callers_arrays_are_not():
+    rows = np.array([[0, 1], [0, 2], [1, 2]])
+    vals = np.array([[1, 1], [1, -1], [-1, 1]])
+    mat = SensingMatrix(m=3, M=3, alphabet="ternary", k=2, rows=rows, vals=vals)
+    dense = mat.to_dense().copy()
+    for arr in (mat.rows, mat.vals):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 2
+    rows[0, 0] = 2                 # the caller's own array stays writable
+    vals[0, 0] = 5
+    assert rows.flags.writeable and vals.flags.writeable
+    assert np.array_equal(mat.to_dense(), dense)
+
+
+def test_replace_densifies_its_own_rows():
+    mat = build_binary_matrix(euler_square(3, 2))
+    dense = mat.to_dense()
+    flipped = replace(mat, rows=mat.rows[::-1])      # the columns reversed
+    assert flipped.to_dense() is not dense
+    assert np.array_equal(flipped.to_dense(), REFERENCE_6x9[:, ::-1])
+    assert np.array_equal(flipped.to_dense(), flipped.to_sparse().toarray())
+    assert mat.to_dense() is dense and np.array_equal(dense, REFERENCE_6x9)
 
 
 def test_normalize():

@@ -94,6 +94,17 @@ def test_make_matrix_families():
 
 
 @pytest.mark.parametrize("spec", [
+    MatrixSpec(family="euler", n=3, k=2),
+    MatrixSpec(family="gaussian", m=6, M=9, seed=0),
+    MatrixSpec(family="bernoulli", m=6, M=9, seed=0),
+])
+def test_make_matrix_is_read_only_for_every_family(spec):
+    A = make_matrix(spec)
+    with pytest.raises(ValueError):
+        A[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("spec", [
     MatrixSpec(family="euler", n=11, k=5),
     MatrixSpec(family="rows", row_size=60),
     MatrixSpec(family="extended", n=12),

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from eulercs.cli import main
 from eulercs.errors import EulerCSError
 from eulercs.euler import euler_square, from_text, to_text
-from eulercs.imaging import FeatureDB, load_feature_db, read_pgm, save_feature_db
+from eulercs.imaging import (FeatureDB, load_feature_db, read_pgm, save_feature_db,
+                             write_pgm)
 
 # bytes the formats give meaning to, then any byte at all
 _BYTES = st.one_of(st.sampled_from(list(b"0123456789 \t\r\n-+:,=#.eP\x00\xff")),
@@ -99,14 +100,20 @@ def test_load_feature_db_fails_closed(tmp_path_factory, feature_db_files, name, 
 
 
 # Comma-list flags of the CLI, each with the fixed flags that make every
-# run small: orders of at most 40, one trial per level.
+# run small: orders of at most 40, one trial per level.  --topn takes one
+# integer, so a list of more is a usage error; it queries the two-image
+# database of `cli_dir`.  {out} is that directory.
 _LIST_FLAGS = {
-    "gen_index": (["gen"], "--index", ["--out", "m.esm"]),
-    "gen_ternary": (["gen"], "--ternary", ["--out", "t.esm"]),
+    "gen_index": (["gen"], "--index", ["--out", "{out}/m.esm"]),
+    "gen_ternary": (["gen"], "--ternary", ["--out", "{out}/t.esm"]),
     "sweep_levels": (["bench", "sweep", "--index", "11,5", "--trials", "1"], "--levels",
-                     ["--out", "s"]),
+                     ["--out", "{out}/s"]),
     "phase_rows": (["bench", "phase", "--M", "121", "--trials", "1"], "--rows",
-                   ["--out", "p"]),
+                   ["--out", "{out}/p"]),
+    "query_topn": (["cbir", "query", "--db", "{out}/db"], "--topn",
+                   ["--image", "{out}/images/a_0.pgm"]),
+    "score_topn": (["cbir", "score", "--db", "{out}/db"], "--topn",
+                   ["--queries", "{out}/images"]),
 }
 # values near the edge cases (0, 1, 2, negatives) half of the time
 _SMALL = st.one_of(st.integers(-2, 3), st.integers(-40, 40))
@@ -140,15 +147,28 @@ def _list_value(draw, flag):
     return ",".join(items)
 
 
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    """Output directory of the CLI fuzz, holding a two-image CBIR database."""
+    out = tmp_path_factory.mktemp("fuzz_cli")
+    (out / "images").mkdir()
+    rng = np.random.default_rng(3)
+    for name in ("a_0", "b_0"):
+        write_pgm(rng.integers(0, 256, (8, 8)), str(out / "images" / f"{name}.pgm"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["cbir", "index", "--images", str(out / "images"), "--rows", "32",
+                     "--patch", "8", "--out", str(out / "db")]) == 0
+    return out
+
+
 @pytest.mark.parametrize("flag", list(_LIST_FLAGS))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
-def test_cli_list_flags_fail_closed(tmp_path_factory, flag, data):
+def test_cli_list_flags_fail_closed(cli_dir, flag, data):
     head, option, tail = _LIST_FLAGS[flag]
     value = data.draw(_list_value(flag), label=option)
-    out = tmp_path_factory.getbasetemp() / "fuzz_cli"
-    out.mkdir(exist_ok=True)
-    argv = head + [f"{option}={value}", tail[0], str(out / tail[1])]
+    argv = ([arg.format(out=cli_dir) for arg in head] + [f"{option}={value}"]
+            + [arg.format(out=cli_dir) for arg in tail])
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:

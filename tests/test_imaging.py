@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (LabelError, ParseError, PatchGridError, PatchSizeError,
-                            ShapeError)
+from eulercs.errors import (InvalidInput, LabelError, ParseError, PatchGridError,
+                            PatchSizeError, ShapeError)
 from eulercs.euler import euler_square
 from eulercs.imaging import (FeatureDB, extract_features,
                              haar_forward, haar_inverse, load_feature_db,
@@ -68,6 +68,61 @@ def test_haar_batched_equals_per_patch_loop(P, lead):
         assert np.abs(back - patches).max() <= 1e-10
 
 
+SQRT2 = np.sqrt(2.0)
+
+
+def _oracle_forward(patches, levels):
+    """The moveaxis kernel haar_forward replaced, frozen as a reference."""
+    P = patches.shape[-1]
+    out = np.array(patches, dtype=np.float64)
+    s = P
+    for _ in range(P.bit_length() - 1 if levels is None else levels):
+        for axis in (-1, -2):
+            b = np.moveaxis(out[..., :s, :s], axis, -1)
+            even, odd = b[..., 0::2], b[..., 1::2]
+            lo = (even + odd) / SQRT2
+            hi = (even - odd) / SQRT2
+            b[..., :s // 2] = lo
+            b[..., s // 2:] = hi
+        s //= 2
+    return out.reshape(patches.shape[:-2] + (P * P,))
+
+
+def _oracle_inverse(coeffs, levels):
+    """The moveaxis kernel haar_inverse replaced, frozen as a reference."""
+    P = int(round(np.sqrt(coeffs.shape[-1])))
+    out = np.array(coeffs, dtype=np.float64).reshape(coeffs.shape[:-1] + (P, P))
+    depth = P.bit_length() - 1 if levels is None else levels
+    for s in reversed([P >> t for t in range(depth)]):
+        half = s // 2
+        for axis in (-2, -1):
+            b = np.moveaxis(out[..., :s, :s], axis, -1)
+            lo, hi = b[..., :half], b[..., half:]
+            even = (lo + hi) / SQRT2
+            odd = (lo - hi) / SQRT2
+            b[..., 0::2] = even
+            b[..., 1::2] = odd
+    return out
+
+
+@pytest.mark.parametrize("P", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("lead", [(), (3,), (64,), (2, 5)])
+def test_haar_matches_moveaxis_oracle_bit_for_bit(P, lead):
+    rng = np.random.default_rng([P, len(lead)])
+    for levels in [None, *range(P.bit_length())]:
+        patches = rng.standard_normal(lead + (P, P)) * 100
+        kept = patches.copy()
+        coeffs = haar_forward(patches, levels)
+        assert np.array_equal(coeffs, _oracle_forward(patches, levels))
+        assert coeffs.flags.c_contiguous
+        assert np.array_equal(patches, kept)          # the input is not written
+        kept = coeffs.copy()
+        back = haar_inverse(coeffs, levels)
+        assert np.array_equal(back, _oracle_inverse(coeffs, levels))
+        assert back.flags.c_contiguous and back.shape == lead + (P, P)
+        assert np.array_equal(coeffs, kept)
+
+
 @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8), (16,), ()])
 def test_haar_forward_rejects_non_square_input(shape):
     with pytest.raises(PatchSizeError):
@@ -123,6 +178,24 @@ def test_feature_linearity(T):
     assert np.abs(lhs - rhs).max() <= 1e-8
 
 
+def test_features_share_one_scatter_per_matrix(monkeypatch):
+    T = build_binary_matrix(euler_square(8, 4))
+    scatters = []
+    zeros = np.zeros
+
+    def counting_zeros(shape, *args, **kwargs):
+        if shape == (T.m, T.M):
+            scatters.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counting_zeros)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        extract_features(rng.standard_normal((16, 16)), T, 8)
+    monkeypatch.undo()
+    assert len(scatters) == 1
+
+
 def test_feature_shape_check(T):
     with pytest.raises(ShapeError):
         extract_features(np.zeros((16, 16)), T, 16)  # T.M = 64 != 256
@@ -171,6 +244,19 @@ def test_retrieve_zero_variance_flagged_zero():
     ranked = retrieve(np.array([0.0, 1, 2, 3]), db, topn=2)
     sims = dict((r[0], r[2]) for r in ranked)
     assert sims["img0"] == 0.0
+
+
+@pytest.mark.parametrize("topn", [0, -1, 1.5])
+def test_retrieve_rejects_bad_topn(topn):
+    db = make_db([[1.0, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4]])
+    with pytest.raises(InvalidInput):
+        retrieve(np.array([1.0, 2, 3, 4]), db, topn=topn)
+
+
+@pytest.mark.parametrize("topn", [0, -1, 1.5])
+def test_score_retrieval_rejects_bad_topn(topn):
+    with pytest.raises(InvalidInput):
+        score_retrieval([["a", "b"]], [("q0", "X")], {"a": "X", "b": "Y"}, topn=topn)
 
 
 def test_score_retrieval_formulas():
