@@ -6,9 +6,10 @@ output files, human summaries to stderr.  Every output artifact gets a
 sibling <out>.manifest.json recording the invocation, so reruns are
 reproducible byte for byte.
 
-Exit codes: 0 success, 1 invariant, verification or convergence failure,
-2 usage error (including a path that cannot be opened), 3 construction
-infeasible.
+Exit codes: 0 success, 1 invariant, parse (nan or inf measurements too),
+verification or convergence failure, 2 usage error (a path that cannot be
+opened, a matrix size or --trials below 1), 3 construction infeasible
+(any errors.Infeasible, such as an m x M shape no euler square has).
 """
 
 import argparse
@@ -20,16 +21,9 @@ import time
 import numpy as np
 
 from . import __version__, construct, experiments, imaging, props, recovery
-from .errors import (ConvergenceFailure, EulerCSError, FieldTooLarge,
-                     HadamardUnavailable, IndexNotConstructible, IndexTooSmall,
-                     InvalidInput, InvalidOrder, NothingToExtend, ParseError,
-                     ShapeError, UnsupportedRowSize)
+from .errors import (ConvergenceFailure, EulerCSError, Infeasible,
+                     InvalidInput, ParseError, ShapeError)
 from .euler import EulerSquare, validate_euler_square
-
-# a request that does not fit in memory is infeasible here too
-_INFEASIBLE = (IndexNotConstructible, UnsupportedRowSize, NothingToExtend,
-               HadamardUnavailable, IndexTooSmall, InvalidOrder, FieldTooLarge,
-               MemoryError)
 
 
 def _write_manifest(out_path, subcommand, args, seed, inputs, outputs, wall):
@@ -73,20 +67,18 @@ def _matrix_spec(args):
     if getattr(args, "ternary", None) is not None:
         p, i, j = _parse_ints(args.ternary, "--ternary", 3)
         return MatrixSpec(family="ternary", p=p, i=i, j=j)
-    if getattr(args, "family", None) in ("gaussian", "bernoulli"):
+    if getattr(args, "family", None) is not None:
         if args.m is None or args.M is None:
             raise InvalidInput("--family gaussian/bernoulli needs --m and --M")
-        return MatrixSpec(family=args.family, m=args.m, M=args.M, seed=args.seed)
+        return MatrixSpec.of_shape(args.family, args.m, args.M, args.seed)
     raise InvalidInput("select a matrix: --index, --rows, or --family with --m/--M")
 
 
-def _patch_square_spec(rows, P):
-    """The index (P, rows/P) square that compresses P x P patches to `rows`."""
-    if rows % P:
-        raise IndexNotConstructible(
-            f"row size {rows} is not a multiple of patch edge {P} "
-            f"(need an index ({P}, m/{P}) square)")
-    return experiments.MatrixSpec(family="euler", n=P, k=rows // P)
+def _patch_columns(P):
+    """The P*P columns that measure a P x P patch; rejects an edge below 1."""
+    if P < 1:
+        raise InvalidInput(f"patch edge {P} must be >= 1")
+    return P * P
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +214,10 @@ def cmd_bench_phase(args):
 
 def cmd_bench_recon(args):
     image = imaging.read_pgm(args.image)
-    P = args.patch
-    if args.family == "euler":
-        spec = _patch_square_spec(args.rows, P)
-    else:
-        spec = experiments.MatrixSpec(family=args.family, m=args.rows, M=P * P,
-                                      seed=args.seed)
-    A = experiments.make_matrix(spec)
+    A = experiments.make_matrix(experiments.MatrixSpec.of_shape(
+        args.family, args.rows, _patch_columns(args.patch), args.seed))
     recon, report = experiments.run_patch_reconstruction(
-        image, A, P, levels=args.levels, solver=args.solver)
+        image, A, args.patch, levels=args.levels, solver=args.solver)
     imaging.write_pgm(recon, args.out + ".pgm")
     _emit_report(report, args.out, args, args.seed, [args.image],
                  [args.out + ".pgm"])
@@ -246,6 +233,8 @@ def cmd_recover(args):
         y = np.loadtxt(args.y, delimiter=",").ravel()
     except ValueError as exc:
         raise ParseError(f"{args.y}: {exc}") from None
+    if not np.isfinite(y).all():
+        raise ParseError(f"{args.y}: measurements must be finite numbers")
     K = args.k if args.k is not None else mat.m // 2
     result = recovery.recover(mat, y[None], K, args.solver)[0]
     if not result.converged:
@@ -275,7 +264,7 @@ def _scan_images(directory):
 def cmd_cbir_index(args):
     t0 = time.perf_counter()
     P = args.patch
-    mat = _patch_square_spec(args.rows, P).build()
+    mat = experiments.MatrixSpec.of_shape("euler", args.rows, _patch_columns(P)).build()
     entries = _scan_images(args.images)
     if not entries:
         raise InvalidInput(f"no .pgm images found in {args.images}")
@@ -447,10 +436,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INFEASIBLE as exc:
+    except (Infeasible, MemoryError) as exc:
+        # a request that does not fit in memory is infeasible here too
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (InvalidInput,) as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,11 +5,15 @@ class EulerCSError(Exception):
     """Base class for all package errors."""
 
 
+class Infeasible(EulerCSError):
+    """A construction that cannot be made as asked (CLI exit code 3)."""
+
+
 class InvalidPrime(EulerCSError):
     pass
 
 
-class FieldTooLarge(EulerCSError):
+class FieldTooLarge(Infeasible):
     pass
 
 
@@ -21,7 +25,7 @@ class InvalidInput(EulerCSError):
     pass
 
 
-class InvalidOrder(EulerCSError):
+class InvalidOrder(Infeasible):
     pass
 
 
@@ -33,23 +37,23 @@ class DegreeMismatch(EulerCSError):
     pass
 
 
-class IndexNotConstructible(EulerCSError):
+class IndexNotConstructible(Infeasible):
     pass
 
 
-class IndexTooSmall(EulerCSError):
+class IndexTooSmall(Infeasible):
     pass
 
 
-class UnsupportedRowSize(EulerCSError):
+class UnsupportedRowSize(Infeasible):
     pass
 
 
-class NothingToExtend(EulerCSError):
+class NothingToExtend(Infeasible):
     pass
 
 
-class HadamardUnavailable(EulerCSError):
+class HadamardUnavailable(Infeasible):
     pass
 
 

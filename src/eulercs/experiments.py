@@ -19,7 +19,7 @@ import numpy as np
 from . import recovery
 from .construct import (SensingMatrix, build_binary_matrix, build_extended,
                         build_for_row_size, build_ternary)
-from .errors import InvalidInput, ParseError, ShapeError
+from .errors import IndexNotConstructible, InvalidInput, ParseError, ShapeError
 from .euler import euler_square
 from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 
@@ -79,6 +79,22 @@ class MatrixSpec:
             raise ParseError(f"provenance {text!r} is not a well-formed {family} line")
         return cls(family=family, **{f: int(v) for f, v in match.groupdict().items()})
 
+    @classmethod
+    def of_shape(cls, family: str, m: int, M: int, seed=None):
+        """The m x M matrix of `family`: a gaussian or bernoulli draw seeded
+        by `seed`, or the index (sqrt(M), m/sqrt(M)) euler square."""
+        if m < 1 or M < 1:
+            raise InvalidInput(f"matrix shape {m}x{M} needs m >= 1 and M >= 1")
+        if family in ("gaussian", "bernoulli"):
+            return cls(family=family, m=m, M=M, seed=seed)
+        if family != "euler":
+            raise InvalidInput(f"no {family!r} matrix of a given shape")
+        n = math.isqrt(M)
+        if n * n != M or m % n:
+            raise IndexNotConstructible(f"no euler matrix is {m}x{M}: the index "
+                                        f"(n, k) square is nk x n*n")
+        return cls(family="euler", n=n, k=m // n)
+
     def build(self) -> SensingMatrix:
         """Run the deterministic construction this spec names."""
         if self.family not in _FAMILIES:
@@ -135,11 +151,11 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial_outcomes(A, M, k, solver, threshold_db, seeds):
-    """Whether each seed's k-sparse trial reaches threshold_db."""
-    signals = [recovery.gen_sparse_signal(M, k, seed).to_dense() for seed in seeds]
+def _trial_outcomes(A, k, solver, seeds):
+    """Whether each seed's k-sparse trial reaches SUCCESS_DB."""
+    signals = [recovery.gen_sparse_signal(A.shape[1], k, s).to_dense() for s in seeds]
     results = recovery.recover(A, np.stack([A @ x for x in signals]), k, solver)
-    return [recovery.snr(x, result.estimate) >= threshold_db
+    return [recovery.snr(x, result.estimate) >= SUCCESS_DB
             for x, result in zip(signals, results)]
 
 
@@ -147,12 +163,12 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     """Success percentage per sparsity level (SNR >= SUCCESS_DB counts)."""
     t0 = time.perf_counter()
     A = make_matrix(cfg.matrix)
-    m, M = A.shape
+    m = A.shape[0]
     rows = []
     for level in cfg.sparsity_levels:
         if not 1 <= level <= m:
             raise InvalidInput(f"sparsity level {level} outside 1..{m}")
-        successes = sum(_trial_outcomes(A, M, level, cfg.solver, SUCCESS_DB,
+        successes = sum(_trial_outcomes(A, level, cfg.solver,
                                         [(cfg.master_seed, level, t)
                                          for t in range(cfg.trials)]))
         rows.append({"k": int(level), "successes": int(successes),
@@ -165,21 +181,20 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     return report
 
 
-def _level_reaches_fraction(A, M, k, solver, threshold_db, fraction, trials, seeds):
-    """Exact early-exit decision: would the full trial set reach the fraction?
+def _level_reaches_fraction(A, k, solver, fraction, seeds):
+    """Exact early-exit decision: would all of `seeds` reach the fraction?
 
     Trials run in chunks of the fewest trials after which the decision
     could become fixed, so exactly the trials a one-by-one scan would
     run are run.
     """
-    need = math.ceil(fraction * trials)
-    allowed_failures = trials - need
+    need = math.ceil(fraction * len(seeds))
+    allowed_failures = len(seeds) - need
     successes = failures = done = 0
     while done < len(seeds):
         # the bound is not positive for a fraction of 0 or above 1
         chunk = max(1, min(need - successes, allowed_failures + 1 - failures))
-        for ok in _trial_outcomes(A, M, k, solver, threshold_db,
-                                  seeds[done:done + chunk]):
+        for ok in _trial_outcomes(A, k, solver, seeds[done:done + chunk]):
             if ok:
                 successes += 1
                 if successes >= need:
@@ -197,32 +212,22 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
                          master_seed: int = 0, family: str = "euler") -> ExperimentReport:
     """Largest sparsity reaching the success fraction at SUCCESS_DB, per row size.
 
-    Emits one (m/M, k/M) point per row size.  For the "euler" family
-    the matrix for row size m is the index (sqrt(M), m/sqrt(M)) one.
+    Emits one (m/M, k/M) point per row size, on MatrixSpec.of_shape(family,
+    m, M, (master_seed, m)); every shape is checked before any trial runs.
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidInput(f"fraction {fraction!r} must lie in [0, 1]")
+    if trials < 1:
+        raise InvalidInput("trials must be >= 1")
+    specs = [MatrixSpec.of_shape(family, m, M, (master_seed, m)) for m in row_sizes]
     t0 = time.perf_counter()
     rows = []
-    for m in row_sizes:
-        if family == "euler":
-            n = math.isqrt(M)
-            if n * n != M:
-                raise InvalidInput(f"M={M} is not a square")
-            if m % n:
-                raise InvalidInput(f"row size {m} is not a multiple of n={n}")
-            A = make_matrix(MatrixSpec(family="euler", n=n, k=m // n))
-        elif family in ("gaussian", "bernoulli"):
-            A = make_matrix(MatrixSpec(family=family, m=m, M=M,
-                                       seed=(master_seed, m)))
-        else:
-            raise InvalidInput(f"unsupported family {family!r} for phase transition")
+    for m, A in zip(row_sizes, map(make_matrix, specs)):
         k_star = 0
         k = 1
         while k <= m:
             seeds = [(master_seed, m, k, t) for t in range(trials)]
-            if _level_reaches_fraction(A, M, k, solver, SUCCESS_DB,
-                                       fraction, trials, seeds):
+            if _level_reaches_fraction(A, k, solver, fraction, seeds):
                 k_star = k
                 k += 1
             else:

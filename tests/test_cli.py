@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from eulercs import errors, experiments, recovery
 from eulercs.cli import main
 from eulercs.construct import load_esm
 from eulercs.errors import ParseError
@@ -202,11 +203,60 @@ def test_bench_recon(tmp_path):
     assert np.array_equal(recon, read_pgm(src))
 
 
-def test_bench_recon_bad_rows(tmp_path):
-    src = str(tmp_path / "in.pgm")
-    write_pgm(np.zeros((16, 16)), src)
-    assert run(["bench", "recon", "--image", src, "--rows", "33",
-                "--patch", "8", "--out", str(tmp_path / "r")]) == 3
+@pytest.mark.parametrize("argv, code", [
+    (["bench", "phase", "--M", "0", "--rows", "22"], 2),
+    (["bench", "phase", "--M", "-4", "--rows", "22"], 2),
+    (["bench", "phase", "--family", "gaussian", "--M", "-3", "--rows", "22"], 2),
+    (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "32", "--patch", "0"], 2),
+    (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "32", "--patch", "0",
+      "--family", "gaussian"], 2),
+    (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "32", "--patch", "-8"], 2),
+    (["cbir", "index", "--images", "{tmp}", "--rows", "32", "--patch", "0"], 2),
+    (["cbir", "index", "--images", "{tmp}", "--rows", "32", "--patch", "-8"], 2),
+    (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "-3", "--patch", "8",
+      "--family", "gaussian"], 2),
+    (["bench", "sweep", "--family", "gaussian", "--m", "-2", "--M", "10"], 2),
+    (["bench", "sweep", "--family", "gaussian", "--m", "5", "--M", "-1"], 2),
+    (["bench", "phase", "--M", "120", "--rows", "22"], 3),
+    (["bench", "phase", "--M", "121", "--rows", "23"], 3),
+    (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "33", "--patch", "8"], 3),
+], ids=["phase_M_0", "phase_M_negative", "phase_gaussian_M_negative",
+        "recon_patch_0", "recon_gaussian_patch_0", "recon_patch_negative",
+        "cbir_index_patch_0", "cbir_index_patch_negative",
+        "recon_gaussian_rows_negative", "sweep_gaussian_m_negative",
+        "sweep_gaussian_M_negative", "phase_M_not_square",
+        "phase_rows_not_multiple", "recon_rows_not_multiple"])
+def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
+    tmp = str(tmp_path)
+    write_pgm(np.zeros((16, 16)), f"{tmp}/in.pgm")
+    assert run([*(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/o"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp) == ["in.pgm"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_bench_phase_trials_below_one_exits_2(tmp_path, capsys, trials):
+    out = str(tmp_path / "phase")
+    assert run(["bench", "phase", "--M", "121", "--rows", "22", "--trials",
+                trials, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+    assert not os.path.exists(out + ".json")
+
+
+@pytest.mark.parametrize("error", [
+    errors.FieldTooLarge, errors.InvalidOrder, errors.IndexNotConstructible,
+    errors.IndexTooSmall, errors.UnsupportedRowSize, errors.NothingToExtend,
+    errors.HadamardUnavailable,
+])
+def test_infeasible_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+    def infeasible(*args, **kwargs):
+        raise error("cannot be built")
+
+    monkeypatch.setattr(experiments, "run_phase_transition", infeasible)
+    assert run(["bench", "phase", "--M", "121", "--rows", "22",
+                "--out", str(tmp_path / "phase")]) == 3
+    assert capsys.readouterr().err == "error: cannot be built\n"
 
 
 def test_recover(tmp_path):
@@ -235,6 +285,24 @@ def test_recover_fails_closed(tmp_path, y_text, k, code):
     yfile.write_text(y_text or ",".join(["1"] * 55) + "\n")
     assert run(["recover", "--matrix", mat, "--y", str(yfile), "--k", k,
                 "--out", str(tmp_path / "xhat.csv")]) == code
+
+
+@pytest.mark.parametrize("solver", recovery.SOLVERS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_recover_rejects_non_finite_y_before_solving(tmp_path, capsys, monkeypatch,
+                                                     solver, value):
+    mat = str(tmp_path / "m.esm")
+    run(["gen", "--index", "11,5", "--out", mat])
+    yfile = tmp_path / "y.csv"
+    yfile.write_text(",".join(["1"] * 54 + [value]) + "\n")
+    monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
+    out = tmp_path / "xhat.csv"
+    capsys.readouterr()
+    assert run(["recover", "--matrix", mat, "--y", str(yfile), "--solver", solver,
+                "--k", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {yfile}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("feasible", [False, True], ids=["infeasible", "feasible"])

@@ -5,7 +5,8 @@ import pytest
 
 from eulercs import recovery
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import ConvergenceFailure, InvalidInput, ParseError, ShapeError
+from eulercs.errors import (ConvergenceFailure, IndexNotConstructible,
+                            InvalidInput, ParseError, ShapeError)
 from eulercs.euler import euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
                                  _trial_outcomes, make_matrix,
@@ -140,7 +141,7 @@ def _sequential_decision(A, k, fraction, seeds):
     need = math.ceil(fraction * len(seeds))
     successes = failures = 0
     for seed in seeds:
-        if _trial_outcomes(A, A.shape[1], k, "omp", 100.0, [seed])[0]:
+        if _trial_outcomes(A, k, "omp", [seed])[0]:
             successes += 1
             if successes >= need:
                 return True
@@ -164,7 +165,7 @@ def test_chunked_early_exit_runs_the_sequential_trials(monkeypatch, k, fraction)
     draw = recovery.gen_sparse_signal
     monkeypatch.setattr(recovery, "gen_sparse_signal",
                         lambda M, k, seed: drawn.append(seed) or draw(M, k, seed))
-    decision = _level_reaches_fraction(A, 121, k, "omp", 100.0, fraction, 30, seeds)
+    decision = _level_reaches_fraction(A, k, "omp", fraction, seeds)
     chunked = list(drawn)
     drawn.clear()
     assert decision == _sequential_decision(A, k, fraction, seeds)
@@ -184,10 +185,52 @@ def test_phase_transition_single_trial_degenerate():
 
 
 def test_phase_transition_rejects_bad_geometry():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(IndexNotConstructible):
         run_phase_transition(120, [22], trials=1)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(IndexNotConstructible):
         run_phase_transition(121, [23], trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_phase_transition_rejects_trials_below_one(trials):
+    with pytest.raises(InvalidInput, match="trials must be >= 1"):
+        run_phase_transition(121, [22], trials=trials)
+
+
+def test_phase_transition_checks_every_shape_before_any_trial(monkeypatch):
+    monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
+    with pytest.raises(IndexNotConstructible):
+        run_phase_transition(121, [22, 23], trials=1)
+
+
+def test_of_shape_euler_is_the_index_square():
+    spec = MatrixSpec.of_shape("euler", 55, 121, seed=3)
+    assert spec == MatrixSpec(family="euler", n=11, k=5)
+    assert make_matrix(spec).shape == (55, 121)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_of_shape_random_families_keep_their_seed(family):
+    # any positive shape: the columns need not be a square
+    spec = MatrixSpec.of_shape(family, 20, 30, seed=(7, 20))
+    assert spec == MatrixSpec(family=family, m=20, M=30, seed=(7, 20))
+    assert make_matrix(spec).shape == (20, 30)
+
+
+@pytest.mark.parametrize("family, m, M", [
+    ("rows", 55, 121), ("ternary", 20, 100),
+    ("euler", 0, 121), ("euler", 55, 0), ("euler", 22, -4),
+    ("gaussian", -2, 10), ("bernoulli", 5, -1),
+])
+def test_of_shape_rejects_invalid_input(family, m, M):
+    with pytest.raises(InvalidInput):
+        MatrixSpec.of_shape(family, m, M)
+
+
+@pytest.mark.parametrize("m, M", [(22, 120), (23, 121)])
+def test_of_shape_rejects_shapes_no_euler_square_has(m, M):
+    with pytest.raises(IndexNotConstructible):
+        MatrixSpec.of_shape("euler", m, M)
 
 
 @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
