@@ -6,14 +6,14 @@ __version__ = "0.1.0"
 
 from .construct import (HadamardMatrix, SensingMatrix, build_binary_matrix,
                         build_extended, build_for_row_size, build_hadamard,
-                        build_ternary, load_esm, normalize, save_esm)
+                        build_ternary, load_esm, save_esm)
 from .euler import (EulerSquare, euler_square, macneish_product,
                     mols_prime_power, reduce_degree, validate_euler_square)
 from .fields import (GaloisField, build_field, factorize, field_inv,
                      find_irreducible)
 from .props import (CoherenceReport, aspect_constant, coherence,
-                    dense_coherence, max_binary_columns, rip_delta,
-                    sparsity_guarantee, welch_bound)
+                    max_binary_columns, rip_delta, sparsity_guarantee,
+                    welch_bound)
 from .recovery import (RecoveryResult, SparseSignal, basis_pursuit,
                        gen_bernoulli_matrix, gen_gaussian_matrix,
                        gen_sparse_signal, omp, recover, snr)
@@ -25,8 +25,8 @@ __all__ = [
     "mols_prime_power", "reduce_degree", "validate_euler_square",
     "SensingMatrix", "HadamardMatrix", "build_binary_matrix",
     "build_for_row_size", "build_extended", "build_hadamard", "build_ternary",
-    "normalize", "save_esm", "load_esm",
-    "CoherenceReport", "coherence", "dense_coherence", "welch_bound",
+    "save_esm", "load_esm",
+    "CoherenceReport", "coherence", "welch_bound",
     "max_binary_columns", "rip_delta", "sparsity_guarantee", "aspect_constant",
     "SparseSignal", "RecoveryResult", "recover", "omp", "basis_pursuit",
     "gen_sparse_signal", "gen_gaussian_matrix", "gen_bernoulli_matrix", "snr",

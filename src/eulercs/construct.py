@@ -9,15 +9,14 @@ Matrices are stored sparsely: per column, the sorted row indices of the
 nonzeros and their values (all +1 for binary, +-1 for ternary).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import textio
-from .errors import (DegenerateColumn, HadamardUnavailable, IndexTooSmall,
-                     InvalidInput, NothingToExtend, ParseError,
-                     UnsupportedRowSize, decode_utf8)
+from .errors import (HadamardUnavailable, IndexTooSmall, InvalidInput,
+                     NothingToExtend, ParseError, UnsupportedRowSize,
+                     decode_utf8)
 from .euler import EulerSquare, euler_square
 from .fields import factorize, is_prime
 
@@ -44,21 +43,13 @@ class SensingMatrix:
         if self.rows.shape != (self.M, self.k) or self.vals.shape != (self.M, self.k):
             raise InvalidInput("support arrays must have shape (M, k)")
 
-    def to_sparse(self):
-        """scipy.sparse.csc_matrix view; scipy.sparse loads on first use."""
-        import scipy.sparse as sp
-        indptr = np.arange(0, (self.M + 1) * self.k, self.k)
-        return sp.csc_matrix(
-            (self.vals.ravel().astype(np.float64), self.rows.ravel(), indptr),
-            shape=(self.m, self.M))
-
     def to_dense(self) -> np.ndarray:
-        """(m, M) float64 array in Fortran order, equal to to_sparse().todense().
+        """(m, M) float64 array in Fortran order: column c holds vals[c] at rows[c].
 
-        Entries at a repeated (row, column) are summed, as csc does.  The
-        array is scattered once per matrix and every call returns it, read
-        only, as `rows` and `vals` are; `dataclasses.replace` gives a new
-        matrix with an array of its own.
+        Entries at a repeated (row, column) are summed.  The array is
+        scattered once per matrix and every call returns it, read only, as
+        `rows` and `vals` are; `dataclasses.replace` gives a new matrix
+        with an array of its own.
         """
         if self._dense is None:
             A = np.zeros((self.m, self.M), order="F")
@@ -260,13 +251,6 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
     return SensingMatrix(m=phi.m, M=phi.M * k, alphabet="ternary", k=k,
                          rows=rows, vals=vals,
                          provenance=f"ternary p={p} i={i} j={j} hadamard={h_used}")
-
-
-def normalize(mat: SensingMatrix) -> np.ndarray:
-    """Dense real view with every column scaled to unit Euclidean norm."""
-    if mat.k < 1:
-        raise DegenerateColumn("zero column cannot be normalized")
-    return mat.to_dense() / math.sqrt(mat.k)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidInput("trials must be >= 1")
+        if not self.sparsity_levels:
+            raise InvalidInput("need at least one sparsity level")
 
 
 @dataclass(eq=False)

@@ -40,7 +40,9 @@ def _check_patch_size(P: int, levels):
     depth = P.bit_length() - 1
     if levels is None:
         return depth
-    if not 0 <= levels <= depth:
+    if levels < 0:
+        raise InvalidInput(f"levels={levels} is a negative level count")
+    if levels > depth:
         raise PatchSizeError(f"levels={levels} exceeds log2({P})={depth}")
     return levels
 

@@ -2,20 +2,22 @@
 
 The coherence check is exhaustive over all M(M-1)/2 column pairs, so the
 1/k bound and the sqrt(M)/m identity become machine-checked facts
-rather than quoted theory.  No global Gram matrix is formed:
+rather than quoted theory.  Every value must be +-1 and every column's
+rows strictly ascend, so each column has squared norm k and mu is the
+max overlap over k.  No M x M Gram matrix is formed:
 
-- A binary matrix (every value 1, rows strictly ascending per column)
-  is proved by its row pairs.  Each column emits its C(k, 2) row pairs
-  as r1*m + r2; two columns share two rows exactly when a code repeats.
-  The codes are laid out pair-major, one contiguous block of M codes
-  per position pair, in the narrowest unsigned type that holds m*m - 1,
-  and sorted in place.  If none repeats, the max overlap is 1 when some
-  row holds two columns and 0 otherwise.  This is the overlap argument
-  behind mu = 1/k, and it costs O(M k^2) memory instead of the
-  O(M^2 k / n) sparse Gram.
-- Every other matrix (ternary, zero values, a binary file whose row
-  pairs repeat) goes through `gram_extrema`, which forms A^T A one
-  column block at a time under a fixed entry budget.
+- A matrix whose columns share no row pair is proved by its row pairs.
+  Each column emits its C(k, 2) row pairs as r1*m + r2; two columns
+  share two rows exactly when a code repeats.  The codes are laid out
+  pair-major, one contiguous block of M codes per position pair, in
+  the narrowest unsigned type that holds m*m - 1, and sorted in place.
+  If none repeats, two columns share at most one row, so the max
+  overlap is 1 when some row holds two columns and 0 otherwise.  This
+  is the overlap argument behind mu = 1/k, and it costs O(M k^2) memory.
+- Every other matrix (a ternary expansion, whose columns repeat their
+  binary parent's support, or a file whose row pairs repeat) goes
+  through `_gram_scan`, which forms A^T A one row at a time from the
+  entries sorted by row, in O(M k + m) memory.
 
 A matrix with more rows than entries (m > M*k) has its rows in use
 renumbered in order first, so neither proof makes an array of length m.
@@ -67,71 +69,69 @@ class CoherenceReport:
         }
 
 
-# Column blocks of the Gram matrix hold at most this many stored entries
-# (bounded above by the row degrees of their supports), so the blocked
-# Gram's memory does not grow with M.
-GRAM_BLOCK_ENTRIES = 1 << 18
+def _gram_scan(mat: SensingMatrix):
+    """(max |off-diagonal Gram entry|, argmax pair) of A^T A, one row at a time.
 
-
-def gram_extrema(A):
-    """(max |off-diagonal Gram entry|, argmax pair, diagonal) of A^T A.
-
-    A is any scipy.sparse matrix; scipy.sparse loads here, so only the
-    matrices the row-pair proof cannot settle pay for importing it.
-    The pair is the lexicographically smallest (i, j), i < j, attaining
-    the max; (0, 1) when every off-diagonal entry is 0.  A^T A is formed
-    one column block at a time: column j has at most as many nonzeros as
-    the summed row degrees of its support, and a block's columns sum to
-    at most GRAM_BLOCK_ENTRIES of those (a single column may exceed it).
+    The entries are sorted by row once, columns ascending within a row,
+    so the entries after column i's own in the rows it holds are those
+    of the columns j > i.  Row i of A^T A right of the diagonal is one
+    bincount over them, weighted by the value products.  Only a strictly
+    larger peak replaces the best, so the pair is the lexicographically
+    smallest (i, j), i < j, attaining the max; (0, 1) when every
+    off-diagonal entry is 0.  Values must be +-1 and rows strictly ascend
+    per column and lie in [0, m).  Positions and columns are held in the
+    narrowest signed type that holds M*k and values in int8, so memory
+    is O(M k + m).
     """
-    import scipy.sparse as sp
-    A = sp.csc_matrix(A)
-    m, M = A.shape
-    diag = np.asarray(A.multiply(A).sum(axis=0), dtype=np.float64).ravel()
-    row_degree = np.bincount(A.indices, minlength=m)
-    cost = np.concatenate(([0], np.cumsum(row_degree[A.indices])))[A.indptr]
-    best, best_code = 0.0, 1          # code i*M + j of the pair (0, 1)
-    start = 0
-    while start < M:
-        stop = int(np.searchsorted(cost, cost[start] + GRAM_BLOCK_ENTRIES,
-                                   side="right")) - 1
-        stop = min(max(stop, start + 1), M)
-        G = (A.T @ A[:, start:stop]).tocoo()
-        cols = G.col.astype(np.int64) + start
-        upper = G.row < cols
-        vals = np.abs(G.data[upper])
-        if vals.size:
-            peak = float(vals.max())
-            if peak >= best:
-                at_peak = vals == peak
-                code = int((G.row[upper][at_peak].astype(np.int64) * M
-                            + cols[upper][at_peak]).min())
-                best_code = code if peak > best else min(best_code, code)
-                best = peak
-        start = stop
-    return best, divmod(best_code, M), diag
+    rows, M, k = mat.rows, mat.M, mat.k
+    index = np.min_scalar_type(-rows.size)
+    order = np.argsort(rows.ravel(), kind="stable").astype(index)
+    val_of = mat.vals.ravel().astype(np.int8)[order]
+    after = np.empty_like(order)
+    after[order] = np.arange(1, rows.size + 1, dtype=index)   # one past each entry
+    after = after.reshape(M, k)
+    col_of = np.floor_divide(order, k, out=order)   # the column of each sorted entry
+    ends = np.cumsum(np.bincount(rows.ravel(), minlength=mat.m), dtype=index)
+    counts = ends[rows] - after                     # later entries per row
+    totals = counts.sum(axis=1)
+    starts = after - np.cumsum(counts, axis=1, dtype=index) + counts
+    ramp = np.arange(int(totals.max()))             # intp: `at` indexes uncast
+    best, pair = 0.0, (0, 1)
+    for i in np.flatnonzero(totals).tolist():
+        at = np.repeat(starts[i], counts[i]) + ramp[:totals[i]]
+        g = np.bincount(col_of[at] - (i + 1),
+                        weights=np.repeat(mat.vals[i], counts[i]) * val_of[at])
+        np.abs(g, out=g)
+        j = int(np.argmax(g))
+        if g[j] > best:
+            best, pair = float(g[j]), (i, i + 1 + j)
+    return best, pair
 
 
 def _row_pair_extrema(mat: SensingMatrix):
-    """(max overlap, argmax pair) of a binary matrix from its row pairs.
+    """(max overlap, argmax pair) of a +-1 matrix from its row pairs.
 
-    None when the proof does not apply: a value other than 1, rows not
-    strictly ascending, or a repeated row pair (overlap >= 2, left to
-    the blocked Gram).  The rows must lie in [0, m), as `coherence`
-    checks.
+    None when a row pair repeats (overlap may reach 2, left to the Gram
+    scan).  The values must be +-1 and the rows strictly ascend and lie
+    in [0, m), as `coherence` checks.
 
     The codes r_a*m + r_b, a < b, are laid out pair-major, one
     contiguous block of M codes per position pair (a, b), in the
     narrowest unsigned type that holds m*m - 1.  Above 2**32 rows a
     uint64 code can wrap; that can only merge two distinct pairs into a
-    false repeat, which sends the matrix to the exact Gram, while equal
+    false repeat, which sends the matrix to the Gram scan, while equal
     pairs always give equal codes.
     """
     rows, m, k = mat.rows, mat.m, mat.k
-    if k < 1 or not np.all(mat.vals == 1) or not np.all(np.diff(rows, axis=1) > 0):
-        return None
     dtype = np.min_scalar_type(min(m * m - 1, 2 ** 64 - 1))
     by_position = rows.T.astype(dtype)
+    if k > 1:
+        # columns that share a support, as a ternary expansion's do,
+        # repeat their first two rows: decline before the C(k, 2) blocks
+        first = by_position[1] + by_position[0] * m
+        first.sort()
+        if np.any(first[1:] == first[:-1]):
+            return None
     codes = np.empty((k * (k - 1) // 2, mat.M), dtype=dtype)
     start = 0
     for a in range(k - 1):
@@ -161,43 +161,35 @@ def _row_pair_extrema(mat: SensingMatrix):
 def coherence(mat: SensingMatrix) -> CoherenceReport:
     """Exhaustive coherence of a constructed matrix over all M(M-1)/2 pairs.
 
-    A matrix with more rows than entries (m > M*k) is proved on its rows
+    A zero value raises DegenerateColumn; any other value but +-1, or a
+    column whose rows do not strictly ascend, raises InvalidInput, since
+    max_overlap / k is mu only when every column has squared norm k.  A
+    matrix with more rows than entries (m > M*k) is proved on its rows
     in use, renumbered in order, so neither proof holds an array of
     length m; the report keeps the matrix's own m.
     """
     if mat.M < 2:
         raise InvalidInput("need at least 2 columns")
-    rows = mat.rows
+    rows, vals = mat.rows, mat.vals
     if rows.size and (rows.min() < 0 or rows.max() >= mat.m):
         raise InvalidInput(f"row index outside [0, {mat.m})")
+    if mat.k < 1 or np.any(vals == 0):
+        raise DegenerateColumn("matrix has a zero entry or column")
+    if np.any(np.abs(vals) != 1):
+        raise InvalidInput("matrix has a value other than +-1")
+    if np.any(np.diff(rows, axis=1) <= 0):
+        raise InvalidInput("rows not strictly ascending in a column")
     proved = mat
-    if mat.m > rows.size > 0:
+    if mat.m > rows.size:
         used, inverse = np.unique(rows, return_inverse=True)
         proved = replace(mat, m=used.size, rows=inverse.reshape(rows.shape))
-    found = _row_pair_extrema(proved)
-    if found is None:
-        max_off, pair, diag = gram_extrema(proved.to_sparse())
-        if np.any(diag == 0):
-            raise DegenerateColumn("matrix has a zero column")
-    else:
-        max_off, pair = found
-    # uniform column weight: every diagonal entry is k, so mu = max_off / k
+    max_off, pair = _row_pair_extrema(proved) or _gram_scan(proved)
     mu = max_off / float(mat.k)
     welch = welch_bound(mat.m, mat.M) if mat.M > mat.m else float("nan")
     weights = {int(mat.k): mat.M}
     return CoherenceReport(m=mat.m, M=mat.M, coherence=mu, argmax_pair=pair,
                            max_overlap=int(round(max_off)), welch=welch,
                            density=mat.density, column_weight_hist=weights)
-
-
-def dense_coherence(A: np.ndarray) -> float:
-    """Coherence of a dense matrix (used for the random baselines)."""
-    norms = np.linalg.norm(A, axis=0)
-    if np.any(norms == 0):
-        raise DegenerateColumn("matrix has a zero column")
-    G = (A / norms).T @ (A / norms)
-    np.fill_diagonal(G, 0.0)
-    return float(np.max(np.abs(G)))
 
 
 def welch_bound(m: int, M: int) -> float:

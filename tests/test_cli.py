@@ -235,6 +235,28 @@ def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
     assert os.listdir(tmp) == ["in.pgm"]
 
 
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_bench_sweep_kmax_below_one_exits_2(tmp_path, capsys, kmax):
+    assert run(["bench", "sweep", "--index", "3,2", "--kmax", kmax,
+                "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == "error: need at least one sparsity level\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "32", "--patch", "8",
+     "--out", "{tmp}/o"],
+    ["cbir", "index", "--images", "{tmp}", "--rows", "32", "--patch", "8",
+     "--out", "{tmp}/db"],
+], ids=["bench_recon", "cbir_index"])
+def test_negative_levels_exit_2(tmp_path, capsys, argv):
+    tmp = str(tmp_path)
+    write_pgm(np.zeros((16, 16)), f"{tmp}/in.pgm")
+    assert run([*(a.format(tmp=tmp) for a in argv), "--levels", "-1"]) == 2
+    assert capsys.readouterr().err == "error: levels=-1 is a negative level count\n"
+    assert os.listdir(tmp) == ["in.pgm"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_bench_phase_trials_below_one_exits_2(tmp_path, capsys, trials):
     out = str(tmp_path / "phase")

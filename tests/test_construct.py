@@ -2,18 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                build_extended, build_for_row_size,
                                build_hadamard, build_ternary, load_esm,
-                               normalize, save_csv, save_esm)
+                               save_csv, save_esm)
 from eulercs.errors import (HadamardUnavailable, IndexTooSmall, InvalidInput,
                             NothingToExtend, ParseError, UnsupportedRowSize,
                             decode_utf8)
 from eulercs.euler import euler_square
-from eulercs.props import gram_extrema
 
 REFERENCE_6x9 = np.array([
     [1, 0, 0, 0, 0, 1, 0, 1, 0],
@@ -25,9 +25,18 @@ REFERENCE_6x9 = np.array([
 ])
 
 
+def csc(mat):
+    """mat as a scipy.sparse.csc_matrix, an oracle built apart from to_dense."""
+    indptr = np.arange(0, (mat.M + 1) * mat.k, mat.k)
+    return sp.csc_matrix((mat.vals.ravel().astype(np.float64), mat.rows.ravel(), indptr),
+                         shape=(mat.m, mat.M))
+
+
 def max_overlap(mat):
-    off, _, diag = gram_extrema(mat.to_sparse())
-    return off, diag
+    """(max |off-diagonal entry|, diagonal) of the sparse Gram A^T A."""
+    A = csc(mat)
+    G = (A.T @ A).tocoo()
+    return np.abs(G.data[G.row != G.col]).max(initial=0.0), G.diagonal()
 
 
 def test_reference_6x9_matrix_bit_exact():
@@ -153,7 +162,7 @@ def test_ternary_same_cell_blocks_orthogonal():
 
 def test_ternary_cross_block_overlap():
     mat = build_ternary(5, 1, 1)
-    off, diag = gram_extrema(mat.to_sparse())[0], None
+    off, _ = max_overlap(mat)
     assert off <= 1
 
 
@@ -163,7 +172,7 @@ def test_ternary_with_truncated_hadamard():
     # p^i = 4, j = 1 gives k = 3, needs H(3) -> fall back to H(4) truncated
     mat = build_ternary(2, 2, 1)
     assert (mat.m, mat.M, mat.k) == (12, 48, 3)
-    off = gram_extrema(mat.to_sparse())[0]
+    off, _ = max_overlap(mat)
     assert off <= 1
     assert "hadamard=4" in mat.provenance
 
@@ -180,7 +189,7 @@ def test_ternary_with_truncated_hadamard():
 def test_to_dense_matches_sparse(build):
     mat = build()
     dense = mat.to_dense()
-    ref = np.asarray(mat.to_sparse().todense())
+    ref = np.asarray(csc(mat).todense())
     assert dense.dtype == ref.dtype == np.float64
     assert np.array_equal(dense, ref)
     assert dense.tobytes(order="A") == ref.tobytes(order="A")
@@ -217,18 +226,8 @@ def test_replace_densifies_its_own_rows():
     flipped = replace(mat, rows=mat.rows[::-1])      # the columns reversed
     assert flipped.to_dense() is not dense
     assert np.array_equal(flipped.to_dense(), REFERENCE_6x9[:, ::-1])
-    assert np.array_equal(flipped.to_dense(), flipped.to_sparse().toarray())
+    assert np.array_equal(flipped.to_dense(), csc(flipped).toarray())
     assert mat.to_dense() is dense and np.array_equal(dense, REFERENCE_6x9)
-
-
-def test_normalize():
-    mat = build_binary_matrix(euler_square(3, 2))
-    dense = normalize(mat)
-    assert np.allclose(np.linalg.norm(dense, axis=0), 1.0)
-    assert np.allclose(dense[dense > 0], 1 / np.sqrt(2))
-    tern = normalize(build_ternary(5, 1, 1))
-    assert np.allclose(np.abs(tern[tern != 0]), 0.5)
-    assert np.allclose(np.linalg.norm(tern, axis=0), 1.0)
 
 
 def test_esm_round_trip(tmp_path):

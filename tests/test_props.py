@@ -18,9 +18,8 @@ from eulercs.construct import (SensingMatrix, build_binary_matrix,
 from eulercs.errors import (BoundUndefined, DegenerateColumn, InvalidInput,
                             ProvenanceRequired)
 from eulercs.euler import euler_square
-from eulercs.props import (aspect_constant, coherence, dense_coherence,
-                           gram_extrema, max_binary_columns, rip_delta,
-                           sparsity_guarantee, welch_bound)
+from eulercs.props import (aspect_constant, coherence, max_binary_columns,
+                           rip_delta, sparsity_guarantee, welch_bound)
 
 
 def euler_matrix(n, k):
@@ -55,8 +54,10 @@ def test_coherence_vs_brute_force():
     # independent oracle: dense normalized Gram
     for n, k in [(3, 2), (4, 3), (5, 4), (7, 3)]:
         mat = euler_matrix(n, k)
-        assert coherence(mat).coherence == pytest.approx(
-            dense_coherence(mat.to_dense().astype(float)))
+        unit = mat.to_dense() / np.linalg.norm(mat.to_dense(), axis=0)
+        gram = np.abs(unit.T @ unit)
+        np.fill_diagonal(gram, 0.0)
+        assert coherence(mat).coherence == pytest.approx(gram.max())
 
 
 def test_degenerate_column_detected():
@@ -64,6 +65,21 @@ def test_degenerate_column_detected():
     vals = np.array([[1], [0]])
     mat = SensingMatrix(m=2, M=2, alphabet="binary", k=1, rows=rows, vals=vals)
     with pytest.raises(DegenerateColumn):
+        coherence(mat)
+
+
+@pytest.mark.parametrize("rows, vals, error", [
+    ([[0], [0]], [[2], [1]], InvalidInput),          # read as coherence 2.0
+    ([[0, 1], [1, 2]], [[1, -3], [1, 1]], InvalidInput),
+    ([[0, 1], [1, 2]], [[1, 0], [1, 1]], DegenerateColumn),
+    ([[1, 1], [0, 2]], [[1, 1], [1, 1]], InvalidInput),   # a repeated row
+    ([[2, 0], [0, 1]], [[1, 1], [1, 1]], InvalidInput),   # rows descending
+], ids=["value_2", "value_minus_3", "zero_value", "repeated_row", "descending"])
+def test_coherence_proves_only_plus_minus_one_ascending_columns(rows, vals, error):
+    # max_overlap / k is mu only when every column has squared norm k
+    mat = SensingMatrix(m=3, M=2, alphabet="ternary", k=len(rows[0]),
+                        rows=rows, vals=vals)
+    with pytest.raises(error):
         coherence(mat)
 
 
@@ -183,11 +199,16 @@ def assert_matches_oracle(mat):
 
 
 def assert_paths_agree(mat):
-    """The row-pair proof, where it applies, reports what the blocked
-    Gram reports; it declines exactly when a row pair repeats."""
-    max_off, pair, _ = gram_extrema(mat.to_sparse())
+    """The Gram scan reports what the dense oracle reports, and the
+    row-pair proof, where it applies, what the scan reports; it declines
+    exactly when two columns share a row pair."""
+    max_off, pair = props._gram_scan(mat)
+    assert (max_off / mat.k, int(max_off), pair) == brute_force(mat)
+    support = (mat.to_dense() != 0).astype(np.int64)
+    shared = support.T @ support
+    np.fill_diagonal(shared, 0)
     found = props._row_pair_extrema(mat)
-    assert (found is None) == (max_off > 1)
+    assert (found is None) == (shared.max() > 1)
     if found is not None:
         assert found == (max_off, pair)
 
@@ -216,9 +237,8 @@ def test_coherence_matches_oracle_euler(n, k):
 def test_coherence_matches_oracle_constructions(build):
     mat = build()
     assert_matches_oracle(mat)
-    if mat.alphabet == "binary":
-        assert_paths_agree(mat)
-    else:
+    assert_paths_agree(mat)
+    if mat.alphabet == "ternary":
         assert props._row_pair_extrema(mat) is None
 
 
@@ -284,6 +304,35 @@ def test_coherence_matches_oracle_planted_repeats(mat):
     assert_paths_agree(mat)
 
 
+@st.composite
+def signed_supports(draw):
+    """+-1 matrices with M <= 30 and k <= 6, m sometimes above M*k.  The
+    columns take their supports from a few drawn ones, so supports
+    repeat as in a ternary expansion; half the time one column then
+    takes two rows of another, so a row pair repeats across supports."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(k, 40))
+    M = draw(st.integers(2, 30))
+    column = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+    supports = [sorted(draw(column)) for _ in range(draw(st.integers(1, M)))]
+    columns = [draw(st.sampled_from(supports)) for _ in range(M)]
+    if k >= 2 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(M)))[:2]
+        pair = draw(st.permutations(columns[a]))[:2]
+        others = [r for r in range(m) if r not in pair]
+        columns[b] = sorted(pair + draw(st.permutations(others))[:k - 2])
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=M * k, max_size=M * k))
+    return SensingMatrix(m=m, M=M, alphabet="ternary", k=k, rows=columns,
+                         vals=np.reshape(signs, (M, k)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_supports())
+def test_coherence_matches_oracle_signed_repeats(mat):
+    assert_matches_oracle(mat)
+    assert_paths_agree(mat)
+
+
 @pytest.mark.parametrize("m", [16, 17, 256, 257, 65536, 65537])
 def test_row_pair_codes_at_the_type_boundaries(m):
     # the last two rows give the largest code, m*m - m - 1; at m = 2**b + 1
@@ -339,26 +388,11 @@ def test_rows_beyond_the_entries_are_renumbered(build):
 
 @pytest.mark.parametrize("m, row", [(4, 5), (4, -1), (40, 45), (40, -1)])
 def test_rows_outside_the_matrix_are_rejected(m, row):
-    # scipy's sparse product reads past its arrays on a row >= m
+    # a row outside [0, m) is in no column of the matrix: a negative one
+    # breaks the row counts, and one >= m can alias another row pair's code
     mat = binary(m, [[0, 1], [1, row], [2, 3]])
     with pytest.raises(InvalidInput, match="row index outside"):
         coherence(mat)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: euler_matrix(11, 5),
-    lambda: build_ternary(5, 1, 1),
-    lambda: binary(7, [[0, 1, 2], [0, 1, 6], [3, 4, 5], [0, 1, 2]]),
-], ids=["euler_11_5", "ternary_5_1_1", "overlap_3"])
-def test_gram_blocks_do_not_change_the_report(monkeypatch, build):
-    # one column per block: the block seams and the tie merge across
-    # blocks must give the single-block answer
-    A = build().to_sparse()
-    max_off, pair, diag = gram_extrema(A)
-    monkeypatch.setattr(props, "GRAM_BLOCK_ENTRIES", 1)
-    one, one_pair, one_diag = gram_extrema(A)
-    assert (one, one_pair) == (max_off, pair)
-    assert np.array_equal(one_diag, diag)
 
 
 _CAPPED = """
@@ -413,20 +447,48 @@ def test_verify_rows_beyond_the_entries_within_one_gib(tmp_path, columns, overla
     assert f"max_overlap={overlap}" in lines
 
 
-_LAZY_SPARSE = """
-import sys
-import eulercs, eulercs.cli
-assert "scipy.sparse" not in sys.modules, "scipy.sparse loaded at import"
-from eulercs import build_ternary, coherence
-rep = coherence(build_ternary(5, 1, 1))
-print(rep.max_overlap, "scipy.sparse" in sys.modules)
+_NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None        # any import of scipy now raises
+from eulercs.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    assert code == 0, (argv, code)
+"""
+
+# the reports verify printed for these two files when they went through
+# the blocked scipy Gram
+_T5_REPORT = """rows=20
+cols=100
+coherence=0.25
+argmax_pair=0,24
+max_overlap=1
+welch=0.20100756305184242
+density=0.2
+weights=4:100
+"""
+_OVERLAP_3_REPORT = """rows=7
+cols=4
+coherence=1.0
+argmax_pair=0,3
+max_overlap=3
+welch=nan
+density=0.42857142857142855
+weights=3:4
 """
 
 
-def test_scipy_sparse_loads_only_for_the_gram_path():
+def test_verify_runs_without_scipy(tmp_path):
+    # ternary (5,1,1) repeats its supports and overlap_3 repeats a row
+    # pair, so both go through the Gram scan
+    t5, o3 = tmp_path / "t5.esm", tmp_path / "o3.esm"
+    o3.write_text("ESM v1 rows=7 cols=4 alphabet=binary k=3\nunknown\n"
+                  "1 2 3\n1 2 7\n4 5 6\n1 2 3\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(eulercs.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SPARSE],
+    runs = [["gen", "--ternary", "5,1,1", "--out", str(t5)],
+            ["verify", str(t5)], ["verify", str(o3)]]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-500:]
-    assert proc.stdout.split() == ["1", "True"]
+    assert proc.stdout == _T5_REPORT + _OVERLAP_3_REPORT
