@@ -55,8 +55,16 @@ def _parse_ints(text, what, count=None):
 
 
 def _matrix_spec(args):
-    """The MatrixSpec named by the matrix selector flags of gen or bench sweep."""
+    """The MatrixSpec named by the matrix selector flags of gen or bench sweep.
+
+    The parser lets exactly one selector through; --m and --M size only
+    a --family matrix.
+    """
     MatrixSpec = experiments.MatrixSpec
+    family = getattr(args, "family", None)
+    m, M = getattr(args, "m", None), getattr(args, "M", None)
+    if family is None and (m is not None or M is not None):
+        raise InvalidInput("--m and --M size only a --family gaussian/bernoulli matrix")
     if args.index is not None:
         n, k = _parse_ints(args.index, "--index", 2)
         return MatrixSpec(family="euler", n=n, k=k)
@@ -67,11 +75,9 @@ def _matrix_spec(args):
     if getattr(args, "ternary", None) is not None:
         p, i, j = _parse_ints(args.ternary, "--ternary", 3)
         return MatrixSpec(family="ternary", p=p, i=i, j=j)
-    if getattr(args, "family", None) is not None:
-        if args.m is None or args.M is None:
-            raise InvalidInput("--family gaussian/bernoulli needs --m and --M")
-        return MatrixSpec.of_shape(args.family, args.m, args.M, args.seed)
-    raise InvalidInput("select a matrix: --index, --rows, or --family with --m/--M")
+    if m is None or M is None:
+        raise InvalidInput("--family gaussian/bernoulli needs --m and --M")
+    return MatrixSpec.of_shape(family, m, M, args.seed)
 
 
 def _patch_columns(P):
@@ -360,9 +366,10 @@ def build_parser():
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
     sweep = bsub.add_parser("sweep")
-    sweep.add_argument("--index")
-    sweep.add_argument("--rows", type=int)
-    sweep.add_argument("--family", choices=["gaussian", "bernoulli"])
+    sweep_sel = sweep.add_mutually_exclusive_group(required=True)
+    sweep_sel.add_argument("--index")
+    sweep_sel.add_argument("--rows", type=int)
+    sweep_sel.add_argument("--family", choices=["gaussian", "bernoulli"])
     sweep.add_argument("--m", type=int)
     sweep.add_argument("--M", type=int)
     sweep.add_argument("--kmax", type=int, default=10)

@@ -9,11 +9,11 @@ Matrices are stored sparsely: per column, the sorted row indices of the
 nonzeros and their values (all +1 for binary, +-1 for ternary).
 """
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textio
 from .errors import (HadamardUnavailable, IndexTooSmall, InvalidInput,
                      NothingToExtend, ParseError, UnsupportedRowSize,
                      decode_utf8)
@@ -255,6 +255,54 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 
 # ---------------------------------------------------------------------------
 # file format: "ESM v1" text header + one support line per column
+#
+# The writer formats a block of column lines with one %-format; a block
+# holds about _BLOCK_VALUES numbers, which bounds the transient tuple and
+# text.  The reader, which every `verify` runs, converts the leading lines
+# in the writer's own form with one regular expression match and one numpy
+# call.  _NUMBER takes at most 18 digits, which always fit in int64, so
+# that conversion cannot overflow.  From the first line in another form on,
+# the reader scans line by line, accepting what `str.split` and `int`
+# accept and naming the first bad line.
+
+_BLOCK_VALUES = 1 << 16
+_NUMBER = r"[0-9]{1,18}"
+
+
+def _repeated(token, count):
+    """Pattern of `count` space-separated `token`s; none match if count < 1."""
+    if count < 1:
+        return "(?!)"
+    return rf"(?:{token} ){{{count - 1}}}{token}"
+
+
+def _format_lines(values, line):
+    """Text chunks of `line` %-formatted with each row of 2-D `values`."""
+    per_block = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
+    for b in range(0, len(values), per_block):
+        block = values[b:b + per_block]
+        yield line * len(block) % tuple(block.ravel().tolist())
+
+
+def _canonical_prefix(lines, line_pattern):
+    """Numbers of the leading lines that fully match `line_pattern`.
+
+    The pattern may separate numbers by spaces or ':'.  Returns
+    (values, n): the first n lines match and `values` holds their
+    numbers in order as one int64 array.
+    """
+    try:
+        match = re.compile(line_pattern).fullmatch
+    except OverflowError:
+        # a repeat count beyond re's limit: no line held in memory has
+        # that many numbers
+        return np.empty(0, dtype=np.int64), 0
+    n = len(lines)
+    if not all(map(match, lines)):
+        n = next(i for i, line in enumerate(lines) if not match(line))
+    head = " ".join(lines[:n]).replace(":", " ")
+    return np.fromstring(head, dtype=np.int64, sep=" "), n
+
 
 def save_esm(mat: SensingMatrix, path: str) -> None:
     ternary = mat.alphabet == "ternary"
@@ -265,7 +313,7 @@ def save_esm(mat: SensingMatrix, path: str) -> None:
     with open(path, "w") as f:
         f.write(f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n")
         f.write(f"{mat.provenance or 'unknown'}\n")
-        f.writelines(textio.format_lines(support, line))
+        f.writelines(_format_lines(support, line))
 
 
 def _support_token(tok: str, ternary: bool, line: int) -> tuple:
@@ -289,8 +337,8 @@ def _read_support(body: list, k: int, ternary: bool):
     other than k or a token that does not read; `error` is its
     ParseError, or None when every line reads.
     """
-    token = textio.NUMBER + (":-?" + textio.NUMBER if ternary else "")
-    values, n = textio.canonical_prefix(body, textio.repeated(token, k))
+    token = _NUMBER + (":-?" + _NUMBER if ternary else "")
+    values, n = _canonical_prefix(body, _repeated(token, k))
     tail, error = [], None
     try:
         for c in range(n, len(body)):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import textio
 from .errors import (DegreeMismatch, DegreeTooLarge, IndexNotConstructible,
-                     InvalidInput, InvalidOrder, ParseError)
+                     InvalidInput, InvalidOrder)
 from .fields import GaloisField, build_field, factorize
 
 
@@ -149,48 +148,3 @@ def validate_euler_square(E: EulerSquare) -> ValidationReport:
                     (i, j, r))
     return ValidationReport(True)
 
-
-def to_text(E: EulerSquare) -> str:
-    """Serialize: header 'n k', then n lines of n comma-joined k-tuples."""
-    line = " ".join([",".join(["%d"] * E.k)] * E.n) + "\n"
-    rows = E.cells.reshape(E.n, E.n * E.k)
-    return f"{E.n} {E.k}\n" + "".join(textio.format_lines(rows, line))
-
-
-def _scan_row(line: str, i: int, n: int, k: int) -> np.ndarray:
-    """(n, k) cells of row i from a line split on whitespace and commas."""
-    parts = line.split()
-    if len(parts) != n:
-        raise ParseError(f"expected {n} cells in row {i + 1}", line=i + 2)
-    row = []
-    for cell in parts:
-        vals = cell.split(",")
-        if len(vals) != k:
-            raise ParseError(f"expected {k} coordinates in cell", line=i + 2)
-        try:
-            row.append([int(v) for v in vals])
-        except ValueError:
-            raise ParseError(f"non-integer coordinate in cell {cell!r}", line=i + 2)
-    try:
-        return np.array(row, dtype=np.int64)
-    except OverflowError:
-        raise ParseError(f"coordinate beyond int64 in row {i + 1}", line=i + 2) from None
-
-
-def from_text(text: str) -> EulerSquare:
-    """Parse to_text's format; a malformed text raises ParseError with its line.
-
-    Every row is scanned by one line reader, which takes cells split on
-    whitespace and coordinates split on commas, each read with int().
-    """
-    lines = text.strip().splitlines()
-    try:
-        n, k = map(int, lines[0].split())
-    except (ValueError, IndexError):
-        raise ParseError("bad header, expected 'n k'", line=1)
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} rows, found {len(lines) - 1}", line=len(lines))
-    if n < 1 or k < 0:
-        raise ParseError(f"index ({n},{k}) needs n >= 1 and k >= 0", line=1)
-    cells = np.array([_scan_row(lines[i + 1], i, n, k) for i in range(n)])
-    return EulerSquare(n=n, k=k, cells=cells, provenance="from-text")

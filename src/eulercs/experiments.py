@@ -221,6 +221,8 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
         raise InvalidInput(f"fraction {fraction!r} must lie in [0, 1]")
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    if not row_sizes:
+        raise InvalidInput("need at least one row size")
     specs = [MatrixSpec.of_shape(family, m, M, (master_seed, m)) for m in row_sizes]
     t0 = time.perf_counter()
     rows = []

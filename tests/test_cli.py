@@ -217,6 +217,10 @@ def test_bench_recon(tmp_path):
       "--family", "gaussian"], 2),
     (["bench", "sweep", "--family", "gaussian", "--m", "-2", "--M", "10"], 2),
     (["bench", "sweep", "--family", "gaussian", "--m", "5", "--M", "-1"], 2),
+    (["bench", "sweep", "--index", "11,5", "--rows", "60"], 2),
+    (["bench", "sweep", "--index", "11,5", "--family", "gaussian", "--m", "55",
+      "--M", "121"], 2),
+    (["bench", "sweep", "--rows", "60", "--m", "3"], 2),
     (["bench", "phase", "--M", "120", "--rows", "22"], 3),
     (["bench", "phase", "--M", "121", "--rows", "23"], 3),
     (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "33", "--patch", "8"], 3),
@@ -224,14 +228,21 @@ def test_bench_recon(tmp_path):
         "recon_patch_0", "recon_gaussian_patch_0", "recon_patch_negative",
         "cbir_index_patch_0", "cbir_index_patch_negative",
         "recon_gaussian_rows_negative", "sweep_gaussian_m_negative",
-        "sweep_gaussian_M_negative", "phase_M_not_square",
+        "sweep_gaussian_M_negative", "sweep_index_and_rows",
+        "sweep_index_and_gaussian", "sweep_m_without_family", "phase_M_not_square",
         "phase_rows_not_multiple", "recon_rows_not_multiple"])
 def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
     tmp = str(tmp_path)
     write_pgm(np.zeros((16, 16)), f"{tmp}/in.pgm")
-    assert run([*(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/o"]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    try:
+        assert run([*(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/o"]) == code
+    except SystemExit as exc:
+        # argparse turns away a second matrix selector with its usage message
+        assert exc.code == code
+        assert "not allowed with argument" in capsys.readouterr().err
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(tmp) == ["in.pgm"]
 
 
@@ -397,11 +408,17 @@ def test_cbir_pipeline(tmp_path, corpus, capsys):
                 "--image", str(imgdir / "c1_2.pgm"), "--topn", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split("\t")[1] == "c1_2"   # self first
+    # six hits per query: the four of its own class, then two of one other
     assert run(["cbir", "score", "--db", db, "--queries", str(qdir),
-                "--topn", "4"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("precision=")
-    assert "confusion[c0]=" in out
+                "--topn", "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "precision=0.6666666666666666",
+        "recall=1.0",
+        "classes=c0,c1,c2",
+        "confusion[c0]=4,2,0",
+        "confusion[c1]=0,4,2",
+        "confusion[c2]=0,2,4",
+    ]
 
 
 @pytest.mark.parametrize("topn", ["0", "-1"])

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercs.errors import (DegreeMismatch, DegreeTooLarge,
-                            IndexNotConstructible, InvalidInput, InvalidOrder,
-                            ParseError)
-from eulercs.euler import (EulerSquare, euler_square, factorize, from_text,
+                            IndexNotConstructible, InvalidInput, InvalidOrder)
+from eulercs.euler import (EulerSquare, euler_square, factorize,
                            macneish_product, mols_prime_power, reduce_degree,
-                           to_text, validate_euler_square)
+                           validate_euler_square)
 from eulercs.fields import build_field
 
 # the printed index-(3,2) square, cell tuples row by row
@@ -166,30 +165,6 @@ def test_reduce_degree_always_valid(index, data):
     assert validate_euler_square(reduce_degree(E, k_new)).ok
 
 
-def test_text_round_trip():
-    E = euler_square(12, 2)
-    R = from_text(to_text(E))
-    assert R.n == E.n and R.k == E.k
-    assert np.array_equal(R.cells, E.cells)
-
-
-def test_text_header_line():
-    assert to_text(euler_square(3, 2)).splitlines()[0] == "3 2"
-
-
-def test_from_text_bad_header():
-    with pytest.raises(ParseError) as exc:
-        from_text("nonsense\n")
-    assert exc.value.line == 1
-
-
-def test_from_text_non_integer_cell():
-    text = to_text(euler_square(3, 2)).replace("2,0", "2,x")
-    with pytest.raises(ParseError) as exc:
-        from_text(text)
-    assert exc.value.line == 3
-
-
 @pytest.mark.parametrize("index, r, s, location", [
     ((5, 4), 1, 3, (1, 3, 1)),
     ((7, 3), 0, 2, (1, 6, 0)),
@@ -204,46 +179,11 @@ def test_validator_reports_latin_but_not_orthogonal(index, r, s, location):
     assert report.location == location
 
 
-def test_text_round_trip_31_30():
+def test_euler_square_31_30_cells_pinned():
     E = euler_square(31, 30)
-    text = to_text(E)
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "2505e98b06adbde092127d0d49b31e400153e63bd81eb56167b193e469c66283"
-    R = from_text(text)
-    assert (R.n, R.k) == (31, 30)
-    assert np.array_equal(R.cells, E.cells)
-
-
-def test_from_text_reads_other_spacing_and_signs():
-    lines = to_text(euler_square(5, 4)).splitlines()
-    lines[2] = "\t" + lines[2].replace(" ", "\t ")
-    lines[3] = lines[3].replace("0,", "+0,", 1)
-    R = from_text("\n".join(lines) + "\n")
-    assert np.array_equal(R.cells, euler_square(5, 4).cells)
-
-
-@pytest.mark.parametrize("row, text, line", [
-    (2, "0,1", 3),                       # too few cells
-    (3, "0,1 1,2 2,3 3,4 4,0,1", 4),     # a cell with too many coordinates
-    (5, "0,1 1,2 2,3 3,4 4,x", 6),       # non-integer after the fast rows
-], ids=["cells", "coordinates", "non_integer"])
-def test_from_text_names_the_bad_line(row, text, line):
-    lines = to_text(euler_square(5, 2)).splitlines()
-    lines[row] = text
-    with pytest.raises(ParseError) as exc:
-        from_text("\n".join(lines) + "\n")
-    assert exc.value.line == line
-
-
-@pytest.mark.parametrize("text, line", [
-    ("1 -1\n0\n", 1),                           # negative degree
-    ("1 1\n99999999999999999999\n", 2),         # coordinate beyond int64
-    ("0 99999999999999999999\n", 1),            # no cell, so no row bounds k
-], ids=["negative_degree", "huge_coordinate", "order_zero"])
-def test_from_text_rejects_unrepresentable(text, line):
-    with pytest.raises(ParseError) as exc:
-        from_text(text)
-    assert exc.value.line == line
+    cells = np.ascontiguousarray(E.cells, dtype="<i8")
+    assert hashlib.sha256(cells.tobytes()).hexdigest() == \
+        "2500ef67a3c6dd3625363b2dab995924c6637c05ecf99f99399b3f24c239dc37"
 
 
 def test_validator_reports_column_violation():

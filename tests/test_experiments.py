@@ -197,6 +197,11 @@ def test_phase_transition_rejects_trials_below_one(trials):
         run_phase_transition(121, [22], trials=trials)
 
 
+def test_phase_transition_rejects_empty_row_sizes():
+    with pytest.raises(InvalidInput, match="need at least one row size"):
+        run_phase_transition(121, [], trials=1)
+
+
 def test_phase_transition_checks_every_shape_before_any_trial(monkeypatch):
     monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
     with pytest.raises(IndexNotConstructible):

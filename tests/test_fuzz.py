@@ -1,6 +1,6 @@
 """Byte-mutation fuzzing of the text and binary readers.
 
-Each reader gets valid input with a few units set, inserted or deleted,
+Each reader gets valid input with a few bytes set, inserted or deleted,
 or with its tail cut off.  Whatever it makes of that, it either returns
 or raises an EulerCSError subclass; any other exception fails the test.
 """
@@ -15,27 +15,19 @@ from hypothesis import strategies as st
 
 from eulercs.cli import main
 from eulercs.errors import EulerCSError
-from eulercs.euler import euler_square, from_text, to_text
 from eulercs.imaging import (FeatureDB, load_feature_db, read_pgm, save_feature_db,
                              write_pgm)
 
 # bytes the formats give meaning to, then any byte at all
 _BYTES = st.one_of(st.sampled_from(list(b"0123456789 \t\r\n-+:,=#.eP\x00\xff")),
                    st.integers(0, 255))
-# the same for text, with characters that str.split, str.splitlines or
-# int() treat specially, then any character at all
-_CHARS = st.one_of(st.sampled_from(list("0123456789 \t\r\n-+:,_\x00\x0b\x1c\x85\xa0"
-                                        "\u2028\u3000\u0663\uff11\xb2")),
-                   st.characters())
-
-_SQUARE = to_text(euler_square(5, 3))
 _P5 = b"P5\n3 2\n255\n" + bytes([0, 17, 255, 128, 9, 200])
 _P2 = b"P2\n# two rows\n3 2\n200\n0 17 200\n128 9 100\n"
 
 
 @st.composite
 def _mutated(draw, data, units):
-    """`data` after one to four random edits, each drawing new units from `units`."""
+    """`data` after one to four random edits, each drawing new bytes from `units`."""
     out = list(data)
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(out)))
@@ -48,7 +40,7 @@ def _mutated(draw, data, units):
             del out[i]
         else:
             del out[i:]
-    return bytes(out) if isinstance(data, bytes) else "".join(out)
+    return bytes(out)
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +54,6 @@ def feature_db_files(tmp_path_factory):
                     str(directory))
     return {name: (directory / name).read_bytes()
             for name in ("manifest.tsv", "features.bin")}
-
-
-@settings(max_examples=200, deadline=None)
-@given(_mutated(_SQUARE, _CHARS))
-def test_from_text_fails_closed(text):
-    try:
-        from_text(text)
-    except EulerCSError:
-        pass
 
 
 @settings(max_examples=200, deadline=None)
