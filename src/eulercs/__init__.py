@@ -4,9 +4,9 @@ compressed-feature image retrieval pipeline."""
 
 __version__ = "0.1.0"
 
-from .construct import (HadamardMatrix, SensingMatrix, build_binary_matrix,
-                        build_extended, build_for_row_size, build_hadamard,
-                        build_ternary, load_esm, save_esm)
+from .construct import (SensingMatrix, build_binary_matrix, build_extended,
+                        build_for_row_size, build_hadamard, build_ternary,
+                        load_esm, save_esm)
 from .euler import (EulerSquare, euler_square, macneish_product,
                     mols_prime_power, reduce_degree, validate_euler_square)
 from .fields import (GaloisField, build_field, factorize, field_inv,
@@ -23,8 +23,8 @@ __all__ = [
     "GaloisField", "build_field", "field_inv", "find_irreducible",
     "EulerSquare", "euler_square", "factorize", "macneish_product",
     "mols_prime_power", "reduce_degree", "validate_euler_square",
-    "SensingMatrix", "HadamardMatrix", "build_binary_matrix",
-    "build_for_row_size", "build_extended", "build_hadamard", "build_ternary",
+    "SensingMatrix", "build_binary_matrix", "build_for_row_size",
+    "build_extended", "build_hadamard", "build_ternary",
     "save_esm", "load_esm",
     "CoherenceReport", "coherence", "welch_bound",
     "max_binary_columns", "rip_delta", "sparsity_guarantee", "aspect_constant",

@@ -6,10 +6,12 @@ output files, human summaries to stderr.  Every output artifact gets a
 sibling <out>.manifest.json recording the invocation, so reruns are
 reproducible byte for byte.
 
-Exit codes: 0 success, 1 invariant, parse (nan or inf measurements too),
-verification or convergence failure, 2 usage error (a path that cannot be
-opened, a matrix size or --trials below 1), 3 construction infeasible
-(any errors.Infeasible, such as an m x M shape no euler square has).
+Exit codes follow the error's class (errors.py): 0 success, 1 a failed
+verification or any other EulerCSError (a broken invariant, a parse
+error, nan or inf measurements too, a convergence failure), 2
+InvalidInput (argparse's usage errors too) or a path that cannot be
+opened, 3 Infeasible (such as an m x M shape no euler square has) or out
+of memory.  Each error prints one `error:` line.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__, construct, experiments, imaging, props, recovery
 from .errors import (ConvergenceFailure, EulerCSError, Infeasible,
-                     InvalidInput, ParseError, ShapeError)
+                     InvalidInput, ParseError)
 from .euler import EulerSquare, validate_euler_square
 
 
@@ -281,8 +283,8 @@ def cmd_cbir_index(args):
         if feats is None:
             feats = np.empty((len(entries), feat.size))
         elif feat.size != feats.shape[1]:
-            raise ShapeError(f"{path}: {feat.size} features, but {entries[0][2]} "
-                             f"gives {feats.shape[1]}; index images of one size")
+            raise EulerCSError(f"{path}: {feat.size} features, but {entries[0][2]} "
+                               f"gives {feats.shape[1]}; index images of one size")
         feats[i] = feat
     db = imaging.FeatureDB(ids=[e[0] for e in entries],
                            labels=[e[1] for e in entries],
@@ -343,8 +345,15 @@ def cmd_cbir_score(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse usage error is an InvalidInput, reported like any other."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="eulercs")
+    parser = _Parser(prog="eulercs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -439,9 +448,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (Infeasible, MemoryError) as exc:
         # a request that does not fit in memory is infeasible here too
@@ -455,7 +463,7 @@ def main(argv=None) -> int:
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (ParseError, EulerCSError) as exc:
+    except EulerCSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

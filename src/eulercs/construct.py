@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (HadamardUnavailable, IndexTooSmall, InvalidInput,
-                     NothingToExtend, ParseError, UnsupportedRowSize,
-                     decode_utf8)
+from .errors import Infeasible, InvalidInput, ParseError, decode_utf8
 from .euler import EulerSquare, euler_square
 from .fields import factorize, is_prime
 
@@ -71,7 +69,7 @@ def build_binary_matrix(E: EulerSquare) -> SensingMatrix:
     """
     n, k = E.n, E.k
     if k < 2 or n < 3:
-        raise IndexTooSmall(f"need k >= 2 and n >= 3, got ({n},{k})")
+        raise Infeasible(f"need k >= 2 and n >= 3, got ({n},{k})")
     ads = E.cells.reshape(n * n, k)
     rows = np.arange(k)[None, :] * n + ads
     vals = np.ones_like(rows)
@@ -87,14 +85,14 @@ def build_for_row_size(m: int) -> SensingMatrix:
     Either way the coherence comes out to sqrt(M)/m.
     """
     if m < 6:
-        raise UnsupportedRowSize(f"row size {m} is below the smallest constructible (6)")
+        raise Infeasible(f"row size {m} is below the smallest constructible (6)")
     fac = factorize(m)
     if len(fac.components) == 1:
         p, i, _ = fac.components[0]
         if i == 1:
-            raise UnsupportedRowSize(f"row size {m} is prime")
+            raise Infeasible(f"row size {m} is prime")
         if i == 2:
-            raise UnsupportedRowSize(f"row size {m} is the square of prime {p}")
+            raise Infeasible(f"row size {m} is the square of prime {p}")
         E = euler_square(p ** (i - 1), p)
     else:
         q = fac.min_value
@@ -136,10 +134,10 @@ def build_extended(n: int):
     """
     fac = factorize(n)
     if len(fac.components) < 2:
-        raise NothingToExtend(f"n={n} is a single prime power; nothing to extend")
+        raise Infeasible(f"n={n} is a single prime power; nothing to extend")
     k = fac.min_value - 1
     if k < 2:
-        raise IndexTooSmall(f"n={n} gives degree k={k} < 2")
+        raise Infeasible(f"n={n} gives degree k={k} < 2")
     base = build_binary_matrix(euler_square(n, k))
     all_rows = [base.rows]
     all_vals = [base.vals]
@@ -171,12 +169,6 @@ def build_extended(n: int):
     return mat, plan
 
 
-@dataclass(eq=False)
-class HadamardMatrix:
-    order: int
-    entries: np.ndarray  # (order, order), values +-1
-
-
 def _paley_core(q: int) -> np.ndarray:
     """Paley-I Hadamard matrix of order q+1 for prime q = 3 mod 4."""
     chi = np.zeros(q, dtype=np.int64)
@@ -192,19 +184,19 @@ def _paley_core(q: int) -> np.ndarray:
     return S + np.eye(q + 1, dtype=np.int64)
 
 
-def build_hadamard(h: int) -> HadamardMatrix:
-    """Hadamard matrix by Sylvester doubling and/or a Paley-I core."""
+def build_hadamard(h: int) -> np.ndarray:
+    """h x h +-1 Hadamard matrix by Sylvester doubling and/or a Paley-I core."""
     if h == 1:
-        return HadamardMatrix(1, np.array([[1]], dtype=np.int64))
+        return np.array([[1]], dtype=np.int64)
     if h == 2:
-        return HadamardMatrix(2, np.array([[1, 1], [1, -1]], dtype=np.int64))
+        return np.array([[1, 1], [1, -1]], dtype=np.int64)
     if h % 4 != 0:
-        raise HadamardUnavailable(f"order {h} must be 1, 2, or a multiple of 4")
+        raise Infeasible(f"order {h} must be 1, 2, or a multiple of 4")
     if h & (h - 1) == 0:
         H = np.array([[1]], dtype=np.int64)
         while H.shape[0] < h:
             H = np.block([[H, H], [H, -H]])
-        return HadamardMatrix(h, H)
+        return H
     # Sylvester doubling of a Paley-I core: h = 2^a * (q + 1)
     a = 0
     rest = h
@@ -214,10 +206,10 @@ def build_hadamard(h: int) -> HadamardMatrix:
             H = _paley_core(q)
             for _ in range(a):
                 H = np.block([[H, H], [H, -H]])
-            return HadamardMatrix(h, H)
+            return H
         a += 1
         rest //= 2
-    raise HadamardUnavailable(
+    raise Infeasible(
         f"order {h} is not reachable by Sylvester/Paley-I composition")
 
 
@@ -236,14 +228,14 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
     n = p ** i
     k = n - j
     if k < 2:
-        raise IndexTooSmall(f"degree k={k} must be >= 2")
+        raise Infeasible(f"degree k={k} must be >= 2")
     # the square first: its field cap bounds k before any Sylvester doubling
     phi = build_binary_matrix(euler_square(n, k))
     try:
-        H = build_hadamard(k).entries
+        H = build_hadamard(k)
         h_used = k
-    except HadamardUnavailable:
-        H = build_hadamard(k + 1).entries[:k, :k]
+    except Infeasible:
+        H = build_hadamard(k + 1)[:k, :k]
         h_used = k + 1
     # column order: all k spawned columns of phi column 0, then column 1, ...
     rows = np.repeat(phi.rows, k, axis=0)

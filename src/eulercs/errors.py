@@ -1,104 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error's class is its CLI exit code: InvalidInput exits 2, Infeasible
+exits 3, and every other EulerCSError, ParseError and ConvergenceFailure
+among them, exits 1.
+"""
 
 
 class EulerCSError(Exception):
-    """Base class for all package errors."""
+    """Input data that breaks an invariant (exit 1); base of all package errors."""
 
 
 class Infeasible(EulerCSError):
-    """A construction that cannot be made as asked (CLI exit code 3)."""
-
-
-class InvalidPrime(EulerCSError):
-    pass
-
-
-class FieldTooLarge(Infeasible):
-    pass
-
-
-class DivisionByZero(EulerCSError):
-    pass
+    """A construction that cannot be made as asked (exit 3)."""
 
 
 class InvalidInput(EulerCSError):
-    pass
-
-
-class InvalidOrder(Infeasible):
-    pass
-
-
-class DegreeTooLarge(EulerCSError):
-    pass
-
-
-class DegreeMismatch(EulerCSError):
-    pass
-
-
-class IndexNotConstructible(Infeasible):
-    pass
-
-
-class IndexTooSmall(Infeasible):
-    pass
-
-
-class UnsupportedRowSize(Infeasible):
-    pass
-
-
-class NothingToExtend(Infeasible):
-    pass
-
-
-class HadamardUnavailable(Infeasible):
-    pass
-
-
-class DegenerateColumn(EulerCSError):
-    pass
-
-
-class BoundUndefined(EulerCSError):
-    pass
-
-
-class ProvenanceRequired(EulerCSError):
-    pass
-
-
-class ShapeError(EulerCSError):
-    pass
-
-
-class InvalidSparsity(EulerCSError):
-    pass
-
-
-class UndefinedSNR(EulerCSError):
-    pass
-
-
-class ConvergenceFailure(EulerCSError):
-    """Solver did not converge; carries the best iterate found."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
-class PatchGridError(EulerCSError):
-    pass
-
-
-class PatchSizeError(EulerCSError):
-    pass
-
-
-class LabelError(EulerCSError):
-    pass
+    """A value the caller chose that the function does not accept (exit 2)."""
 
 
 class ParseError(EulerCSError):
@@ -107,6 +24,14 @@ class ParseError(EulerCSError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+class ConvergenceFailure(EulerCSError):
+    """Solver did not converge; carries the best iterate found."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 def decode_utf8(data: bytes, line: int = 1) -> str:

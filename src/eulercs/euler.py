@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegreeMismatch, DegreeTooLarge, IndexNotConstructible,
-                     InvalidInput, InvalidOrder)
+from .errors import Infeasible, InvalidInput
 from .fields import GaloisField, build_field, factorize
 
 
@@ -48,7 +47,7 @@ def mols_prime_power(F: GaloisField, k: int) -> EulerSquare:
     """
     q = F.q
     if not 1 <= k <= q - 1:
-        raise DegreeTooLarge(f"degree k={k} must satisfy 1 <= k <= q-1={q - 1}")
+        raise InvalidInput(f"degree k={k} must satisfy 1 <= k <= q-1={q - 1}")
     cells = np.empty((q, q, k), dtype=np.int64)
     ys = np.arange(q)
     for t in range(1, k + 1):
@@ -60,7 +59,7 @@ def mols_prime_power(F: GaloisField, k: int) -> EulerSquare:
 def reduce_degree(E: EulerSquare, k_new: int) -> EulerSquare:
     """Keep the first k_new coordinates of every cell."""
     if not 1 <= k_new <= E.k:
-        raise DegreeTooLarge(f"k'={k_new} must satisfy 1 <= k' <= {E.k}")
+        raise InvalidInput(f"k'={k_new} must satisfy 1 <= k' <= {E.k}")
     if k_new == E.k:
         return E
     return EulerSquare(n=E.n, k=k_new, cells=E.cells[:, :, :k_new].copy(),
@@ -74,7 +73,7 @@ def macneish_product(A: EulerSquare, B: EulerSquare) -> EulerSquare:
     coordinate r value is A_r(i1, j1)*n2 + B_r(i2, j2).
     """
     if A.k != B.k:
-        raise DegreeMismatch(f"degrees differ: {A.k} vs {B.k}")
+        raise InvalidInput(f"degrees differ: {A.k} vs {B.k}")
     n1, n2, k = A.n, B.n, A.k
     prod = (A.cells[:, None, :, None, :] * n2 + B.cells[None, :, None, :, :])
     cells = prod.reshape(n1 * n2, n1 * n2, k)
@@ -91,13 +90,13 @@ def euler_square(n: int, k: int) -> EulerSquare:
     fold via the product in increasing-prime order.
     """
     if n < 3:
-        raise InvalidOrder(f"order n={n} must be >= 3")
+        raise Infeasible(f"order n={n} must be >= 3")
     if k < 1:
         raise InvalidInput(f"degree k={k} must be >= 1")
     fac = factorize(n)
     bound = fac.min_value - 1
     if k > bound:
-        raise IndexNotConstructible(
+        raise Infeasible(
             f"index ({n},{k}) not constructible: k exceeds minpp({n})-1 = {bound}")
     square = None
     for p, r, q in fac.components:

@@ -19,7 +19,7 @@ import numpy as np
 from . import recovery
 from .construct import (SensingMatrix, build_binary_matrix, build_extended,
                         build_for_row_size, build_ternary)
-from .errors import IndexNotConstructible, InvalidInput, ParseError, ShapeError
+from .errors import EulerCSError, Infeasible, InvalidInput, ParseError
 from .euler import euler_square
 from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 
@@ -91,8 +91,8 @@ class MatrixSpec:
             raise InvalidInput(f"no {family!r} matrix of a given shape")
         n = math.isqrt(M)
         if n * n != M or m % n:
-            raise IndexNotConstructible(f"no euler matrix is {m}x{M}: the index "
-                                        f"(n, k) square is nk x n*n")
+            raise Infeasible(f"no euler matrix is {m}x{M}: the index "
+                             f"(n, k) square is nk x n*n")
         return cls(family="euler", n=n, k=m // n)
 
     def build(self) -> SensingMatrix:
@@ -162,14 +162,18 @@ def _trial_outcomes(A, k, solver, seeds):
 
 
 def run_sweep(cfg: SweepConfig) -> ExperimentReport:
-    """Success percentage per sparsity level (SNR >= SUCCESS_DB counts)."""
+    """Success percentage per sparsity level (SNR >= SUCCESS_DB counts).
+
+    Every level is checked against 1..min(m, M) before any trial runs.
+    """
     t0 = time.perf_counter()
     A = make_matrix(cfg.matrix)
-    m = A.shape[0]
+    top = min(A.shape)
+    for level in cfg.sparsity_levels:
+        if not 1 <= level <= top:
+            raise InvalidInput(f"sparsity level {level} outside 1..{top}")
     rows = []
     for level in cfg.sparsity_levels:
-        if not 1 <= level <= m:
-            raise InvalidInput(f"sparsity level {level} outside 1..{m}")
         successes = sum(_trial_outcomes(A, level, cfg.solver,
                                         [(cfg.master_seed, level, t)
                                          for t in range(cfg.trials)]))
@@ -216,6 +220,7 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
 
     Emits one (m/M, k/M) point per row size, on MatrixSpec.of_shape(family,
     m, M, (master_seed, m)); every shape is checked before any trial runs.
+    The scan stops at k = min(m, M).
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidInput(f"fraction {fraction!r} must lie in [0, 1]")
@@ -229,7 +234,7 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
     for m, A in zip(row_sizes, map(make_matrix, specs)):
         k_star = 0
         k = 1
-        while k <= m:
+        while k <= min(m, M):
             seeds = [(master_seed, m, k, t) for t in range(trials)]
             if _level_reaches_fraction(A, k, solver, fraction, seeds):
                 k_star = k
@@ -263,7 +268,7 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
     A = Phi.to_dense() if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
     m, M = A.shape
     if M != patch * patch:
-        raise ShapeError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")
+        raise EulerCSError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")
     grid, patches = patchify(image, patch)
     K = m // 2
     # one product per patch: a single A @ W.T need not round the same way

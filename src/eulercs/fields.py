@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionByZero, FieldTooLarge, InvalidInput, InvalidPrime
+from .errors import Infeasible, InvalidInput
 
 DEFAULT_FIELD_CAP = 2 ** 16
 
@@ -39,7 +39,7 @@ def factorize(m: int) -> PrimePowerFactorization:
 
     Exact while the part left after the divisors up to the cap is below
     (cap+1)^2.  A larger part has only prime factors above the cap, which
-    no field table can hold, so FieldTooLarge is raised at once.
+    no field table can hold, so Infeasible is raised at once.
     """
     if m < 2:
         raise InvalidInput(f"m={m} must be >= 2")
@@ -48,7 +48,7 @@ def factorize(m: int) -> PrimePowerFactorization:
     d = 2
     while d * d <= rest:
         if d > DEFAULT_FIELD_CAP:
-            raise FieldTooLarge(
+            raise Infeasible(
                 f"{m} has a prime factor above cap {DEFAULT_FIELD_CAP}")
         if rest % d == 0:
             e = 0
@@ -65,7 +65,7 @@ def factorize(m: int) -> PrimePowerFactorization:
 def is_prime(n: int) -> bool:
     """Whether n is prime, decided by `factorize`.
 
-    An n that `factorize` refuses raises FieldTooLarge; no field
+    An n that `factorize` refuses raises Infeasible; no field
     characteristic, Paley-core order or row size can be built that large.
     """
     return n >= 2 and factorize(n).components == ((n, 1, n),)
@@ -117,16 +117,16 @@ def find_irreducible(p: int, r: int) -> list:
     monic polynomial of degree 1..r//2.
     """
     if not is_prime(p):
-        raise InvalidPrime(f"p={p} is not prime")
+        raise InvalidInput(f"p={p} is not prime")
     if r < 1:
-        raise InvalidPrime(f"degree r={r} must be >= 1")
+        raise InvalidInput(f"degree r={r} must be >= 1")
     if r == 1:
         return [0, 1]  # x; degree-1 polynomials are always irreducible
     divisors = [d for deg in range(1, r // 2 + 1) for d in _monic_polys(p, deg)]
     for cand in _monic_polys(p, r):
         if not any(_divides(cand, d, p) for d in divisors):
             return cand
-    raise InvalidPrime(f"no irreducible polynomial found for p={p}, r={r}")
+    raise InvalidInput(f"no irreducible polynomial found for p={p}, r={r}")
 
 
 @dataclass(eq=False)
@@ -146,7 +146,7 @@ class GaloisField:
 
 
 @lru_cache(maxsize=128)
-def build_field(p: int, r: int, cap: int = DEFAULT_FIELD_CAP) -> GaloisField:
+def build_field(p: int, r: int) -> GaloisField:
     """Construct GF(p^r) with dense add/mul tables.
 
     Both tables are built row by row, row a from row a // p (a >= 1):
@@ -162,10 +162,10 @@ def build_field(p: int, r: int, cap: int = DEFAULT_FIELD_CAP) -> GaloisField:
     shared instance is safe for unrestricted concurrent reads.
     """
     if not is_prime(p):
-        raise InvalidPrime(f"p={p} is not prime")
+        raise InvalidInput(f"p={p} is not prime")
     q = p ** r
-    if q > cap:
-        raise FieldTooLarge(f"q={q} exceeds cap {cap}")
+    if q > DEFAULT_FIELD_CAP:
+        raise Infeasible(f"q={q} exceeds cap {DEFAULT_FIELD_CAP}")
     irr = find_irreducible(p, r)
     codes = np.arange(q, dtype=np.int64)
     s = np.arange(p, dtype=np.int64)[:, None]
@@ -187,6 +187,6 @@ def build_field(p: int, r: int, cap: int = DEFAULT_FIELD_CAP) -> GaloisField:
 
 def field_inv(F: GaloisField, e: int) -> int:
     if e == 0:
-        raise DivisionByZero("0 has no multiplicative inverse")
+        raise InvalidInput("0 has no multiplicative inverse")
     hits = np.nonzero(F.mul_table[e] == 1)[0]
     return int(hits[0])

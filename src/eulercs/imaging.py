@@ -28,22 +28,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import SensingMatrix
-from .errors import (InvalidInput, LabelError, ParseError, PatchGridError,
-                     PatchSizeError, ShapeError, decode_utf8)
+from .errors import EulerCSError, InvalidInput, ParseError, decode_utf8
 
 SQRT2 = math.sqrt(2.0)
 
 
 def _check_patch_size(P: int, levels):
     if P < 1 or P & (P - 1) != 0:
-        raise PatchSizeError(f"patch edge {P} is not a power of two")
+        raise InvalidInput(f"patch edge {P} is not a power of two")
     depth = P.bit_length() - 1
     if levels is None:
         return depth
     if levels < 0:
         raise InvalidInput(f"levels={levels} is a negative level count")
     if levels > depth:
-        raise PatchSizeError(f"levels={levels} exceeds log2({P})={depth}")
+        raise InvalidInput(f"levels={levels} exceeds log2({P})={depth}")
     return levels
 
 
@@ -71,7 +70,7 @@ def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
     """
     a = np.asarray(patches, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise PatchSizeError(f"patch must be square, got {a.shape}")
+        raise InvalidInput(f"patch must be square, got {a.shape}")
     P = a.shape[-1]
     levels = _check_patch_size(P, levels)
     out = _patch_last(a, P)
@@ -98,10 +97,10 @@ def haar_inverse(coeffs: np.ndarray, levels: int = None) -> np.ndarray:
     """Inverse of haar_forward: maps (..., P*P) to (..., P, P)."""
     v = np.asarray(coeffs, dtype=np.float64)
     if v.ndim < 1:
-        raise PatchSizeError("coefficients need at least one axis")
+        raise InvalidInput("coefficients need at least one axis")
     P = int(round(math.sqrt(v.shape[-1])))
     if P * P != v.shape[-1]:
-        raise PatchSizeError(f"coefficient length {v.shape[-1]} is not a square")
+        raise InvalidInput(f"coefficient length {v.shape[-1]} is not a square")
     levels = _check_patch_size(P, levels)
     out = _patch_last(v, P)
     buf = np.empty_like(out)
@@ -135,10 +134,10 @@ def patchify(image: np.ndarray, P: int):
     """Split into P x P patches, row-major; returns (PatchGrid, (M',P,P) array)."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
-        raise PatchGridError(f"expected a 2-D image, got shape {img.shape}")
+        raise EulerCSError(f"expected a 2-D image, got shape {img.shape}")
     H, W = img.shape
     if H % P or W % P:
-        raise PatchGridError(f"image {H}x{W} not divisible by patch edge {P}")
+        raise EulerCSError(f"image {H}x{W} not divisible by patch edge {P}")
     grid = PatchGrid(height=H, width=W, patch=P)
     patches = (img.reshape(H // P, P, W // P, P)
                   .transpose(0, 2, 1, 3)
@@ -157,7 +156,7 @@ def extract_features(image: np.ndarray, T: SensingMatrix, P: int,
                      levels: int = None) -> np.ndarray:
     """Concatenated compressed Haar coefficients, patch by patch."""
     if T.M != P * P:
-        raise ShapeError(f"matrix has {T.M} columns, patch needs {P * P}")
+        raise EulerCSError(f"matrix has {T.M} columns, patch needs {P * P}")
     grid, patches = patchify(image, P)
     A = T.to_dense()
     coeffs = haar_forward(patches, levels)   # (M', P*P)
@@ -261,7 +260,7 @@ def retrieve(query_feature: np.ndarray, db: FeatureDB, topn: int = 10):
     _check_topn(topn)
     q = np.asarray(query_feature, dtype=np.float64).ravel()
     if q.size != db.features.shape[1]:
-        raise ShapeError(f"feature length {q.size} != database {db.features.shape[1]}")
+        raise EulerCSError(f"feature length {q.size} != database {db.features.shape[1]}")
     sims = [_norm_corr(q, db.features[i]) for i in range(len(db.ids))]
     order = sorted(range(len(db.ids)), key=lambda i: (-sims[i], db.ids[i]))
     return [(db.ids[i], db.labels[i], sims[i]) for i in order[:topn]]
@@ -303,7 +302,7 @@ def score_retrieval(rankings: list, query_labels: list, db_labels: dict,
         nc = nf = 0
         for rid in retrieved[:topn]:
             if rid not in db_labels:
-                raise LabelError(f"retrieved id {rid!r} has no label")
+                raise InvalidInput(f"retrieved id {rid!r} has no label")
             rclass = db_labels[rid]
             confusion[(qclass, rclass)] = confusion.get((qclass, rclass), 0) + 1
             if rclass == qclass:

@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .construct import SensingMatrix
-from .errors import (BoundUndefined, DegenerateColumn, InvalidInput,
-                     ProvenanceRequired)
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -161,12 +160,12 @@ def _row_pair_extrema(mat: SensingMatrix):
 def coherence(mat: SensingMatrix) -> CoherenceReport:
     """Exhaustive coherence of a constructed matrix over all M(M-1)/2 pairs.
 
-    A zero value raises DegenerateColumn; any other value but +-1, or a
-    column whose rows do not strictly ascend, raises InvalidInput, since
-    max_overlap / k is mu only when every column has squared norm k.  A
-    matrix with more rows than entries (m > M*k) is proved on its rows
-    in use, renumbered in order, so neither proof holds an array of
-    length m; the report keeps the matrix's own m.
+    A value other than +-1, or a column whose rows do not strictly
+    ascend, raises InvalidInput, since max_overlap / k is mu only when
+    every column has squared norm k.  A matrix with more rows than
+    entries (m > M*k) is proved on its rows in use, renumbered in order,
+    so neither proof holds an array of length m; the report keeps the
+    matrix's own m.
     """
     if mat.M < 2:
         raise InvalidInput("need at least 2 columns")
@@ -174,7 +173,7 @@ def coherence(mat: SensingMatrix) -> CoherenceReport:
     if rows.size and (rows.min() < 0 or rows.max() >= mat.m):
         raise InvalidInput(f"row index outside [0, {mat.m})")
     if mat.k < 1 or np.any(vals == 0):
-        raise DegenerateColumn("matrix has a zero entry or column")
+        raise InvalidInput("matrix has a zero entry or column")
     if np.any(np.abs(vals) != 1):
         raise InvalidInput("matrix has a value other than +-1")
     if np.any(np.diff(rows, axis=1) <= 0):
@@ -194,9 +193,9 @@ def coherence(mat: SensingMatrix) -> CoherenceReport:
 
 def welch_bound(m: int, M: int) -> float:
     if M <= m:
-        raise BoundUndefined(f"Welch bound needs M > m, got M={M}, m={m}")
+        raise InvalidInput(f"Welch bound needs M > m, got M={M}, m={m}")
     if m < 1:
-        raise BoundUndefined(f"m={m} must be >= 1")
+        raise InvalidInput(f"m={m} must be >= 1")
     return math.sqrt((M - m) / (m * (M - 1)))
 
 
@@ -230,6 +229,6 @@ def aspect_constant(mat: SensingMatrix, report: CoherenceReport = None) -> float
     """c = M / (m*mu)^2 with measured coherence; c in [1,2) for the
     Euler-square constructions."""
     if not mat.provenance:
-        raise ProvenanceRequired("aspect constant requires construction provenance")
+        raise InvalidInput("aspect constant requires construction provenance")
     rep = report or coherence(mat)
     return mat.M / (mat.m * rep.coherence) ** 2

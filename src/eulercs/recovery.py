@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import SensingMatrix
-from .errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
-                     ShapeError, UndefinedSNR)
+from .errors import ConvergenceFailure, EulerCSError, InvalidInput
 
 SNR_CAP_DB = 310.0
 TIE_RTOL = 1e-9        # OMP scores and homotopy breakpoints this close count as tied
@@ -100,9 +99,9 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
     Y = np.asarray(Y, dtype=np.float64)
     m, M = A.shape
     if Y.ndim != 2:
-        raise ShapeError(f"Y has shape {Y.shape}, expected (trials, {m})")
+        raise EulerCSError(f"Y has shape {Y.shape}, expected (trials, {m})")
     if Y.shape[1] != m:
-        raise ShapeError(f"y has length {Y.shape[1]}, expected {m}")
+        raise EulerCSError(f"y has length {Y.shape[1]}, expected {m}")
     if K < 0:
         raise InvalidInput(f"K={K} is negative")
     if K > m:
@@ -200,7 +199,7 @@ def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10) -> Reco
     y = np.asarray(y, dtype=np.float64).ravel()
     m, M = A.shape
     if y.shape[0] != m:
-        raise ShapeError(f"y has length {y.shape[0]}, expected {m}")
+        raise EulerCSError(f"y has length {y.shape[0]}, expected {m}")
     x = np.zeros(M)
     sign = np.zeros(M)                          # nonzero exactly on the active set
     lam = lam0 = float(np.abs(A.T @ y).max(initial=0.0))
@@ -276,7 +275,7 @@ def recover(Phi, Y, K: int, solver: str) -> list:
 def gen_sparse_signal(M: int, k: int, seed) -> SparseSignal:
     """k distinct uniform support indices, standard normal values."""
     if not 1 <= k <= M:
-        raise InvalidSparsity(f"k={k} must be in 1..{M}")
+        raise InvalidInput(f"k={k} must be in 1..{M}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(M, size=k, replace=False))
     values = rng.standard_normal(k)
@@ -302,7 +301,7 @@ def snr(x, x_est) -> float:
     x_est = np.asarray(x_est, dtype=np.float64).ravel()
     nx = np.linalg.norm(x)
     if nx == 0:
-        raise UndefinedSNR("SNR undefined for the zero signal")
+        raise EulerCSError("SNR undefined for the zero signal")
     err = np.linalg.norm(x - x_est)
     if err == 0:
         return SNR_CAP_DB

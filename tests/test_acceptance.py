@@ -16,7 +16,7 @@ import pytest
 
 from eulercs.construct import (build_binary_matrix, build_extended,
                                build_for_row_size, build_ternary)
-from eulercs.errors import UnsupportedRowSize
+from eulercs.errors import Infeasible
 from eulercs.euler import euler_square, factorize, validate_euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig,
                                  run_patch_reconstruction,
@@ -108,7 +108,7 @@ def test_criterion_04_row_size_coverage(announce):
             root = math.isqrt(m)
             prime_square = root * root == m and is_prime(root)
             if m < 6 or is_prime(m) or prime_square:
-                with pytest.raises(UnsupportedRowSize):
+                with pytest.raises(Infeasible, match=f"^row size {m} is "):
                     build_for_row_size(m)
                 continue
             mat = build_for_row_size(m)

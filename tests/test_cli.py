@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -62,10 +63,12 @@ def test_int_list_flags_fail_closed(tmp_path, capsys, argv):
     assert "comma-separated integers" in capsys.readouterr().err
 
 
-def test_gen_requires_one_selector(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(["gen", "--index", "3,2", "--rows", "6", "--out", "x"])
-    assert exc.value.code == 2
+def test_gen_requires_one_selector(tmp_path, capsys):
+    assert run(["gen", "--index", "3,2", "--rows", "6",
+                "--out", str(tmp_path / "x")]) == 2
+    assert (capsys.readouterr().err
+            == "error: argument --rows: not allowed with argument --index\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_gen_round_trip_all_selectors(tmp_path):
@@ -234,16 +237,37 @@ def test_bench_recon(tmp_path):
 def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
     tmp = str(tmp_path)
     write_pgm(np.zeros((16, 16)), f"{tmp}/in.pgm")
-    try:
-        assert run([*(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/o"]) == code
-    except SystemExit as exc:
-        # argparse turns away a second matrix selector with its usage message
-        assert exc.code == code
-        assert "not allowed with argument" in capsys.readouterr().err
-    else:
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    assert run([*(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/o"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert os.listdir(tmp) == ["in.pgm"]
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8",
+      "--levels", "4"], 2, "error: levels=4 exceeds log2(8)=3\n"),
+    (["bench", "recon", "--image", "{tmp}/in24.pgm", "--rows", "24", "--patch", "12"],
+     2, "error: patch edge 12 is not a power of two\n"),
+    (["bench", "sweep", "--family", "gaussian", "--m", "20", "--M", "10",
+      "--levels", "15", "--trials", "2"], 2, "error: sparsity level 15 outside 1..10\n"),
+    (["bench", "phase", "--family", "gaussian", "--M", "4", "--rows", "20",
+      "--trials", "3"], 0, "report written to {tmp}/o.json / {tmp}/o.csv (<s>)\n"),
+    (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8"],
+     1, "error: SNR undefined for the zero signal\n"),
+], ids=["recon_levels_above_depth", "recon_patch_not_power_of_two",
+        "sweep_level_above_M", "phase_rows_above_M", "recon_zero_image"])
+def test_bench_limits_exit_code_and_stderr(tmp_path, capsys, monkeypatch, argv,
+                                           code, err):
+    tmp = str(tmp_path)
+    write_pgm(np.zeros((16, 16)), f"{tmp}/in16.pgm")
+    write_pgm(np.zeros((24, 24)), f"{tmp}/in24.pgm")
+    if code == 2:
+        monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
+    assert run([*(a.format(tmp=tmp) for a in argv), "--out", f"{tmp}/o"]) == code
+    assert (re.sub(r"\(\d+\.\d\ds\)", "(<s>)", capsys.readouterr().err)
+            == err.format(tmp=tmp))
+    if code:
+        assert sorted(os.listdir(tmp)) == ["in16.pgm", "in24.pgm"]
 
 
 @pytest.mark.parametrize("kmax", ["0", "-2"])
@@ -277,19 +301,27 @@ def test_bench_phase_trials_below_one_exits_2(tmp_path, capsys, trials):
     assert not os.path.exists(out + ".json")
 
 
-@pytest.mark.parametrize("error", [
-    errors.FieldTooLarge, errors.InvalidOrder, errors.IndexNotConstructible,
-    errors.IndexTooSmall, errors.UnsupportedRowSize, errors.NothingToExtend,
-    errors.HadamardUnavailable,
-])
-def test_infeasible_errors_exit_3(tmp_path, capsys, monkeypatch, error):
+# One case per construction that can be refused; each id keeps the name
+# the case had when every refusal had a class of its own.
+@pytest.mark.parametrize("message", [
+    "q=131072 exceeds cap 65536",
+    "order 6 must be 1, 2, or a multiple of 4",
+    "index (12,3) not constructible: k exceeds minpp(12)-1 = 2",
+    "need k >= 2 and n >= 3, got (11,1)",
+    "order n=2 must be >= 3",
+    "n=11 is a single prime power; nothing to extend",
+    "row size 7 is prime",
+], ids=["FieldTooLarge", "HadamardUnavailable", "IndexNotConstructible",
+        "IndexTooSmall", "InvalidOrder", "NothingToExtend",
+        "UnsupportedRowSize"])
+def test_infeasible_errors_exit_3(tmp_path, capsys, monkeypatch, message):
     def infeasible(*args, **kwargs):
-        raise error("cannot be built")
+        raise errors.Infeasible(message)
 
     monkeypatch.setattr(experiments, "run_phase_transition", infeasible)
     assert run(["bench", "phase", "--M", "121", "--rows", "22",
                 "--out", str(tmp_path / "phase")]) == 3
-    assert capsys.readouterr().err == "error: cannot be built\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_recover(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulercs.errors import (DegreeMismatch, DegreeTooLarge,
-                            IndexNotConstructible, InvalidInput, InvalidOrder)
+from eulercs.errors import Infeasible, InvalidInput
 from eulercs.euler import (EulerSquare, euler_square, factorize,
                            macneish_product, mols_prime_power, reduce_degree,
                            validate_euler_square)
@@ -48,7 +47,8 @@ def test_mols_gf4_is_valid():
 
 
 def test_mols_degree_bound():
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(InvalidInput,
+                       match=r"^degree k=3 must satisfy 1 <= k <= q-1=2$"):
         mols_prime_power(build_field(3, 1), 3)
 
 
@@ -65,7 +65,7 @@ def test_reduce_degree_validates():
 
 
 def test_reduce_degree_bound():
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(InvalidInput, match="^k'=3 must satisfy 1 <= k' <= 2$"):
         reduce_degree(euler_square(3, 2), 3)
 
 
@@ -90,7 +90,7 @@ def test_macneish_size_arithmetic():
 
 
 def test_macneish_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InvalidInput, match="^degrees differ: 2 vs 3$"):
         macneish_product(euler_square(5, 2), euler_square(7, 3))
 
 
@@ -100,7 +100,8 @@ def test_euler_square_reference_example():
 
 
 def test_euler_square_macneish_bound():
-    with pytest.raises(IndexNotConstructible):
+    with pytest.raises(Infeasible, match=r"^index \(12,3\) not constructible: "
+                       r"k exceeds minpp\(12\)-1 = 2$"):
         euler_square(12, 3)  # minpp(12) = 3, so k <= 2
 
 
@@ -110,7 +111,7 @@ def test_euler_square_12_2_valid():
 
 
 def test_euler_square_order_bound():
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(Infeasible, match="^order n=2 must be >= 3$"):
         euler_square(2, 1)
 
 

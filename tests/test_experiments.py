@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from eulercs import recovery
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (ConvergenceFailure, IndexNotConstructible,
-                            InvalidInput, ParseError, ShapeError)
+from eulercs.errors import (ConvergenceFailure, EulerCSError, Infeasible,
+                            InvalidInput, ParseError)
 from eulercs.euler import euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
                                  _trial_outcomes, make_matrix,
@@ -60,6 +61,15 @@ def test_sweep_report_has_raw_counts():
 def test_sweep_rejects_bad_level():
     with pytest.raises(InvalidInput):
         run_sweep(small_sweep(levels=(56,)))
+
+
+def test_sweep_checks_every_level_before_any_trial(monkeypatch):
+    # a level runs to min(m, M): a 20 x 10 draw takes none above 10
+    monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
+    cfg = SweepConfig(matrix=MatrixSpec.of_shape("gaussian", 20, 10, 0),
+                      sparsity_levels=(1, 2, 15), trials=2)
+    with pytest.raises(InvalidInput, match=r"^sparsity level 15 outside 1\.\.10$"):
+        run_sweep(cfg)
 
 
 def test_sweep_monotone_trend_with_tolerance():
@@ -184,10 +194,21 @@ def test_phase_transition_single_trial_degenerate():
     assert report.rows[0]["k_star"] >= 1
 
 
+def _no_euler(m, M):
+    return "^" + re.escape(f"no euler matrix is {m}x{M}: the index (n, k) "
+                           "square is nk x n*n") + "$"
+
+
+def test_phase_transition_scan_stops_at_column_count():
+    # every level of a 20 x 4 draw succeeds, so the scan ends at k = M = 4
+    report = run_phase_transition(4, [20], trials=3, family="gaussian")
+    assert report.rows == [{"m": 20, "delta": 5.0, "k_star": 4, "k_frac": 1.0}]
+
+
 def test_phase_transition_rejects_bad_geometry():
-    with pytest.raises(IndexNotConstructible):
+    with pytest.raises(Infeasible, match=_no_euler(22, 120)):
         run_phase_transition(120, [22], trials=1)
-    with pytest.raises(IndexNotConstructible):
+    with pytest.raises(Infeasible, match=_no_euler(23, 121)):
         run_phase_transition(121, [23], trials=1)
 
 
@@ -204,7 +225,7 @@ def test_phase_transition_rejects_empty_row_sizes():
 
 def test_phase_transition_checks_every_shape_before_any_trial(monkeypatch):
     monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
-    with pytest.raises(IndexNotConstructible):
+    with pytest.raises(Infeasible, match=_no_euler(23, 121)):
         run_phase_transition(121, [22, 23], trials=1)
 
 
@@ -234,7 +255,7 @@ def test_of_shape_rejects_invalid_input(family, m, M):
 
 @pytest.mark.parametrize("m, M", [(22, 120), (23, 121)])
 def test_of_shape_rejects_shapes_no_euler_square_has(m, M):
-    with pytest.raises(IndexNotConstructible):
+    with pytest.raises(Infeasible, match=_no_euler(m, M)):
         MatrixSpec.of_shape("euler", m, M)
 
 
@@ -269,9 +290,11 @@ def test_patch_reconstruction_within_guarantee():
 
 def test_patch_reconstruction_factor_echo():
     Phi = build_binary_matrix(euler_square(11, 5))
-    with pytest.raises(ShapeError):
+    with pytest.raises(EulerCSError) as exc:
         # 121 columns cannot measure a 16x16 patch
         run_patch_reconstruction(np.zeros((16, 16)), Phi, 16)
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "matrix has 121 columns, patch 16 needs 256"
     assert Phi.M / Phi.m == pytest.approx(2.2)
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from eulercs.errors import DivisionByZero, FieldTooLarge, InvalidPrime
+from eulercs.errors import Infeasible, InvalidInput
 from eulercs.fields import (_code_to_poly, _poly_mod, build_field, factorize,
                             field_inv, find_irreducible, is_prime)
 
@@ -26,7 +26,7 @@ def test_find_irreducible_gf9():
 
 
 def test_find_irreducible_rejects_composite():
-    with pytest.raises(InvalidPrime):
+    with pytest.raises(InvalidInput, match="^p=4 is not prime$"):
         find_irreducible(4, 2)
 
 
@@ -58,8 +58,8 @@ def test_prime_fields_are_mod_p(p):
 
 
 def test_field_cap():
-    with pytest.raises(FieldTooLarge):
-        build_field(2, 5, cap=16)
+    with pytest.raises(Infeasible, match="^q=131072 exceeds cap 65536$"):
+        build_field(2, 17)
 
 
 def test_inverse_examples():
@@ -69,7 +69,7 @@ def test_inverse_examples():
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(InvalidInput, match="^0 has no multiplicative inverse$"):
         field_inv(build_field(5, 1), 0)
 
 
@@ -154,7 +154,8 @@ def test_factorize_exact_below_the_cap_squared():
 
 
 def test_factorize_refuses_two_primes_above_the_cap():
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(Infeasible,
+                       match=f"^{65537 * 65539} has a prime factor above cap 65536$"):
         factorize(65537 * 65539)
 
 

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (InvalidInput, LabelError, ParseError, PatchGridError,
-                            PatchSizeError, ShapeError)
+from eulercs.errors import EulerCSError, InvalidInput, ParseError
 from eulercs.euler import euler_square
 from eulercs.imaging import (FeatureDB, extract_features,
                              haar_forward, haar_inverse, load_feature_db,
@@ -36,9 +35,9 @@ def test_haar_partial_levels():
 
 
 def test_haar_rejects_non_power_of_two():
-    with pytest.raises(PatchSizeError):
+    with pytest.raises(InvalidInput, match="^patch edge 6 is not a power of two$"):
         haar_forward(np.zeros((6, 6)))
-    with pytest.raises(PatchSizeError):
+    with pytest.raises(InvalidInput, match=r"^levels=4 exceeds log2\(8\)=3$"):
         haar_forward(np.zeros((8, 8)), levels=4)
 
 
@@ -125,12 +124,13 @@ def test_haar_matches_moveaxis_oracle_bit_for_bit(P, lead):
 
 @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8), (16,), ()])
 def test_haar_forward_rejects_non_square_input(shape):
-    with pytest.raises(PatchSizeError):
+    with pytest.raises(InvalidInput) as exc:
         haar_forward(np.zeros(shape))
+    assert str(exc.value) == f"patch must be square, got {shape}"
 
 
 def test_haar_inverse_rejects_non_square_length():
-    with pytest.raises(PatchSizeError):
+    with pytest.raises(InvalidInput, match="^coefficient length 8 is not a square$"):
         haar_inverse(np.zeros((3, 8)))
 
 
@@ -147,8 +147,10 @@ def test_patchify_round_trip():
 
 
 def test_patchify_rejects_indivisible():
-    with pytest.raises(PatchGridError):
+    with pytest.raises(EulerCSError) as exc:
         patchify(np.zeros((250, 250)), 32)
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "image 250x250 not divisible by patch edge 32"
 
 
 @pytest.fixture(scope="module")
@@ -197,8 +199,10 @@ def test_features_share_one_scatter_per_matrix(monkeypatch):
 
 
 def test_feature_shape_check(T):
-    with pytest.raises(ShapeError):
+    with pytest.raises(EulerCSError) as exc:
         extract_features(np.zeros((16, 16)), T, 16)  # T.M = 64 != 256
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "matrix has 64 columns, patch needs 256"
 
 
 def make_db(features, labels=None):
@@ -283,7 +287,7 @@ def test_score_retrieval_toy_confusion():
 
 
 def test_score_retrieval_unlabeled_raises():
-    with pytest.raises(LabelError):
+    with pytest.raises(InvalidInput, match="^retrieved id 'mystery' has no label$"):
         score_retrieval([["mystery"]], [("q0", "X")], {"a": "X"}, topn=1)
 
 

@@ -15,8 +15,7 @@ from eulercs import props
 from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                build_extended, build_for_row_size,
                                build_ternary)
-from eulercs.errors import (BoundUndefined, DegenerateColumn, InvalidInput,
-                            ProvenanceRequired)
+from eulercs.errors import InvalidInput
 from eulercs.euler import euler_square
 from eulercs.props import (aspect_constant, coherence, max_binary_columns,
                            rip_delta, sparsity_guarantee, welch_bound)
@@ -64,22 +63,26 @@ def test_degenerate_column_detected():
     rows = np.array([[0], [0]])
     vals = np.array([[1], [0]])
     mat = SensingMatrix(m=2, M=2, alphabet="binary", k=1, rows=rows, vals=vals)
-    with pytest.raises(DegenerateColumn):
+    with pytest.raises(InvalidInput, match="^matrix has a zero entry or column$"):
         coherence(mat)
 
 
-@pytest.mark.parametrize("rows, vals, error", [
-    ([[0], [0]], [[2], [1]], InvalidInput),          # read as coherence 2.0
-    ([[0, 1], [1, 2]], [[1, -3], [1, 1]], InvalidInput),
-    ([[0, 1], [1, 2]], [[1, 0], [1, 1]], DegenerateColumn),
-    ([[1, 1], [0, 2]], [[1, 1], [1, 1]], InvalidInput),   # a repeated row
-    ([[2, 0], [0, 1]], [[1, 1], [1, 1]], InvalidInput),   # rows descending
+_OTHER_VALUE = "matrix has a value other than [+]-1"
+_NOT_ASCENDING = "rows not strictly ascending in a column"
+
+
+@pytest.mark.parametrize("rows, vals, message", [
+    ([[0], [0]], [[2], [1]], _OTHER_VALUE),          # read as coherence 2.0
+    ([[0, 1], [1, 2]], [[1, -3], [1, 1]], _OTHER_VALUE),
+    ([[0, 1], [1, 2]], [[1, 0], [1, 1]], "matrix has a zero entry or column"),
+    ([[1, 1], [0, 2]], [[1, 1], [1, 1]], _NOT_ASCENDING),   # a repeated row
+    ([[2, 0], [0, 1]], [[1, 1], [1, 1]], _NOT_ASCENDING),   # rows descending
 ], ids=["value_2", "value_minus_3", "zero_value", "repeated_row", "descending"])
-def test_coherence_proves_only_plus_minus_one_ascending_columns(rows, vals, error):
+def test_coherence_proves_only_plus_minus_one_ascending_columns(rows, vals, message):
     # max_overlap / k is mu only when every column has squared norm k
     mat = SensingMatrix(m=3, M=2, alphabet="ternary", k=len(rows[0]),
                         rows=rows, vals=vals)
-    with pytest.raises(error):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
         coherence(mat)
 
 
@@ -91,7 +94,8 @@ def test_welch_bound_values():
 
 
 def test_welch_bound_undefined():
-    with pytest.raises(BoundUndefined):
+    with pytest.raises(InvalidInput,
+                       match="^Welch bound needs M > m, got M=9, m=9$"):
         welch_bound(9, 9)
 
 
@@ -148,7 +152,8 @@ def test_aspect_constant_extended():
 def test_aspect_constant_needs_provenance():
     mat = euler_matrix(3, 2)
     mat.provenance = ""
-    with pytest.raises(ProvenanceRequired):
+    with pytest.raises(InvalidInput,
+                       match="^aspect constant requires construction provenance$"):
         aspect_constant(mat)
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import eulercs
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (ConvergenceFailure, InvalidInput, InvalidSparsity,
-                            ShapeError, UndefinedSNR)
+from eulercs.errors import ConvergenceFailure, EulerCSError, InvalidInput
 from eulercs.euler import euler_square
 from eulercs.recovery import (SNR_CAP_DB, TIE_RTOL, basis_pursuit,
                               gen_bernoulli_matrix, gen_gaussian_matrix,
@@ -36,8 +35,10 @@ def test_omp_zero_measurement(A55):
 
 
 def test_omp_shape_check(A55):
-    with pytest.raises(ShapeError):
+    with pytest.raises(EulerCSError) as exc:
         omp(A55, np.zeros(54), K=1)
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "y has length 54, expected 55"
 
 
 def test_omp_exact_within_guarantee(A55):
@@ -298,7 +299,7 @@ def test_gen_sparse_signal_full_support():
 
 
 def test_gen_sparse_signal_bad_k():
-    with pytest.raises(InvalidSparsity):
+    with pytest.raises(InvalidInput, match=r"^k=11 must be in 1\.\.10$"):
         gen_sparse_signal(10, 11, 0)
 
 
@@ -336,8 +337,10 @@ def test_snr_examples():
 
 
 def test_snr_zero_signal():
-    with pytest.raises(UndefinedSNR):
+    with pytest.raises(EulerCSError) as exc:
         snr(np.zeros(3), np.ones(3))
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "SNR undefined for the zero signal"
 
 
 @settings(max_examples=50, deadline=None)
