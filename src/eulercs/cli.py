@@ -11,7 +11,8 @@ verification or any other EulerCSError (a broken invariant, a parse
 error, nan or inf measurements too, a convergence failure), 2
 InvalidInput (argparse's usage errors too) or a path that cannot be
 opened, 3 Infeasible (such as an m x M shape no euler square has) or out
-of memory.  Each error prints one `error:` line.
+of memory.  Each error prints one `error:` line, which a ParseError that
+knows its line ends with ` (line N)`.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -238,13 +240,18 @@ def cmd_bench_recon(args):
 def cmd_recover(args):
     mat = construct.load_esm(args.matrix)
     try:
-        y = np.loadtxt(args.y, delimiter=",").ravel()
+        with warnings.catch_warnings():
+            # an empty file is refused below, in one error line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            y = np.loadtxt(args.y, delimiter=",").ravel()
     except ValueError as exc:
         raise ParseError(f"{args.y}: {exc}") from None
+    if not y.size:
+        raise ParseError(f"{args.y}: no measurements")
     if not np.isfinite(y).all():
         raise ParseError(f"{args.y}: measurements must be finite numbers")
     K = args.k if args.k is not None else mat.m // 2
-    result = recovery.recover(mat, y[None], K, args.solver)[0]
+    result = recovery.recover(mat.to_dense(), y[None], K, args.solver)[0]
     if not result.converged:
         raise ConvergenceFailure(f"{args.solver} did not converge: "
                                  f"residual={result.residual_norm:.3e}")
@@ -464,7 +471,9 @@ def main(argv=None) -> int:
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except EulerCSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        line = getattr(exc, "line", None)       # a ParseError's first bad line
+        where = f" (line {line})" if line is not None else ""
+        print(f"error: {exc}{where}", file=sys.stderr)
         return 1
 
 

@@ -84,6 +84,8 @@ def build_for_row_size(m: int) -> SensingMatrix:
     smallest prime-power component q gives the index (m/q, q) square.
     Either way the coherence comes out to sqrt(M)/m.
     """
+    if m < 1:
+        raise InvalidInput(f"row size {m} must be >= 1")
     if m < 6:
         raise Infeasible(f"row size {m} is below the smallest constructible (6)")
     fac = factorize(m)

@@ -6,8 +6,8 @@ whose coordinate pairs are jointly orthogonal: superimposing any two
 coordinates yields all n^2 ordered pairs exactly once.
 
 Construction follows the classical direct-product recipe: prime-power
-component squares from finite-field arithmetic, degree reduction, and
-products in increasing-prime order.
+component squares from finite-field arithmetic, each built at the
+requested degree, and products in increasing-prime order.
 """
 
 from dataclasses import dataclass
@@ -54,16 +54,6 @@ def mols_prime_power(F: GaloisField, k: int) -> EulerSquare:
         cells[:, :, t - 1] = F.add_table[F.mul_table[t, :][:, None], ys[None, :]]
     return EulerSquare(n=q, k=k, cells=cells,
                        provenance=f"prime-power p={F.p} r={F.r}")
-
-
-def reduce_degree(E: EulerSquare, k_new: int) -> EulerSquare:
-    """Keep the first k_new coordinates of every cell."""
-    if not 1 <= k_new <= E.k:
-        raise InvalidInput(f"k'={k_new} must satisfy 1 <= k' <= {E.k}")
-    if k_new == E.k:
-        return E
-    return EulerSquare(n=E.n, k=k_new, cells=E.cells[:, :, :k_new].copy(),
-                       provenance=f"reduced({E.provenance})")
 
 
 def macneish_product(A: EulerSquare, B: EulerSquare) -> EulerSquare:

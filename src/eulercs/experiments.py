@@ -155,7 +155,7 @@ class ExperimentReport:
 
 def _trial_outcomes(A, k, solver, seeds):
     """Whether each seed's k-sparse trial reaches SUCCESS_DB."""
-    signals = [recovery.gen_sparse_signal(A.shape[1], k, s).to_dense() for s in seeds]
+    signals = [recovery.gen_sparse_signal(A.shape[1], k, s) for s in seeds]
     results = recovery.recover(A, np.stack([A @ x for x in signals]), k, solver)
     return [recovery.snr(x, result.estimate) >= SUCCESS_DB
             for x, result in zip(signals, results)]

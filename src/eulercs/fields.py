@@ -138,12 +138,6 @@ class GaloisField:
     add_table: np.ndarray = field(repr=False)
     mul_table: np.ndarray = field(repr=False)
 
-    def add(self, a, b):
-        return int(self.add_table[a, b])
-
-    def mul(self, a, b):
-        return int(self.mul_table[a, b])
-
 
 @lru_cache(maxsize=128)
 def build_field(p: int, r: int) -> GaloisField:
@@ -183,10 +177,3 @@ def build_field(p: int, r: int) -> GaloisField:
         mul[a] = add[scale[a % p], times_x[mul[a // p]]]
     return GaloisField(p=p, r=r, q=q, irreducible=tuple(irr),
                        add_table=add, mul_table=mul)
-
-
-def field_inv(F: GaloisField, e: int) -> int:
-    if e == 0:
-        raise InvalidInput("0 has no multiplicative inverse")
-    hits = np.nonzero(F.mul_table[e] == 1)[0]
-    return int(hits[0])

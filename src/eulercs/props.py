@@ -59,14 +59,6 @@ class CoherenceReport:
         ]
         return "\n".join(lines) + "\n"
 
-    def to_record(self) -> dict:
-        return {
-            "m": self.m, "M": self.M, "coherence": self.coherence,
-            "argmax_pair": list(self.argmax_pair), "max_overlap": self.max_overlap,
-            "welch": self.welch, "density": self.density,
-            "column_weight_hist": {str(k): v for k, v in sorted(self.column_weight_hist.items())},
-        }
-
 
 def _gram_scan(mat: SensingMatrix):
     """(max |off-diagonal Gram entry|, argmax pair) of A^T A, one row at a time.

@@ -8,12 +8,12 @@ trial from a single product R @ A, ties within TIE_RTOL going to the
 lowest index, and updates an inverse Gram of the selected columns by a
 rank-one step instead of re-solving least squares.  The coefficients
 that inverse gives are each trial's estimate; a pick whose column lies
-within PIVOT_RTOL of the span already held ends the trial instead.  omp
-is its one-trial case.  basis_pursuit is the l1 homotopy, one
-measurement vector at a time: its joins and leaves break ties by the
-same TIE_RTOL and lowest-index rule, and its estimate is the exact fit
-on the active set it ends with, exact to rounding once that set is the
-signal's support.
+within PIVOT_RTOL of the span already held ends the trial instead.
+basis_pursuit is the l1 homotopy, one measurement vector at a time:
+its joins and leaves break ties by the same TIE_RTOL and lowest-index
+rule, and its estimate is the exact fit on the active set it ends with,
+exact to rounding once that set is the signal's support.  Every solver
+takes the matrix as an array.
 
 All randomness flows through numpy's default_rng (PCG64); a seed may be
 a single integer or a sequence of integers (master seed plus substream
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import SensingMatrix
 from .errors import ConvergenceFailure, EulerCSError, InvalidInput
 
 SNR_CAP_DB = 310.0
@@ -37,20 +36,10 @@ TIE_RTOL = 1e-9        # OMP scores and homotopy breakpoints this close count as
 # OMP takes no column whose squared distance from the span it holds is at
 # most this fraction of the column's squared norm
 PIVOT_RTOL = 1e-10
+OMP_TOL = 1e-12        # an OMP trial stops once its residual norm is this small
+BP_MAX_STEPS = 5000    # basis pursuit fails after this many homotopy steps
+BP_FEAS_TOL = 1e-10    # or when its fit leaves a residual norm above this
 SOLVERS = ("omp", "bp")
-
-
-@dataclass(eq=False)
-class SparseSignal:
-    M: int
-    support: np.ndarray   # 0-based, sorted, distinct
-    values: np.ndarray
-    seed: object = None
-
-    def to_dense(self) -> np.ndarray:
-        x = np.zeros(self.M)
-        x[self.support] = self.values
-        return x
 
 
 @dataclass(eq=False)
@@ -60,33 +49,22 @@ class RecoveryResult:
     residual_norm: float
     iterations: int
     rank_deficient: bool = False
-    # False: basis pursuit ran out of steps or missed tol_feas; the estimate
-    # is its last iterate, not a solution
+    # False: basis pursuit ran out of steps or missed BP_FEAS_TOL; the
+    # estimate is its last iterate, not a solution
     converged: bool = True
 
 
-def _as_dense(Phi) -> np.ndarray:
-    if isinstance(Phi, SensingMatrix):
-        return Phi.to_dense()
-    return np.asarray(Phi, dtype=np.float64)
-
-
-def omp(Phi, y, K: int, tol: float = 1e-12) -> RecoveryResult:
-    """Orthogonal matching pursuit on one measurement vector y (omp_batch's one trial)."""
-    return omp_batch(Phi, np.asarray(y, dtype=np.float64).ravel()[None], K, tol)[0]
-
-
-def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
+def omp_batch(A, Y, K: int) -> list:
     """Orthogonal matching pursuit on every row of Y, one result per row.
 
-    All trials share Phi, so each iteration scores every active trial
+    All trials share A, so each iteration scores every active trial
     with one product R @ A: the pick maximizes |<phi_j, r>| / ||phi_j||,
     and the lowest index within relative TIE_RTOL of the row maximum
     wins, so exact ties go to the smallest index whatever the rounding.
     The inverse Gram of the selected columns grows by a rank-one step
     per pick and gives the least-squares coefficients c; the residual
     is then formed explicitly as y - A_S c.  A trial stops after K
-    atoms, once ||r|| <= tol, when it picks a column it already holds
+    atoms, once ||r|| <= OMP_TOL, when it picks a column it already holds
     (a numerical stall), or when the rank-one pivot, the squared
     distance of the picked column from the span of those held, is not
     above PIVOT_RTOL times its squared norm: that column is not taken
@@ -95,7 +73,7 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
     least-squares fit is solved afresh.  The Gram A^T A is never
     formed; the state takes (m + K) * K floats per trial.
     """
-    A = _as_dense(Phi)
+    A = np.asarray(A, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     m, M = A.shape
     if Y.ndim != 2:
@@ -118,7 +96,7 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
     rnorm = np.linalg.norm(Y, axis=1)           # last residual norm
     rank_deficient = np.zeros(T, dtype=bool)
     # state of the active trials only, row i belongs to trial live[i]
-    live = np.flatnonzero(rnorm > tol)
+    live = np.flatnonzero(rnorm > OMP_TOL)
     Yl = Rl = Y[live]
     As = np.empty((live.size, K, m))            # selected columns, as rows
     Ginv = np.empty((live.size, K, K))          # inverse Gram of As
@@ -157,7 +135,7 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
         Rl = Yl - (C.transpose(0, 2, 1) @ As[:, :it + 1])[:, 0]
         coef[live, :it + 1] = C[:, :, 0]
         rnorm[live] = r = np.sqrt((Rl * Rl).sum(axis=1))
-        more = r > tol
+        more = r > OMP_TOL
         if not more.all():
             live, Yl, Rl = live[more], Yl[more], Rl[more]
             As, Ginv, z = As[more], Ginv[more], z[more]
@@ -172,8 +150,8 @@ def omp_batch(Phi, Y, K: int, tol: float = 1e-12) -> list:
             for t, n in enumerate(iterations)]
 
 
-def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10) -> RecoveryResult:
-    """l1 minimization subject to Phi x = y, by the l1 homotopy.
+def basis_pursuit(A, y) -> RecoveryResult:
+    """l1 minimization subject to A x = y, by the l1 homotopy.
 
     Follows the minimizer of 1/2 ||y - A x||^2 + lam ||x||_1 from
     lam = ||A^T y||_inf, where x = 0, down to lam = 0 (Osborne, Presnell
@@ -192,10 +170,10 @@ def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10) -> Reco
          lam) of lam itself goes all the way to lam = 0 and ends the path.
     The estimate is then the exact fit of y on the final active set.
     Each pass is one step.  Deterministic.  Raises ConvergenceFailure
-    (carrying the last iterate) when max_iter steps do not reach lam = 0,
-    or when the fit leaves a residual above tol_feas.
+    (carrying the last iterate) when BP_MAX_STEPS steps do not reach
+    lam = 0, or when the fit leaves a residual above BP_FEAS_TOL.
     """
-    A = _as_dense(Phi)
+    A = np.asarray(A, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     m, M = A.shape
     if y.shape[0] != m:
@@ -205,7 +183,7 @@ def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10) -> Reco
     lam = lam0 = float(np.abs(A.T @ y).max(initial=0.0))
     done = lam == 0.0
     it = 0
-    while not done and it < max_iter:
+    while not done and it < BP_MAX_STEPS:
         it += 1
         S = np.flatnonzero(sign)
         c = A.T @ (y - A @ x)
@@ -240,18 +218,17 @@ def basis_pursuit(Phi, y, max_iter: int = 5000, tol_feas: float = 1e-10) -> Reco
     residual = float(np.linalg.norm(A @ x - y))
     result = RecoveryResult(estimate=x, support=[int(j) for j in S],
                             residual_norm=residual, iterations=it,
-                            converged=done and residual <= tol_feas)
+                            converged=done and residual <= BP_FEAS_TOL)
     if not done:
         raise ConvergenceFailure(
-            f"basis pursuit did not reach lam = 0 in {max_iter} steps", result)
+            f"basis pursuit did not reach lam = 0 in {BP_MAX_STEPS} steps", result)
     if not result.converged:
         raise ConvergenceFailure(
-            f"basis pursuit ends {residual:.3g} from y, above tol_feas={tol_feas:g}",
-            result)
+            f"basis pursuit ends {residual:.3g} from y, above {BP_FEAS_TOL:g}", result)
     return result
 
 
-def recover(Phi, Y, K: int, solver: str) -> list:
+def recover(A, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
     "omp" is one omp_batch call of at most K atoms.  "bp" runs
@@ -259,10 +236,10 @@ def recover(Phi, Y, K: int, solver: str) -> list:
     not converge comes back as its last iterate with converged=False.
     """
     if solver == "omp":
-        return omp_batch(Phi, Y, K, tol=1e-12)
+        return omp_batch(A, Y, K)
     if solver != "bp":
         raise InvalidInput(f"unknown solver {solver!r}")
-    A = _as_dense(Phi)
+    A = np.asarray(A, dtype=np.float64)
     results = []
     for y in np.asarray(Y, dtype=np.float64):
         try:
@@ -272,14 +249,15 @@ def recover(Phi, Y, K: int, solver: str) -> list:
     return results
 
 
-def gen_sparse_signal(M: int, k: int, seed) -> SparseSignal:
-    """k distinct uniform support indices, standard normal values."""
+def gen_sparse_signal(M: int, k: int, seed) -> np.ndarray:
+    """Length-M vector: k distinct uniform support indices, standard normal values."""
     if not 1 <= k <= M:
         raise InvalidInput(f"k={k} must be in 1..{M}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(M, size=k, replace=False))
-    values = rng.standard_normal(k)
-    return SparseSignal(M=M, support=support, values=values, seed=seed)
+    x = np.zeros(M)
+    x[support] = rng.standard_normal(k)
+    return x
 
 
 def gen_gaussian_matrix(m: int, M: int, seed) -> np.ndarray:

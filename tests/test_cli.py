@@ -146,8 +146,40 @@ def test_verify_unshapeable_empty_matrix_exits_1(tmp_path, capsys):
     bad.write_text("ESM v1 rows=4611686018427387904 cols=0 alphabet=binary "
                    "k=4611686018427387904\nx\n")
     assert run(["verify", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: counts ") and err.endswith(" out of range\n")
+    assert capsys.readouterr().err == (
+        "error: counts rows=4611686018427387904 cols=0 k=4611686018427387904 "
+        "out of range (line 1)\n")
+
+
+def _bad_support_esm(tmp_path):
+    """m.esm, and bad.esm: its copy whose column 2 (line 4) reads '1 x'."""
+    run(["gen", "--index", "3,2", "--out", str(tmp_path / "m.esm")])
+    lines = (tmp_path / "m.esm").read_text().splitlines()
+    lines[3] = "1 x"
+    (tmp_path / "bad.esm").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["gen", "--rows", "0", "--out", "{tmp}/o.esm"], 2,
+     "error: row size 0 must be >= 1\n"),
+    (["gen", "--rows", "-5", "--out", "{tmp}/o.esm"], 2,
+     "error: row size -5 must be >= 1\n"),
+    (["gen", "--rows", "5", "--out", "{tmp}/o.esm"], 3,
+     "error: row size 5 is below the smallest constructible (6)\n"),
+    (["verify", "{tmp}/bad.esm"], 1, "error: bad support token 'x' (line 4)\n"),
+    (["recover", "--matrix", "{tmp}/m.esm", "--y", "{tmp}/empty.csv",
+      "--out", "{tmp}/x.csv"], 1, "error: {tmp}/empty.csv: no measurements\n"),
+], ids=["gen_rows_0", "gen_rows_negative", "gen_rows_5", "verify_bad_token_line",
+        "recover_empty_y"])
+def test_exit_code_and_full_stderr(tmp_path, capsys, argv, code, err):
+    tmp = str(tmp_path)
+    _bad_support_esm(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    before = sorted(os.listdir(tmp))
+    capsys.readouterr()
+    assert run([a.format(tmp=tmp) for a in argv]) == code
+    assert capsys.readouterr().err == err.format(tmp=tmp)
+    assert sorted(os.listdir(tmp)) == before
 
 
 def test_bench_sweep(tmp_path):

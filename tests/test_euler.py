@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from eulercs.errors import Infeasible, InvalidInput
 from eulercs.euler import (EulerSquare, euler_square, factorize,
-                           macneish_product, mols_prime_power, reduce_degree,
+                           macneish_product, mols_prime_power,
                            validate_euler_square)
 from eulercs.fields import build_field
 
@@ -52,25 +52,8 @@ def test_mols_degree_bound():
         mols_prime_power(build_field(3, 1), 3)
 
 
-def test_reduce_degree_identity():
-    E = euler_square(3, 2)
-    assert reduce_degree(E, 2) is E
-
-
-def test_reduce_degree_validates():
-    E = mols_prime_power(build_field(5, 1), 4)
-    for k in (1, 2, 3):
-        R = reduce_degree(E, k)
-        assert R.k == k and validate_euler_square(R).ok
-
-
-def test_reduce_degree_bound():
-    with pytest.raises(InvalidInput, match="^k'=3 must satisfy 1 <= k' <= 2$"):
-        reduce_degree(euler_square(3, 2), 3)
-
-
 def test_macneish_product_12():
-    A = reduce_degree(mols_prime_power(build_field(2, 2), 3), 2)
+    A = mols_prime_power(build_field(2, 2), 2)
     B = mols_prime_power(build_field(3, 1), 2)
     P = macneish_product(A, B)
     assert P.n == 12 and P.k == 2
@@ -159,11 +142,15 @@ def test_product_pairs_validate():
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([(5, 4), (7, 6), (8, 7), (9, 8), (11, 10)]),
        st.data())
-def test_reduce_degree_always_valid(index, data):
+def test_lower_degree_is_a_valid_prefix(index, data):
+    # euler_square builds each component at degree k, which gives the
+    # first k coordinates of the full-degree square
     n, k = index
     E = euler_square(n, k)
     k_new = data.draw(st.integers(min_value=1, max_value=k))
-    assert validate_euler_square(reduce_degree(E, k_new)).ok
+    R = euler_square(n, k_new)
+    assert np.array_equal(R.cells, E.cells[:, :, :k_new])
+    assert validate_euler_square(R).ok
 
 
 @pytest.mark.parametrize("index, r, s, location", [

@@ -317,7 +317,7 @@ def test_patch_reconstruction_matches_per_patch_omp(matrix, levels):
     image[:8, :8] = 0.0                 # a patch measured as y = 0
     recon, _ = run_patch_reconstruction(image, A, 8, levels=levels)
     want = _per_patch_recon(image, A, 8, levels,
-                            lambda y: recovery.omp(A, y, 16, tol=1e-12))
+                            lambda y: recovery.omp_batch(A, y[None], 16)[0])
     assert np.array_equal(recon, want)
 
 

@@ -172,8 +172,7 @@ def test_report_serialization_round_trip():
     rep = coherence(euler_matrix(3, 2))
     text = rep.to_text()
     assert "coherence=0.5" in text
-    record = rep.to_record()
-    assert record["m"] == 6 and record["max_overlap"] == 1
+    assert "rows=6\n" in text and "max_overlap=1\n" in text
 
 
 # ---------------------------------------------------------------------------

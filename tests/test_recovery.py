@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulercs
+from eulercs import recovery
 from eulercs.construct import build_binary_matrix
 from eulercs.errors import ConvergenceFailure, EulerCSError, InvalidInput
 from eulercs.euler import euler_square
 from eulercs.recovery import (SNR_CAP_DB, TIE_RTOL, basis_pursuit,
                               gen_bernoulli_matrix, gen_gaussian_matrix,
-                              gen_sparse_signal, omp, omp_batch, recover, snr)
+                              gen_sparse_signal, omp_batch, recover, snr)
 
 
 @pytest.fixture(scope="module")
@@ -22,21 +23,21 @@ def A55():
 
 
 def test_omp_single_atom(A55):
-    result = omp(A55, A55[:, 5], K=1)
+    result = omp_batch(A55, A55[:, 5][None], 1)[0]
     assert result.support == [5]
     assert result.estimate[5] == pytest.approx(1.0)
     assert result.residual_norm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_omp_zero_measurement(A55):
-    result = omp(A55, np.zeros(55), K=3)
+    result = omp_batch(A55, np.zeros((1, 55)), 3)[0]
     assert result.iterations == 0
     assert not result.estimate.any()
 
 
 def test_omp_shape_check(A55):
     with pytest.raises(EulerCSError) as exc:
-        omp(A55, np.zeros(54), K=1)
+        omp_batch(A55, np.zeros((1, 54)), 1)
     assert type(exc.value) is EulerCSError
     assert str(exc.value) == "y has length 54, expected 55"
 
@@ -44,8 +45,8 @@ def test_omp_shape_check(A55):
 def test_omp_exact_within_guarantee(A55):
     # mu = 0.2 guarantees all 2-sparse signals
     for seed in range(25):
-        x = gen_sparse_signal(121, 2, (99, seed)).to_dense()
-        result = omp(A55, A55 @ x, K=2)
+        x = gen_sparse_signal(121, 2, (99, seed))
+        result = omp_batch(A55, (A55 @ x)[None], 2)[0]
         assert snr(x, result.estimate) >= 100.0
 
 
@@ -53,8 +54,8 @@ def test_omp_exact_within_guarantee(A55):
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(1, 2))
 def test_omp_guarantee_property(seed, k):
     A = build_binary_matrix(euler_square(11, 5)).to_dense().astype(float)
-    x = gen_sparse_signal(121, k, seed).to_dense()
-    result = omp(A, A @ x, K=k)
+    x = gen_sparse_signal(121, k, seed)
+    result = omp_batch(A, (A @ x)[None], k)[0]
     assert result.residual_norm <= 1e-9
     assert snr(x, result.estimate) >= 100.0
 
@@ -76,13 +77,13 @@ def _reference_omp(A, y, K, tol=1e-12):
 
 def _level_measurements(A, k, trials=12, seed=3):
     M = A.shape[1]
-    return np.stack([A @ gen_sparse_signal(M, k, (seed, k, t)).to_dense()
+    return np.stack([A @ gen_sparse_signal(M, k, (seed, k, t))
                      for t in range(trials)])
 
 
 def _assert_batch_matches_single(A, Y, K):
     for y, got in zip(Y, omp_batch(A, Y, K)):
-        one = omp(A, y, K)
+        one = omp_batch(A, y[None], K)[0]
         assert got.support == one.support == _reference_omp(A, y, K)
         assert got.iterations == one.iterations
         assert got.rank_deficient == one.rank_deficient
@@ -119,21 +120,21 @@ def test_omp_exact_tie_goes_to_lower_index(first):
     # both columns score 0.6 / ||(0.1, 0.2, 0.3)||; summation order rounds
     # one of the two up, and which one depends on the column order
     A = np.array([first, first[::-1], [1.0, -1.0, 0.0]]).T
-    assert omp(A, np.ones(3), 1).support == [0]
+    assert omp_batch(A, np.ones((1, 3)), 1)[0].support == [0]
 
 
 def test_omp_tie_pinned_euler_11_5():
     # seed 3, level 25, trial 6: at pick 25 columns 82 and 105 tie exactly
     A = build_binary_matrix(euler_square(11, 5)).to_dense().astype(float)
     Y = _level_measurements(A, 25, trials=7)
-    for result in (omp_batch(A, Y, 25)[6], omp(A, Y[6], 25)):
+    for result in (omp_batch(A, Y, 25)[6], omp_batch(A, Y[6][None], 25)[0]):
         assert 82 in result.support and 105 not in result.support
 
 
 def test_omp_batch_rejects_negative_k(A55):
     with pytest.raises(InvalidInput):
         omp_batch(A55, np.ones((2, 55)), -1)
-    result = omp(A55, A55[:, 5], 0)
+    result = omp_batch(A55, A55[:, 5][None], 0)[0]
     assert result.iterations == 0 and not result.estimate.any()
 
 
@@ -170,7 +171,7 @@ def test_omp_stops_before_a_dependent_column():
     # the first two picks span A's plane; the third best column lies in
     # it, so its pivot is rounding noise and the trial stops at two
     A, y = _rank_two_case()
-    result = omp(A, y, 3)
+    result = omp_batch(A, y[None], 3)[0]
     assert result.support == [0, 2] and result.iterations == 2
     assert result.rank_deficient
     assert np.all(np.isfinite(result.estimate))
@@ -182,7 +183,7 @@ def test_omp_stops_before_a_dependent_column():
 def test_omp_batch_matches_omp_on_a_dependent_column():
     A, y = _rank_two_case()
     Y = np.stack([y, A[:, 1], y])
-    one = omp(A, y, 3)
+    one = omp_batch(A, y[None], 3)[0]
     for got in omp_batch(A, Y, 3)[::2]:
         assert got.support == one.support
         assert got.rank_deficient and one.rank_deficient
@@ -199,9 +200,9 @@ def test_basis_pursuit_single_column(A55):
 
 def test_basis_pursuit_agrees_with_omp(A55):
     for seed in range(5):
-        x = gen_sparse_signal(121, 2, (7, seed)).to_dense()
+        x = gen_sparse_signal(121, 2, (7, seed))
         y = A55 @ x
-        xo = omp(A55, y, K=2).estimate
+        xo = omp_batch(A55, y[None], 2)[0].estimate
         xb = basis_pursuit(A55, y).estimate
         assert np.allclose(xb, xo, atol=1e-6)
         assert np.allclose(xb, x, atol=1e-6)
@@ -210,7 +211,7 @@ def test_basis_pursuit_agrees_with_omp(A55):
 def test_basis_pursuit_infeasible_raises(A55):
     y = np.ones(55)  # block-sum structure makes this unreachable exactly
     with pytest.raises(ConvergenceFailure) as exc:
-        basis_pursuit(A55, y + np.arange(55), max_iter=20, tol_feas=1e-14)
+        basis_pursuit(A55, y + np.arange(55))
     assert exc.value.result is not None
     assert exc.value.result.estimate.shape == (121,)
 
@@ -218,11 +219,22 @@ def test_basis_pursuit_infeasible_raises(A55):
 def test_basis_pursuit_support_holds_int(A55):
     converged = basis_pursuit(A55, A55[:, 3])
     with pytest.raises(ConvergenceFailure) as exc:
-        basis_pursuit(A55, np.ones(55) + np.arange(55), max_iter=20, tol_feas=1e-14)
+        basis_pursuit(A55, np.ones(55) + np.arange(55))
     for result in (converged, exc.value.result):
         assert result.support
         assert all(type(i) is int for i in result.support)
     assert converged.converged and not exc.value.result.converged
+
+
+def test_basis_pursuit_step_limit(A55, monkeypatch):
+    y = A55 @ gen_sparse_signal(121, 8, 5)
+    limit = basis_pursuit(A55, y).iterations - 1
+    monkeypatch.setattr(recovery, "BP_MAX_STEPS", limit)
+    with pytest.raises(ConvergenceFailure,
+                       match=f"^basis pursuit did not reach lam = 0 in {limit} steps$") as exc:
+        basis_pursuit(A55, y)
+    assert exc.value.result.iterations == limit
+    assert not exc.value.result.converged
 
 
 def test_recover_rejects_unknown_solver(A55):
@@ -249,7 +261,7 @@ def test_basis_pursuit_reaches_the_lp_optimum(A55, matrix):
     A = A55 if matrix == "euler_11_5" else gen_gaussian_matrix(55, 121, 7)
     for k in (4, 8, 12, 16, 20):
         for t in range(20):
-            y = A @ gen_sparse_signal(121, k, (7, k, t)).to_dense()
+            y = A @ gen_sparse_signal(121, k, (7, k, t))
             result = basis_pursuit(A, y)
             assert result.converged
             # min 1.(u + v) subject to A (u - v) = y, u, v >= 0
@@ -289,13 +301,15 @@ def test_recover_omp_is_one_omp_batch(A55):
 
 def test_gen_sparse_signal_distinct_support():
     sig = gen_sparse_signal(121, 3, 42)
-    assert len(set(sig.support.tolist())) == 3
-    assert sig.support.min() >= 0 and sig.support.max() < 121
+    support = np.flatnonzero(sig)
+    assert sig.shape == (121,)
+    assert len(set(support.tolist())) == 3
+    assert support.min() >= 0 and support.max() < 121
 
 
 def test_gen_sparse_signal_full_support():
     sig = gen_sparse_signal(7, 7, 0)
-    assert sorted(sig.support.tolist()) == list(range(7))
+    assert sorted(np.flatnonzero(sig).tolist()) == list(range(7))
 
 
 def test_gen_sparse_signal_bad_k():
@@ -308,8 +322,7 @@ def test_gen_sparse_signal_bad_k():
 def test_generators_deterministic(seed):
     a = gen_sparse_signal(50, 5, seed)
     b = gen_sparse_signal(50, 5, seed)
-    assert np.array_equal(a.support, b.support)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     assert np.array_equal(gen_gaussian_matrix(10, 20, seed),
                           gen_gaussian_matrix(10, 20, seed))
     assert np.array_equal(gen_bernoulli_matrix(10, 20, seed),
