@@ -6,10 +6,17 @@ Each batch of trials, and each recon image, is one recovery.recover call.
 A trial succeeds when its SNR reaches SUCCESS_DB.  Reports carry raw
 success counts next to percentages so statistical re-tests do not have
 to re-run the solver.
+
+Sweep levels and phase row sizes are shared among forked workers, one
+per CPU in the process's affinity mask (_fan_out).  Each level and row
+size runs exactly the calls a serial loop runs, so a report does not
+depend on the CPU count.
 """
 
 import json
 import math
+import os
+import pickle
 import re
 import time
 from dataclasses import asdict, dataclass
@@ -86,7 +93,7 @@ class MatrixSpec:
         if m < 1 or M < 1:
             raise InvalidInput(f"matrix shape {m}x{M} needs m >= 1 and M >= 1")
         if family in ("gaussian", "bernoulli"):
-            return cls(family=family, m=m, M=M, seed=seed)
+            return cls(family=family, m=m, M=M, seed=_check_seed(seed))
         if family != "euler":
             raise InvalidInput(f"no {family!r} matrix of a given shape")
         n = math.isqrt(M)
@@ -100,6 +107,15 @@ class MatrixSpec:
         if self.family not in _FAMILIES:
             raise InvalidInput(f"{self.family!r} is not a deterministic matrix family")
         return _FAMILIES[self.family][1](self)
+
+
+def _check_seed(seed):
+    """seed, refused with InvalidInput where numpy would refuse it with a
+    raw ValueError: an integer, or a part of a tuple seed, below 0."""
+    if any(part is not None and part < 0
+           for part in (seed if isinstance(seed, tuple) else (seed,))):
+        raise InvalidInput(f"seed {seed} must be >= 0")
+    return seed
 
 
 def make_matrix(spec: MatrixSpec) -> np.ndarray:
@@ -128,6 +144,7 @@ class SweepConfig:
             raise InvalidInput("trials must be >= 1")
         if not self.sparsity_levels:
             raise InvalidInput("need at least one sparsity level")
+        _check_seed(self.master_seed)
 
 
 @dataclass(eq=False)
@@ -153,6 +170,87 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
+def _cpus():
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(fn, items, share):
+    """{index: fn(items[index])} over `share` in index order, and the
+    (index, exception) that stopped it, or None."""
+    results = {}
+    for i in sorted(share):
+        try:
+            results[i] = fn(items[i])
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fan_out(fn, items, cost):
+    """[fn(x) for x in items], the items spread over every CPU.
+
+    The items are dealt, largest cost(x) first, to the least-loaded of
+    min(CPUs, len(items)) shares.  This process runs share 0; every
+    other share runs in an os.fork() child, which pickles its results,
+    or the exception that stopped it, into a pipe.  A child always ends
+    in os._exit, so it never returns into the caller and never flushes
+    the stdio buffers it inherited.  Every pipe is read to EOF and
+    every child reaped, even when share 0 raised.  Then the failure of
+    the lowest-indexed item, the one a serial loop would meet first, is
+    raised; a child that ended without a result raises EulerCSError.
+    Forking is safe while the process runs no other thread, and the
+    package starts none.
+    """
+    items = list(items)
+    shares = [[] for _ in range(min(_cpus(), len(items)) or 1)]
+    loads = [0] * len(shares)
+    for i in sorted(range(len(items)), key=lambda i: -cost(items[i])):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += cost(items[i])
+    children, ended, outcomes = [], [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(fn, items, share), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd, share))
+        outcomes.append(_run_share(fn, items, shares[0]))
+    finally:
+        for pid, read_fd, share in children:
+            with os.fdopen(read_fd, "rb") as pipe:
+                payload = pipe.read()
+            ended.append((pid, os.waitpid(pid, 0)[1], payload, share))
+    for pid, status, payload, share in ended:
+        status = os.waitstatus_to_exitcode(status)
+        if status == 0:
+            outcomes.append(pickle.loads(payload))
+        else:
+            outcomes.append(({}, (min(share), EulerCSError(
+                f"worker {pid} ended with status {status} and no result"))))
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = {i: value for done, _ in outcomes for i, value in done.items()}
+    return [results[i] for i in range(len(items))]
+
+
 def _trial_outcomes(A, k, solver, seeds):
     """Whether each seed's k-sparse trial reaches SUCCESS_DB."""
     signals = [recovery.gen_sparse_signal(A.shape[1], k, s) for s in seeds]
@@ -164,7 +262,8 @@ def _trial_outcomes(A, k, solver, seeds):
 def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     """Success percentage per sparsity level (SNR >= SUCCESS_DB counts).
 
-    Every level is checked against 1..min(m, M) before any trial runs.
+    Every level is checked against 1..min(m, M) before any trial runs;
+    the levels then run through _fan_out, each costed by its sparsity.
     """
     t0 = time.perf_counter()
     A = make_matrix(cfg.matrix)
@@ -172,14 +271,16 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     for level in cfg.sparsity_levels:
         if not 1 <= level <= top:
             raise InvalidInput(f"sparsity level {level} outside 1..{top}")
-    rows = []
-    for level in cfg.sparsity_levels:
+
+    def level_row(level):
         successes = sum(_trial_outcomes(A, level, cfg.solver,
                                         [(cfg.master_seed, level, t)
                                          for t in range(cfg.trials)]))
-        rows.append({"k": int(level), "successes": int(successes),
-                     "trials": cfg.trials,
-                     "success_pct": 100.0 * successes / cfg.trials})
+        return {"k": int(level), "successes": int(successes),
+                "trials": cfg.trials,
+                "success_pct": 100.0 * successes / cfg.trials}
+
+    rows = _fan_out(level_row, cfg.sparsity_levels, cost=lambda level: level)
     report = ExperimentReport(kind="sweep",
                               config={**asdict(cfg), "threshold_db": SUCCESS_DB},
                               rows=rows)
@@ -220,7 +321,8 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
 
     Emits one (m/M, k/M) point per row size, on MatrixSpec.of_shape(family,
     m, M, (master_seed, m)); every shape is checked before any trial runs.
-    The scan stops at k = min(m, M).
+    The row sizes then run through _fan_out, each costed by m and
+    building its own matrix.  The scan stops at k = min(m, M).
     """
     if not 0.0 <= fraction <= 1.0:
         raise InvalidInput(f"fraction {fraction!r} must lie in [0, 1]")
@@ -228,10 +330,13 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
         raise InvalidInput("trials must be >= 1")
     if not row_sizes:
         raise InvalidInput("need at least one row size")
+    _check_seed(master_seed)
     specs = [MatrixSpec.of_shape(family, m, M, (master_seed, m)) for m in row_sizes]
     t0 = time.perf_counter()
-    rows = []
-    for m, A in zip(row_sizes, map(make_matrix, specs)):
+
+    def row_scan(shape):
+        m, spec = shape
+        A = make_matrix(spec)
         k_star = 0
         k = 1
         while k <= min(m, M):
@@ -241,8 +346,10 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
                 k += 1
             else:
                 break
-        rows.append({"m": int(m), "delta": m / M,
-                     "k_star": int(k_star), "k_frac": k_star / M})
+        return {"m": int(m), "delta": m / M,
+                "k_star": int(k_star), "k_frac": k_star / M}
+
+    rows = _fan_out(row_scan, zip(row_sizes, specs), cost=lambda shape: shape[0])
     report = ExperimentReport(kind="phase",
                               config={"M": M, "row_sizes": list(row_sizes),
                                       "fraction": fraction, "trials": trials,

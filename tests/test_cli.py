@@ -286,8 +286,25 @@ def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
       "--trials", "3"], 0, "report written to {tmp}/o.json / {tmp}/o.csv (<s>)\n"),
     (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8"],
      1, "error: SNR undefined for the zero signal\n"),
+    # numpy refuses a negative seed with a raw ValueError
+    (["bench", "sweep", "--index", "11,5", "--kmax", "2", "--trials", "3",
+      "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
+    (["bench", "sweep", "--family", "gaussian", "--m", "20", "--M", "40",
+      "--kmax", "2", "--trials", "3", "--seed", "-1"], 2,
+     "error: seed -1 must be >= 0\n"),
+    (["bench", "phase", "--M", "121", "--rows", "22,33", "--trials", "3",
+      "--seed", "-2"], 2, "error: seed -2 must be >= 0\n"),
+    (["bench", "phase", "--family", "gaussian", "--M", "121", "--rows", "22,33",
+      "--trials", "3", "--seed", "-2"], 2, "error: seed -2 must be >= 0\n"),
+    (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8",
+      "--family", "gaussian", "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
+    (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8",
+      "--family", "bernoulli", "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
 ], ids=["recon_levels_above_depth", "recon_patch_not_power_of_two",
-        "sweep_level_above_M", "phase_rows_above_M", "recon_zero_image"])
+        "sweep_level_above_M", "phase_rows_above_M", "recon_zero_image",
+        "sweep_euler_negative_seed", "sweep_gaussian_negative_seed",
+        "phase_euler_negative_seed", "phase_gaussian_negative_seed",
+        "recon_gaussian_negative_seed", "recon_bernoulli_negative_seed"])
 def test_bench_limits_exit_code_and_stderr(tmp_path, capsys, monkeypatch, argv,
                                            code, err):
     tmp = str(tmp_path)
@@ -300,6 +317,30 @@ def test_bench_limits_exit_code_and_stderr(tmp_path, capsys, monkeypatch, argv,
             == err.format(tmp=tmp))
     if code:
         assert sorted(os.listdir(tmp)) == ["in16.pgm", "in24.pgm"]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.InvalidInput("level refused in a worker"), 2),
+    (MemoryError("Unable to allocate 9.0 GiB"), 3),
+], ids=["InvalidInput", "MemoryError"])
+def test_bench_sweep_worker_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                      exc, code):
+    parent = os.getpid()
+    outcomes = experiments._trial_outcomes
+
+    def fail_in_worker(*args):
+        if os.getpid() != parent:
+            raise exc
+        return outcomes(*args)
+
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_trial_outcomes", fail_in_worker)
+    assert run(["bench", "sweep", "--index", "11,5", "--kmax", "3", "--trials", "2",
+                "--out", str(tmp_path / "s")]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # every worker was reaped
 
 
 @pytest.mark.parametrize("kmax", ["0", "-2"])

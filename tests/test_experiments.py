@@ -1,10 +1,13 @@
+import inspect
 import math
+import os
+import pickle
 import re
 
 import numpy as np
 import pytest
 
-from eulercs import recovery
+from eulercs import errors, experiments, recovery
 from eulercs.construct import build_binary_matrix
 from eulercs.errors import (ConvergenceFailure, EulerCSError, Infeasible,
                             InvalidInput, ParseError)
@@ -15,6 +18,7 @@ from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fractio
                                  run_phase_transition, run_sweep)
 from eulercs.imaging import (PatchGrid, haar_forward, haar_inverse, patchify,
                              unpatchify)
+from eulercs.recovery import RecoveryResult
 
 
 def small_sweep(seed=7, trials=25, levels=(1, 2, 3)):
@@ -227,6 +231,98 @@ def test_phase_transition_checks_every_shape_before_any_trial(monkeypatch):
     monkeypatch.setattr(recovery, "recover", lambda *a: pytest.fail("solver ran"))
     with pytest.raises(Infeasible, match=_no_euler(23, 121)):
         run_phase_transition(121, [22, 23], trials=1)
+
+
+# Each run fans out over several items: sweep levels or phase row sizes.
+FAN_OUT_RUNS = {
+    "omp_euler_11_5": (8, lambda: run_sweep(small_sweep(trials=10,
+                                                        levels=tuple(range(1, 9))))),
+    "omp_gaussian_55x121": (8, lambda: run_sweep(SweepConfig(
+        MatrixSpec.of_shape("gaussian", 55, 121, 7), tuple(range(1, 9)),
+        trials=10, master_seed=7))),
+    "bp_euler_11_5": (4, lambda: run_sweep(SweepConfig(
+        MatrixSpec(family="euler", n=11, k=5), (1, 2, 4, 8), trials=5,
+        solver="bp", master_seed=7))),
+    "phase_euler": (3, lambda: run_phase_transition(121, [22, 33, 44], trials=10,
+                                                    master_seed=7)),
+    "phase_gaussian": (3, lambda: run_phase_transition(
+        121, [22, 33, 44], trials=10, master_seed=7, family="gaussian")),
+}
+
+
+@pytest.mark.parametrize("name", FAN_OUT_RUNS)
+def test_fan_out_report_does_not_depend_on_the_cpu_count(monkeypatch, name):
+    items, run = FAN_OUT_RUNS[name]
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    reports = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+        forks.clear()
+        reports[cpus] = run().to_json()
+        assert len(forks) == min(cpus, items) - 1
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+
+
+def test_fan_out_forks_nothing_for_one_cpu_or_one_item(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(experiments, "_cpus", lambda: 1)
+    run_sweep(small_sweep(trials=2))
+    run_phase_transition(121, [22, 33], trials=2)
+    monkeypatch.setattr(experiments, "_cpus", lambda: 3)
+    run_sweep(small_sweep(trials=2, levels=(3,)))
+    run_phase_transition(121, [33], trials=2)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fan_out_raises_the_failure_a_serial_loop_meets_first(monkeypatch, cpus):
+    # levels 2 and 3 fail: with 2 or 3 CPUs, level 3 fails in this
+    # process and level 2 in a worker
+    def refuse(A, k, solver, seeds):
+        if k > 1:
+            raise InvalidInput(f"level {k} refused")
+        return [True] * len(seeds)
+
+    monkeypatch.setattr(experiments, "_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "_trial_outcomes", refuse)
+    with pytest.raises(InvalidInput, match="^level 2 refused$"):
+        run_sweep(small_sweep(trials=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # every worker was reaped
+
+
+def test_fan_out_worker_without_a_result_raises(monkeypatch):
+    parent = os.getpid()
+
+    def die_in_worker(A, k, solver, seeds):
+        if os.getpid() != parent:
+            os._exit(1)
+        return [True] * len(seeds)
+
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_trial_outcomes", die_in_worker)
+    with pytest.raises(EulerCSError, match="ended with status 1 and no result") as info:
+        run_sweep(small_sweep(trials=2))
+    assert type(info.value) is EulerCSError
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_every_error_class_survives_pickling():
+    result = RecoveryResult(np.array([0.0, 2.5]), [1], 0.25, 7, converged=False)
+    raised = [EulerCSError("a"), Infeasible("b"), InvalidInput("c"),
+              ParseError("d", line=4), ConvergenceFailure("e", result)]
+    assert {type(exc) for exc in raised} == {
+        cls for cls in vars(errors).values()
+        if inspect.isclass(cls) and issubclass(cls, Exception)}
+    for exc in raised:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+    assert pickle.loads(pickle.dumps(raised[3])).line == 4
+    back = pickle.loads(pickle.dumps(raised[4])).result
+    assert np.array_equal(back.estimate, result.estimate)
+    assert (back.support, back.residual_norm, back.iterations, back.converged) == \
+        ([1], 0.25, 7, False)
 
 
 def test_of_shape_euler_is_the_index_square():
