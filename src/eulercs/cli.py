@@ -25,8 +25,7 @@ import warnings
 import numpy as np
 
 from . import __version__, construct, experiments, imaging, props, recovery
-from .errors import (ConvergenceFailure, EulerCSError, Infeasible,
-                     InvalidInput, ParseError)
+from .errors import EulerCSError, Infeasible, InvalidInput, ParseError
 from .euler import EulerSquare, validate_euler_square
 
 
@@ -253,8 +252,8 @@ def cmd_recover(args):
     K = args.k if args.k is not None else mat.m // 2
     result = recovery.recover(mat.to_dense(), y[None], K, args.solver)[0]
     if not result.converged:
-        raise ConvergenceFailure(f"{args.solver} did not converge: "
-                                 f"residual={result.residual_norm:.3e}")
+        raise EulerCSError(f"{args.solver} did not converge: "
+                           f"residual={result.residual_norm:.3e}")
     np.savetxt(args.out, result.estimate[None, :], delimiter=",")
     _write_manifest(args.out, "recover", args, None, [args.matrix, args.y],
                     [args.out], 0.0)

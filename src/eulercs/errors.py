@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-An error's class is its CLI exit code: InvalidInput exits 2, Infeasible
-exits 3, and every other EulerCSError, ParseError and ConvergenceFailure
-among them, exits 1.
+Four classes.  An error's class is its CLI exit code: InvalidInput
+exits 2, Infeasible exits 3, and every other EulerCSError, ParseError
+among them, exits 1.  A solver that does not converge raises nothing:
+it returns its last iterate with converged=False.
 """
 
 
@@ -24,14 +25,6 @@ class ParseError(EulerCSError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-
-
-class ConvergenceFailure(EulerCSError):
-    """Solver did not converge; carries the best iterate found."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
 
 
 def decode_utf8(data: bytes, line: int = 1) -> str:

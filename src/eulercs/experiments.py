@@ -144,6 +144,8 @@ class SweepConfig:
             raise InvalidInput("trials must be >= 1")
         if not self.sparsity_levels:
             raise InvalidInput("need at least one sparsity level")
+        if self.solver not in recovery.SOLVERS:
+            raise InvalidInput(f"unknown solver {self.solver!r}")
         _check_seed(self.master_seed)
 
 
@@ -330,6 +332,8 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
         raise InvalidInput("trials must be >= 1")
     if not row_sizes:
         raise InvalidInput("need at least one row size")
+    if solver not in recovery.SOLVERS:
+        raise InvalidInput(f"unknown solver {solver!r}")
     _check_seed(master_seed)
     specs = [MatrixSpec.of_shape(family, m, M, (master_seed, m)) for m in row_sizes]
     t0 = time.perf_counter()

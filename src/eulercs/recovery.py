@@ -1,7 +1,10 @@
 """Sparse recovery solvers, signal/baseline generators and the SNR metric.
 
 recover is the one entry point that maps a solver name in SOLVERS to a
-solver; the harness and the CLI reach the solvers only through it.
+solver; the harness and the CLI reach the solvers only through it.  It
+checks every solver's input once, before any solve, and a solver then
+reports a failed trial only on its result: the trial returns its last
+iterate with converged=False or rank_deficient=True instead of raising.
 There is one orthogonal matching pursuit, omp_batch, which runs every
 trial that shares a matrix at once: each iteration picks one atom per
 trial from a single product R @ A, ties within TIE_RTOL going to the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EulerCSError, InvalidInput
+from .errors import EulerCSError, InvalidInput
 
 SNR_CAP_DB = 310.0
 TIE_RTOL = 1e-9        # OMP scores and homotopy breakpoints this close count as tied
@@ -71,19 +74,10 @@ def omp_batch(A, Y, K: int) -> list:
     and the trial is flagged rank_deficient.  A trial's estimate is its
     last c and its residual_norm is the norm of its last residual; no
     least-squares fit is solved afresh.  The Gram A^T A is never
-    formed; the state takes (m + K) * K floats per trial.
+    formed; the state takes (m + K) * K floats per trial.  A and Y are
+    the float arrays recover has checked.
     """
-    A = np.asarray(A, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
     m, M = A.shape
-    if Y.ndim != 2:
-        raise EulerCSError(f"Y has shape {Y.shape}, expected (trials, {m})")
-    if Y.shape[1] != m:
-        raise EulerCSError(f"y has length {Y.shape[1]}, expected {m}")
-    if K < 0:
-        raise InvalidInput(f"K={K} is negative")
-    if K > m:
-        raise InvalidInput(f"K={K} exceeds row count {m}")
     norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
         raise InvalidInput("matrix has a zero column")
@@ -169,15 +163,12 @@ def basis_pursuit(A, y) -> RecoveryResult:
          reach 0, or 0.  A step within TIE_RTOL * lam0 (lam0 the first
          lam) of lam itself goes all the way to lam = 0 and ends the path.
     The estimate is then the exact fit of y on the final active set.
-    Each pass is one step.  Deterministic.  Raises ConvergenceFailure
-    (carrying the last iterate) when BP_MAX_STEPS steps do not reach
-    lam = 0, or when the fit leaves a residual above BP_FEAS_TOL.
+    Each pass is one step.  Deterministic.  Returns the last iterate
+    with converged=False when BP_MAX_STEPS steps do not reach lam = 0,
+    or when the fit leaves a residual above BP_FEAS_TOL.  A and y are
+    float arrays of matching shape, as recover passes them.
     """
-    A = np.asarray(A, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    m, M = A.shape
-    if y.shape[0] != m:
-        raise EulerCSError(f"y has length {y.shape[0]}, expected {m}")
+    M = A.shape[1]
     x = np.zeros(M)
     sign = np.zeros(M)                          # nonzero exactly on the active set
     lam = lam0 = float(np.abs(A.T @ y).max(initial=0.0))
@@ -216,37 +207,42 @@ def basis_pursuit(A, y) -> RecoveryResult:
     if done:
         x[S] = np.linalg.solve(A[:, S].T @ A[:, S], A[:, S].T @ y)
     residual = float(np.linalg.norm(A @ x - y))
-    result = RecoveryResult(estimate=x, support=[int(j) for j in S],
-                            residual_norm=residual, iterations=it,
-                            converged=done and residual <= BP_FEAS_TOL)
-    if not done:
-        raise ConvergenceFailure(
-            f"basis pursuit did not reach lam = 0 in {BP_MAX_STEPS} steps", result)
-    if not result.converged:
-        raise ConvergenceFailure(
-            f"basis pursuit ends {residual:.3g} from y, above {BP_FEAS_TOL:g}", result)
-    return result
+    return RecoveryResult(estimate=x, support=[int(j) for j in S],
+                          residual_norm=residual, iterations=it,
+                          converged=done and residual <= BP_FEAS_TOL)
 
 
 def recover(A, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
-    "omp" is one omp_batch call of at most K atoms.  "bp" runs
-    basis_pursuit row by row (K unused) on one dense A; a row that does
-    not converge comes back as its last iterate with converged=False.
+    Before any solve, for every solver: an unknown name and a K outside
+    0..m raise InvalidInput; a Y that is not (trials, m), and a nan or
+    inf in A or Y, raise EulerCSError.  A Y of no rows returns [].
+    "omp" is then one omp_batch call of at most K atoms; "bp" runs
+    basis_pursuit row by row (K unused).  A solve that fails shows only
+    in its result's converged and rank_deficient flags.
     """
-    if solver == "omp":
-        return omp_batch(A, Y, K)
-    if solver != "bp":
+    if solver not in SOLVERS:
         raise InvalidInput(f"unknown solver {solver!r}")
     A = np.asarray(A, dtype=np.float64)
-    results = []
-    for y in np.asarray(Y, dtype=np.float64):
-        try:
-            results.append(basis_pursuit(A, y))
-        except ConvergenceFailure as exc:
-            results.append(exc.result)
-    return results
+    Y = np.asarray(Y, dtype=np.float64)
+    m = A.shape[0]
+    if Y.ndim != 2:
+        raise EulerCSError(f"Y has shape {Y.shape}, expected (trials, {m})")
+    if Y.shape[1] != m:
+        raise EulerCSError(f"y has length {Y.shape[1]}, expected {m}")
+    for name, array in (("A", A), ("Y", Y)):
+        if not np.isfinite(array).all():
+            raise EulerCSError(f"{name} has a nan or inf entry")
+    if K < 0:
+        raise InvalidInput(f"K={K} is negative")
+    if K > m:
+        raise InvalidInput(f"K={K} exceeds row count {m}")
+    if not len(Y):
+        return []
+    if solver == "omp":
+        return omp_batch(A, Y, K)
+    return [basis_pursuit(A, y) for y in Y]
 
 
 def gen_sparse_signal(M: int, k: int, seed) -> np.ndarray:

@@ -412,17 +412,24 @@ def test_recover(tmp_path):
     assert np.allclose(xhat, x, atol=1e-8)
 
 
+@pytest.mark.parametrize("solver", recovery.SOLVERS)
 @pytest.mark.parametrize("y_text, k, code", [
     ("1,abc\n", "2", 1),
     (None, "-3", 2),
-], ids=["non_numeric_y", "negative_k"])
-def test_recover_fails_closed(tmp_path, y_text, k, code):
+    (None, "99", 2),
+], ids=["non_numeric_y", "negative_k", "k_above_rows"])
+def test_recover_fails_closed(tmp_path, capsys, y_text, k, code, solver):
     mat = str(tmp_path / "m.esm")
     run(["gen", "--index", "11,5", "--out", mat])
     yfile = tmp_path / "y.csv"
     yfile.write_text(y_text or ",".join(["1"] * 55) + "\n")
-    assert run(["recover", "--matrix", mat, "--y", str(yfile), "--k", k,
-                "--out", str(tmp_path / "xhat.csv")]) == code
+    out = tmp_path / "xhat.csv"
+    capsys.readouterr()
+    assert run(["recover", "--matrix", mat, "--y", str(yfile), "--solver", solver,
+                "--k", k, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("solver", recovery.SOLVERS)
@@ -462,7 +469,8 @@ def test_recover_bp_fails_closed(tmp_path, capsys, feasible):
         assert err.startswith("support=[4, 77] ")
     else:
         assert code == 1 and not out.exists()
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: bp did not converge: residual=")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, path", [

@@ -9,8 +9,7 @@ import pytest
 
 from eulercs import errors, experiments, recovery
 from eulercs.construct import build_binary_matrix
-from eulercs.errors import (ConvergenceFailure, EulerCSError, Infeasible,
-                            InvalidInput, ParseError)
+from eulercs.errors import EulerCSError, Infeasible, InvalidInput, ParseError
 from eulercs.euler import euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
                                  _trial_outcomes, make_matrix,
@@ -18,7 +17,6 @@ from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fractio
                                  run_phase_transition, run_sweep)
 from eulercs.imaging import (PatchGrid, haar_forward, haar_inverse, patchify,
                              unpatchify)
-from eulercs.recovery import RecoveryResult
 
 
 def small_sweep(seed=7, trials=25, levels=(1, 2, 3)):
@@ -274,6 +272,17 @@ def test_fan_out_forks_nothing_for_one_cpu_or_one_item(monkeypatch):
     run_phase_transition(121, [33], trials=2)
 
 
+def test_unknown_solver_is_refused_before_any_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(recovery, "gen_sparse_signal", lambda *a: pytest.fail("drew"))
+    monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+    with pytest.raises(InvalidInput, match="^unknown solver 'lasso'$"):
+        run_sweep(SweepConfig(matrix=MatrixSpec(family="euler", n=11, k=5),
+                              sparsity_levels=(1, 2), trials=2, solver="lasso"))
+    with pytest.raises(InvalidInput, match="^unknown solver 'lasso'$"):
+        run_phase_transition(121, [22, 33], trials=2, solver="lasso")
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_fan_out_raises_the_failure_a_serial_loop_meets_first(monkeypatch, cpus):
     # levels 2 and 3 fail: with 2 or 3 CPUs, level 3 fails in this
@@ -309,9 +318,8 @@ def test_fan_out_worker_without_a_result_raises(monkeypatch):
 
 
 def test_every_error_class_survives_pickling():
-    result = RecoveryResult(np.array([0.0, 2.5]), [1], 0.25, 7, converged=False)
     raised = [EulerCSError("a"), Infeasible("b"), InvalidInput("c"),
-              ParseError("d", line=4), ConvergenceFailure("e", result)]
+              ParseError("d", line=4)]
     assert {type(exc) for exc in raised} == {
         cls for cls in vars(errors).values()
         if inspect.isclass(cls) and issubclass(cls, Exception)}
@@ -319,10 +327,6 @@ def test_every_error_class_survives_pickling():
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is type(exc) and str(back) == str(exc)
     assert pickle.loads(pickle.dumps(raised[3])).line == 4
-    back = pickle.loads(pickle.dumps(raised[4])).result
-    assert np.array_equal(back.estimate, result.estimate)
-    assert (back.support, back.residual_norm, back.iterations, back.converged) == \
-        ([1], 0.25, 7, False)
 
 
 def test_of_shape_euler_is_the_index_square():
@@ -421,12 +425,7 @@ def test_patch_reconstruction_bp_matches_per_patch_bp():
     A = build_binary_matrix(euler_square(8, 4)).to_dense().astype(float)
     image = np.random.default_rng(4).integers(0, 256, (16, 16)).astype(float)
 
-    def solve(y):
-        try:
-            return recovery.basis_pursuit(A, y)
-        except ConvergenceFailure as exc:
-            return exc.result
-
     recon, report = run_patch_reconstruction(image, A, 8, solver="bp")
-    assert np.array_equal(recon, _per_patch_recon(image, A, 8, None, solve))
+    want = _per_patch_recon(image, A, 8, None, lambda y: recovery.basis_pursuit(A, y))
+    assert np.array_equal(recon, want)
     assert report.config["solver"] == "bp"
