@@ -30,11 +30,17 @@ def test_omp_single_atom(A55):
 
 
 def test_omp_zero_measurement(A55):
-    # y = 0 stops before the first pick, and so does K = 0
-    for y, K in ((np.zeros(55), 3), (A55[:, 5], 0)):
-        result = omp_batch(A55, y[None], K)[0]
-        assert result.iterations == 0
-        assert not result.estimate.any()
+    result = omp_batch(A55, np.zeros((1, 55)), 3)[0]
+    assert result.iterations == 0
+    assert not result.estimate.any()
+
+
+def test_omp_shape_check(A55):
+    # the check lives in recover, ahead of omp_batch
+    with pytest.raises(EulerCSError) as exc:
+        recover(A55, np.zeros((1, 54)), 1, "omp")
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "y has length 54, expected 55"
 
 
 def _with(a, where, value):
@@ -154,6 +160,14 @@ def test_omp_tie_pinned_euler_11_5():
     Y = _level_measurements(A, 25, trials=7)
     for result in (omp_batch(A, Y, 25)[6], omp_batch(A, Y[6][None], 25)[0]):
         assert 82 in result.support and 105 not in result.support
+
+
+def test_omp_batch_rejects_negative_k(A55):
+    # recover refuses K < 0 before omp_batch runs; K = 0 stops before the first pick
+    with pytest.raises(InvalidInput):
+        recover(A55, np.ones((2, 55)), -1, "omp")
+    result = omp_batch(A55, A55[:, 5][None], 0)[0]
+    assert result.iterations == 0 and not result.estimate.any()
 
 
 @pytest.mark.parametrize("make, levels", [
