@@ -250,7 +250,7 @@ def cmd_recover(args):
     if not np.isfinite(y).all():
         raise ParseError(f"{args.y}: measurements must be finite numbers")
     K = args.k if args.k is not None else mat.m // 2
-    result = recovery.recover(mat.to_dense(), y[None], K, args.solver)[0]
+    result = recovery.recover(mat, y[None], K, args.solver)[0]
     if not result.converged:
         raise EulerCSError(f"{args.solver} did not converge: "
                            f"residual={result.residual_norm:.3e}")

@@ -57,6 +57,15 @@ class SensingMatrix:
         return self._dense
 
     @property
+    def shape(self) -> tuple:
+        """(m, M), the shape of `to_dense()`."""
+        return self.m, self.M
+
+    def __matmul__(self, x):
+        """`to_dense() @ x`, so a measurement is the dense product's bits."""
+        return self.to_dense() @ x
+
+    @property
     def density(self) -> float:
         return (self.M * self.k) / (self.m * self.M)
 

@@ -118,15 +118,17 @@ def _check_seed(seed):
     return seed
 
 
-def make_matrix(spec: MatrixSpec) -> np.ndarray:
-    """Dense float measurement matrix for a MatrixSpec, read only for every
-    family, as `SensingMatrix.to_dense()` returns it; copy it to write."""
+def make_matrix(spec: MatrixSpec):
+    """The measurement matrix a MatrixSpec names: the SensingMatrix
+    spec.build() gives for a deterministic family, whose supports OMP
+    scores, or a read-only float array for gaussian and bernoulli; copy
+    the array to write.  Either has .shape and measures by `A @ x`."""
     if spec.family == "gaussian":
         A = recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
     elif spec.family == "bernoulli":
         A = recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
     else:
-        return spec.build().to_dense()
+        return spec.build()
     A.flags.writeable = False
     return A
 
@@ -367,7 +369,8 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
 
 def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
                              levels: int = None, solver: str = "omp"):
-    """Compress every patch through Phi and reconstruct it back.
+    """Compress every patch through Phi, a SensingMatrix or a float
+    array, and reconstruct it back.
 
     The patch stack is Haar-transformed in one call, every patch is
     measured as y = Phi @ w, one recovery.recover call of m // 2 atoms
@@ -376,15 +379,14 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
     report with the whole-image SNR and the down-sampling factor M/m.
     """
     t0 = time.perf_counter()
-    A = Phi.to_dense() if isinstance(Phi, SensingMatrix) else np.asarray(Phi, float)
-    m, M = A.shape
+    m, M = Phi.shape
     if M != patch * patch:
         raise EulerCSError(f"matrix has {M} columns, patch {patch} needs {patch * patch}")
     grid, patches = patchify(image, patch)
     K = m // 2
-    # one product per patch: a single A @ W.T need not round the same way
-    Y = np.stack([A @ w for w in haar_forward(patches, levels)])
-    results = recovery.recover(A, Y, K, solver)
+    # one product per patch: a single Phi @ W.T need not round the same way
+    Y = np.stack([Phi @ w for w in haar_forward(patches, levels)])
+    results = recovery.recover(Phi, Y, K, solver)
     recon = unpatchify(grid, haar_inverse(np.stack([r.estimate for r in results]),
                                           levels))
     snr_db = recovery.snr(np.asarray(image, float).ravel(), recon.ravel())

@@ -7,16 +7,28 @@ reports a failed trial only on its result: the trial returns its last
 iterate with converged=False or rank_deficient=True instead of raising.
 There is one orthogonal matching pursuit, omp_batch, which runs every
 trial that shares a matrix at once: each iteration picks one atom per
-trial from a single product R @ A, ties within TIE_RTOL going to the
-lowest index, and updates an inverse Gram of the selected columns by a
-rank-one step instead of re-solving least squares.  The coefficients
-that inverse gives are each trial's estimate; a pick whose column lies
-within PIVOT_RTOL of the span already held ends the trial instead.
-basis_pursuit is the l1 homotopy, one measurement vector at a time:
-its joins and leaves break ties by the same TIE_RTOL and lowest-index
-rule, and its estimate is the exact fit on the active set it ends with,
-exact to rounding once that set is the signal's support.  Every solver
-takes the matrix as an array.
+trial from one scoring |A^T r| of every column, ties within TIE_RTOL
+going to the lowest index, and updates an inverse Gram of the selected
+columns by a rank-one step instead of re-solving least squares.  The
+coefficients that inverse gives are each trial's estimate; a pick whose
+column lies within PIVOT_RTOL of the span already held ends the trial
+instead.  basis_pursuit is the l1 homotopy, one measurement vector at a
+time: its joins and leaves break ties by the same TIE_RTOL and
+lowest-index rule, and its estimate is the exact fit on the active set
+it ends with, exact to rounding once that set is the signal's support.
+
+recover and omp_batch take the matrix as a SensingMatrix or as an array.
+For a SensingMatrix, OMP scores its k supports per column instead of the
+dense product R @ A, k terms per column where the product takes m: each
+iteration gathers the residual at every column's k rows in one take,
+multiplies by the values unless all are 1, and sums the k terms in
+ascending row order.  Those are the nonzero terms that a product adds,
+in its row order; its other terms are exact zeros, and adding a zero
+changes no sum, so the two scores differ at most by the rounding order
+a BLAS kernel may take, far inside TIE_RTOL.  The column norms are the
+square roots of the summed squared values.  Picked columns,
+coefficients and residuals still come from the matrix's one cached
+dense array, and basis pursuit runs on that array.
 
 All randomness flows through numpy's default_rng (PCG64); a seed may be
 a single integer or a sequence of integers (master seed plus substream
@@ -32,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construct import SensingMatrix
 from .errors import EulerCSError, InvalidInput
 
 SNR_CAP_DB = 310.0
@@ -61,9 +74,11 @@ def omp_batch(A, Y, K: int) -> list:
     """Orthogonal matching pursuit on every row of Y, one result per row.
 
     All trials share A, so each iteration scores every active trial
-    with one product R @ A: the pick maximizes |<phi_j, r>| / ||phi_j||,
-    and the lowest index within relative TIE_RTOL of the row maximum
-    wins, so exact ties go to the smallest index whatever the rounding.
+    at once, by the product R @ A for an array and from the supports
+    for a SensingMatrix (_support_scorer), whose to_dense() array serves
+    the rest: the pick maximizes |<phi_j, r>| / ||phi_j||, and the
+    lowest index within relative TIE_RTOL of the row maximum wins, so
+    exact ties go to the smallest index whatever the rounding.
     The inverse Gram of the selected columns grows by a rank-one step
     per pick and gives the least-squares coefficients c; the residual
     is then formed explicitly as y - A_S c.  A trial stops after K
@@ -75,15 +90,24 @@ def omp_batch(A, Y, K: int) -> list:
     last c and its residual_norm is the norm of its last residual; no
     least-squares fit is solved afresh.  The Gram A^T A is never
     formed; the state takes (m + K) * K floats per trial.  A and Y are
-    the float arrays recover has checked.
+    as recover has checked them: A a SensingMatrix or a float array, Y
+    a float array.
     """
+    if isinstance(A, SensingMatrix):
+        scores_of, sq = _support_scorer(A)
+        norms = np.sqrt(sq)
+        A = A.to_dense()
+    else:
+        def scores_of(R):
+            return R @ A
+
+        sq = np.einsum("mj,mj->j", A, A)
+        norms = np.linalg.norm(A, axis=0)
     m, M = A.shape
-    norms = np.linalg.norm(A, axis=0)
     if np.any(norms == 0):
         raise InvalidInput("matrix has a zero column")
 
     At = np.ascontiguousarray(A.T)
-    sq = np.einsum("mj,mj->j", A, A)
     T = Y.shape[0]
     picks = np.full((T, K), -1)                 # pick order, per trial
     coef = np.zeros((T, K))                     # last coefficients, in pick order
@@ -98,7 +122,7 @@ def omp_batch(A, Y, K: int) -> list:
     for it in range(K):
         if live.size == 0:
             break
-        scores = np.abs(Rl @ A)
+        scores = np.abs(scores_of(Rl))
         scores /= norms
         j = np.argmax(scores >= scores.max(axis=1, keepdims=True) * (1.0 - TIE_RTOL),
                       axis=1)
@@ -142,6 +166,25 @@ def omp_batch(A, Y, K: int) -> list:
                            residual_norm=float(rnorm[t]), iterations=int(n),
                            rank_deficient=bool(rank_deficient[t]))
             for t, n in enumerate(iterations)]
+
+
+def _support_scorer(mat: SensingMatrix):
+    """(R -> R @ A, the squared column norms) of A = mat.to_dense(), from
+    the supports: row t of the product sums R[t] at each column's rows,
+    times its values unless all are 1, in ascending row order.  The rows
+    must strictly ascend, as recover checks, so that the squared norm of
+    a column is the sum of its squared values."""
+    at = mat.rows.T.ravel()
+    vals = mat.vals.T.reshape(-1, 1).astype(np.float64)
+    weights = None if (vals == 1).all() else vals
+
+    def scores_of(R):
+        G = np.ascontiguousarray(R.T).take(at, axis=0)
+        if weights is not None:
+            G *= weights
+        return np.add.reduce(G.reshape(mat.k, mat.M, len(R)), axis=0).T
+
+    return scores_of, (vals * vals).reshape(mat.k, mat.M).sum(axis=0)
 
 
 def basis_pursuit(A, y) -> RecoveryResult:
@@ -215,25 +258,41 @@ def basis_pursuit(A, y) -> RecoveryResult:
 def recover(A, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
-    Before any solve, for every solver: an unknown name and a K outside
-    0..m raise InvalidInput; a Y that is not (trials, m), and a nan or
-    inf in A or Y, raise EulerCSError.  A Y of no rows returns [].
-    "omp" is then one omp_batch call of at most K atoms; "bp" runs
-    basis_pursuit row by row (K unused).  A solve that fails shows only
-    in its result's converged and rank_deficient flags.
+    A is a SensingMatrix or an array.  Before any solve, for every
+    solver: an unknown name and a K outside 0..m raise InvalidInput; an
+    A that is not 2-D or has no column, a SensingMatrix whose rows do
+    not strictly ascend within 0..m-1, a Y that is not (trials, m), and
+    a nan or inf in an array A or in Y, raise EulerCSError.  A
+    SensingMatrix's entries are its integer vals, so it holds no nan.
+    A Y of no rows returns [].  "omp" is then one omp_batch call of at
+    most K atoms; "bp" runs basis_pursuit row by row on the dense array
+    (K unused).  A solve that fails shows only in its result's converged
+    and rank_deficient flags.
     """
     if solver not in SOLVERS:
         raise InvalidInput(f"unknown solver {solver!r}")
-    A = np.asarray(A, dtype=np.float64)
+    if isinstance(A, SensingMatrix):
+        rows = A.rows
+        if rows.size and (rows.min() < 0 or rows.max() >= A.m
+                          or (np.diff(rows, axis=1) <= 0).any()):
+            raise EulerCSError(f"matrix rows must strictly ascend within "
+                               f"0..{A.m - 1} in every column")
+    else:
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise EulerCSError(f"A has shape {A.shape}, expected (m, M)")
+        if not np.isfinite(A).all():
+            raise EulerCSError("A has a nan or inf entry")
+    m, M = A.shape
+    if M < 1:
+        raise EulerCSError("A has no column")
     Y = np.asarray(Y, dtype=np.float64)
-    m = A.shape[0]
     if Y.ndim != 2:
         raise EulerCSError(f"Y has shape {Y.shape}, expected (trials, {m})")
     if Y.shape[1] != m:
         raise EulerCSError(f"y has length {Y.shape[1]}, expected {m}")
-    for name, array in (("A", A), ("Y", Y)):
-        if not np.isfinite(array).all():
-            raise EulerCSError(f"{name} has a nan or inf entry")
+    if not np.isfinite(Y).all():
+        raise EulerCSError("Y has a nan or inf entry")
     if K < 0:
         raise InvalidInput(f"K={K} is negative")
     if K > m:
@@ -242,6 +301,8 @@ def recover(A, Y, K: int, solver: str) -> list:
         return []
     if solver == "omp":
         return omp_batch(A, Y, K)
+    if isinstance(A, SensingMatrix):
+        A = A.to_dense()
     return [basis_pursuit(A, y) for y in Y]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eulercs import errors, experiments, recovery
-from eulercs.construct import build_binary_matrix
+from eulercs.construct import SensingMatrix, build_binary_matrix
 from eulercs.errors import EulerCSError, Infeasible, InvalidInput, ParseError
 from eulercs.euler import euler_square
 from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
@@ -113,8 +113,31 @@ def test_make_matrix_families():
 ])
 def test_make_matrix_is_read_only_for_every_family(spec):
     A = make_matrix(spec)
-    with pytest.raises(ValueError):
-        A[0, 0] = 1.0
+    arrays = ((A.rows, A.vals, A.to_dense()) if isinstance(A, SensingMatrix)
+              else (A,))
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+
+
+@pytest.mark.parametrize("spec", [
+    MatrixSpec(family="euler", n=11, k=5),
+    MatrixSpec(family="rows", row_size=60),
+    MatrixSpec(family="extended", n=12),
+    MatrixSpec(family="ternary", p=5, i=1, j=1),
+    MatrixSpec(family="gaussian", m=6, M=9, seed=0),
+    MatrixSpec(family="bernoulli", m=6, M=9, seed=0),
+], ids=lambda spec: spec.family)
+def test_make_matrix_returns_the_built_matrix_or_a_read_only_array(spec):
+    A = make_matrix(spec)
+    if spec.family in ("gaussian", "bernoulli"):
+        assert type(A) is np.ndarray and not A.flags.writeable
+        return
+    built = spec.build()
+    assert isinstance(A, SensingMatrix)
+    assert A.provenance == built.provenance and A.shape == built.shape
+    assert np.array_equal(A.rows, built.rows) and np.array_equal(A.vals, built.vals)
+    assert np.array_equal(A @ np.arange(A.M), built.to_dense() @ np.arange(A.M))
 
 
 @pytest.mark.parametrize("spec", [

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import eulercs
 from eulercs import recovery
-from eulercs.construct import build_binary_matrix
+from eulercs.construct import (SensingMatrix, build_binary_matrix, build_extended,
+                               build_for_row_size, build_ternary)
 from eulercs.errors import EulerCSError, InvalidInput
 from eulercs.euler import euler_square
-from eulercs.recovery import (SNR_CAP_DB, TIE_RTOL, basis_pursuit,
+from eulercs.recovery import (SNR_CAP_DB, SOLVERS, TIE_RTOL, basis_pursuit,
                               gen_bernoulli_matrix, gen_gaussian_matrix,
                               gen_sparse_signal, omp_batch, recover, snr)
 
@@ -49,6 +50,13 @@ def _with(a, where, value):
     return a
 
 
+def _support_matrix(rows):
+    """A binary 55-row SensingMatrix with the given supports."""
+    rows = np.array(rows, dtype=np.int64)
+    return SensingMatrix(m=55, M=len(rows), alphabet="binary", k=rows.shape[1],
+                         rows=rows, vals=np.ones_like(rows))
+
+
 # (A, Y, K) from the valid (A55, Y, 2) -> (class, message)
 _BAD_INPUTS = [
     (lambda A, Y: (A, Y[0], 2), EulerCSError, "Y has shape (55,), expected (trials, 55)"),
@@ -56,6 +64,18 @@ _BAD_INPUTS = [
     (lambda A, Y: (A, _with(Y, (1, 7), np.nan), 2), EulerCSError, "Y has a nan or inf entry"),
     (lambda A, Y: (A, _with(Y, (0, 0), -np.inf), 2), EulerCSError, "Y has a nan or inf entry"),
     (lambda A, Y: (_with(A, (3, 9), np.nan), Y, 2), EulerCSError, "A has a nan or inf entry"),
+    (lambda A, Y: (A[:, 0], Y, 2), EulerCSError, "A has shape (55,), expected (m, M)"),
+    (lambda A, Y: (A[None], Y, 2), EulerCSError,
+     "A has shape (1, 55, 121), expected (m, M)"),
+    (lambda A, Y: (A[:, :0], Y, 2), EulerCSError, "A has no column"),
+    (lambda A, Y: (_support_matrix(np.zeros((0, 2))), Y, 2), EulerCSError,
+     "A has no column"),
+    (lambda A, Y: (_support_matrix([[0, 0], [1, 2]]), Y, 2), EulerCSError,
+     "matrix rows must strictly ascend within 0..54 in every column"),
+    (lambda A, Y: (_support_matrix([[2, 1], [1, 2]]), Y, 2), EulerCSError,
+     "matrix rows must strictly ascend within 0..54 in every column"),
+    (lambda A, Y: (_support_matrix([[0, 55], [1, 2]]), Y, 2), EulerCSError,
+     "matrix rows must strictly ascend within 0..54 in every column"),
     (lambda A, Y: (A, Y, -1), InvalidInput, "K=-1 is negative"),
     (lambda A, Y: (A, Y, 56), InvalidInput, "K=56 exceeds row count 55"),
 ]
@@ -71,6 +91,38 @@ def test_recover_checks_every_solver_input_once(A55, monkeypatch, solver):
             recover(*make(A55, Y), solver)
         assert type(exc.value) is cls and str(exc.value) == message
     assert recover(A55, np.zeros((0, 55)), 2, solver) == []
+
+
+_SUPPORT_MATRICES = {
+    "euler_11_5": lambda: build_binary_matrix(euler_square(11, 5)),
+    "euler_23_10": lambda: build_binary_matrix(euler_square(23, 10)),
+    "euler_8_4": lambda: build_binary_matrix(euler_square(8, 4)),
+    "rows_60": lambda: build_for_row_size(60),
+    "extended_60": lambda: build_extended(60)[0],
+    "ternary_5_1_1": lambda: build_ternary(5, 1, 1),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("family", list(_SUPPORT_MATRICES))
+def test_recover_on_the_supports_equals_recover_on_the_dense_array(family, solver):
+    # OMP scores a SensingMatrix from its supports and an array by a product
+    # of the same nonzero terms, so the results agree bit for bit
+    mat = _SUPPORT_MATRICES[family]()
+    trials = 16 if solver == "omp" else 1
+    for level in (1, 2, mat.m // 2):
+        Y = np.stack([mat @ gen_sparse_signal(mat.M, level, (8, level, t))
+                      for t in range(trials)])
+        # OMP on a single trial takes a matrix-vector product, not the batch's
+        for batch in (Y, Y[:1]) if solver == "omp" else (Y,):
+            for got, want in zip(recover(mat, batch, level, solver),
+                                 recover(mat.to_dense(), batch, level, solver)):
+                assert got.estimate.tobytes() == want.estimate.tobytes()
+                assert got.support == want.support
+                assert got.residual_norm == want.residual_norm
+                assert got.iterations == want.iterations
+                assert got.rank_deficient == want.rank_deficient
+                assert got.converged == want.converged
 
 
 def test_omp_exact_within_guarantee(A55):
