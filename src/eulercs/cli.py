@@ -95,7 +95,7 @@ def _patch_columns(P):
 
 def cmd_gen(args):
     t0 = time.perf_counter()
-    mat = _matrix_spec(args).build()
+    mat = experiments.make_matrix(_matrix_spec(args))
     if args.format == "esm":
         construct.save_esm(mat, args.out)
     else:
@@ -139,7 +139,7 @@ def _rebuild_failures(mat, spec):
         return [f"provenance {mat.provenance!r} does not fit the header "
                 f"rows={mat.m} cols={mat.M} k={mat.k}"]
     try:
-        rebuilt = spec.build()
+        rebuilt = experiments.make_matrix(spec)
     except EulerCSError as exc:
         return [f"provenance {mat.provenance!r} cannot be rebuilt: {exc}"]
     same = ((rebuilt.m, rebuilt.M, rebuilt.alphabet, rebuilt.k, rebuilt.provenance)
@@ -278,7 +278,8 @@ def _scan_images(directory):
 def cmd_cbir_index(args):
     t0 = time.perf_counter()
     P = args.patch
-    mat = experiments.MatrixSpec.of_shape("euler", args.rows, _patch_columns(P)).build()
+    mat = experiments.make_matrix(
+        experiments.MatrixSpec.of_shape("euler", args.rows, _patch_columns(P)))
     entries = _scan_images(args.images)
     if not entries:
         raise InvalidInput(f"no .pgm images found in {args.images}")

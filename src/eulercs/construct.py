@@ -23,6 +23,12 @@ INT64_MAX = np.iinfo(np.int64).max
 
 @dataclass(eq=False)
 class SensingMatrix:
+    """An m x M matrix with k >= 1 nonzeros per column, stored by its supports.
+
+    Construction, `dataclasses.replace` too, raises InvalidInput unless each
+    column's rows strictly ascend within 0..m-1 and its values are +-1 (1 when
+    binary), so every column has squared norm k.
+    """
     m: int
     M: int
     alphabet: str        # "binary" or "ternary"
@@ -40,18 +46,28 @@ class SensingMatrix:
         self.rows.flags.writeable = self.vals.flags.writeable = False
         if self.rows.shape != (self.M, self.k) or self.vals.shape != (self.M, self.k):
             raise InvalidInput("support arrays must have shape (M, k)")
+        if self.alphabet not in ("binary", "ternary") or self.k < 1:
+            raise InvalidInput(f"need a binary or ternary alphabet and k >= 1, "
+                               f"got {self.alphabet!r} and k={self.k}")
+        rows, low = self.rows, 1 if self.alphabet == "binary" else -1
+        if rows.size and (rows.min() < 0 or rows.max() >= self.m
+                          or (rows[:, 1:] <= rows[:, :-1]).any()):
+            raise InvalidInput(f"each column's rows must strictly ascend "
+                               f"within 0..{self.m - 1}")
+        if ((self.vals != 1) & (self.vals != low)).any():
+            raise InvalidInput(f"every {self.alphabet} value must be "
+                               f"{'1' if low == 1 else '+-1'}")
 
     def to_dense(self) -> np.ndarray:
         """(m, M) float64 array in Fortran order: column c holds vals[c] at rows[c].
 
-        Entries at a repeated (row, column) are summed.  The array is
-        scattered once per matrix and every call returns it, read only, as
-        `rows` and `vals` are; `dataclasses.replace` gives a new matrix
-        with an array of its own.
+        The array is scattered once per matrix and every call returns
+        it, read only, as `rows` and `vals` are; `dataclasses.replace`
+        gives a new matrix with an array of its own.
         """
         if self._dense is None:
             A = np.zeros((self.m, self.M), order="F")
-            np.add.at(A, (self.rows, np.arange(self.M)[:, None]), self.vals)
+            A[self.rows, np.arange(self.M)[:, None]] = self.vals
             A.flags.writeable = False
             self._dense = A
         return self._dense

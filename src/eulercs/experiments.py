@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import recovery
-from .construct import (SensingMatrix, build_binary_matrix, build_extended,
-                        build_for_row_size, build_ternary)
+from .construct import (build_binary_matrix, build_extended, build_for_row_size,
+                        build_ternary)
 from .errors import EulerCSError, Infeasible, InvalidInput, ParseError
 from .euler import euler_square
 from .imaging import haar_forward, haar_inverse, patchify, unpatchify
@@ -102,12 +102,6 @@ class MatrixSpec:
                              f"(n, k) square is nk x n*n")
         return cls(family="euler", n=n, k=m // n)
 
-    def build(self) -> SensingMatrix:
-        """Run the deterministic construction this spec names."""
-        if self.family not in _FAMILIES:
-            raise InvalidInput(f"{self.family!r} is not a deterministic matrix family")
-        return _FAMILIES[self.family][1](self)
-
 
 def _check_seed(seed):
     """seed, refused with InvalidInput where numpy would refuse it with a
@@ -119,16 +113,19 @@ def _check_seed(seed):
 
 
 def make_matrix(spec: MatrixSpec):
-    """The measurement matrix a MatrixSpec names: the SensingMatrix
-    spec.build() gives for a deterministic family, whose supports OMP
-    scores, or a read-only float array for gaussian and bernoulli; copy
-    the array to write.  Either has .shape and measures by `A @ x`."""
+    """The measurement matrix a MatrixSpec names, the one way a spec is
+    built: the SensingMatrix of a deterministic family's construction,
+    whose supports OMP scores, or a read-only float array for gaussian
+    and bernoulli; copy the array to write.  Either has .shape and
+    measures by `A @ x`.  Any other family raises InvalidInput."""
     if spec.family == "gaussian":
         A = recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
     elif spec.family == "bernoulli":
         A = recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
+    elif spec.family in _FAMILIES:
+        return _FAMILIES[spec.family][1](spec)
     else:
-        return spec.build()
+        raise InvalidInput(f"{spec.family!r} is not a matrix family")
     A.flags.writeable = False
     return A
 

@@ -2,9 +2,9 @@
 
 The coherence check is exhaustive over all M(M-1)/2 column pairs, so the
 1/k bound and the sqrt(M)/m identity become machine-checked facts
-rather than quoted theory.  Every value must be +-1 and every column's
-rows strictly ascend, so each column has squared norm k and mu is the
-max overlap over k.  No M x M Gram matrix is formed:
+rather than quoted theory.  Each column has squared norm k, as every
+SensingMatrix does, so mu is the max overlap over k.  No M x M Gram
+matrix is formed:
 
 - A matrix whose columns share no row pair is proved by its row pairs.
   Each column emits its C(k, 2) row pairs as r1*m + r2; two columns
@@ -69,10 +69,9 @@ def _gram_scan(mat: SensingMatrix):
     bincount over them, weighted by the value products.  Only a strictly
     larger peak replaces the best, so the pair is the lexicographically
     smallest (i, j), i < j, attaining the max; (0, 1) when every
-    off-diagonal entry is 0.  Values must be +-1 and rows strictly ascend
-    per column and lie in [0, m).  Positions and columns are held in the
-    narrowest signed type that holds M*k and values in int8, so memory
-    is O(M k + m).
+    off-diagonal entry is 0.  The supports are as SensingMatrix
+    guarantees.  Positions and columns are held in the narrowest signed
+    type that holds M*k and values in int8, so memory is O(M k + m).
     """
     rows, M, k = mat.rows, mat.M, mat.k
     index = np.min_scalar_type(-rows.size)
@@ -103,8 +102,7 @@ def _row_pair_extrema(mat: SensingMatrix):
     """(max overlap, argmax pair) of a +-1 matrix from its row pairs.
 
     None when a row pair repeats (overlap may reach 2, left to the Gram
-    scan).  The values must be +-1 and the rows strictly ascend and lie
-    in [0, m), as `coherence` checks.
+    scan).  The supports are as SensingMatrix guarantees.
 
     The codes r_a*m + r_b, a < b, are laid out pair-major, one
     contiguous block of M codes per position pair (a, b), in the
@@ -152,24 +150,13 @@ def _row_pair_extrema(mat: SensingMatrix):
 def coherence(mat: SensingMatrix) -> CoherenceReport:
     """Exhaustive coherence of a constructed matrix over all M(M-1)/2 pairs.
 
-    A value other than +-1, or a column whose rows do not strictly
-    ascend, raises InvalidInput, since max_overlap / k is mu only when
-    every column has squared norm k.  A matrix with more rows than
-    entries (m > M*k) is proved on its rows in use, renumbered in order,
-    so neither proof holds an array of length m; the report keeps the
-    matrix's own m.
+    A matrix with more rows than entries (m > M*k) is proved on its rows
+    in use, renumbered in order, so neither proof holds an array of
+    length m; the report keeps the matrix's own m.
     """
     if mat.M < 2:
         raise InvalidInput("need at least 2 columns")
-    rows, vals = mat.rows, mat.vals
-    if rows.size and (rows.min() < 0 or rows.max() >= mat.m):
-        raise InvalidInput(f"row index outside [0, {mat.m})")
-    if mat.k < 1 or np.any(vals == 0):
-        raise InvalidInput("matrix has a zero entry or column")
-    if np.any(np.abs(vals) != 1):
-        raise InvalidInput("matrix has a value other than +-1")
-    if np.any(np.diff(rows, axis=1) <= 0):
-        raise InvalidInput("rows not strictly ascending in a column")
+    rows = mat.rows
     proved = mat
     if mat.m > rows.size:
         used, inverse = np.unique(rows, return_inverse=True)
@@ -208,7 +195,7 @@ def rip_delta(mu, k_prime: int):
 
 def sparsity_guarantee(mu):
     """Largest integer k with k < (1 + 1/mu) / 2; inf when mu == 0."""
-    if mu < 0:
+    if not mu >= 0:
         raise InvalidInput(f"mu={mu} must be non-negative")
     if mu == 0:
         return math.inf
@@ -219,8 +206,10 @@ def sparsity_guarantee(mu):
 
 def aspect_constant(mat: SensingMatrix, report: CoherenceReport = None) -> float:
     """c = M / (m*mu)^2 with measured coherence; c in [1,2) for the
-    Euler-square constructions."""
+    Euler-square constructions, inf when mu == 0."""
     if not mat.provenance:
         raise InvalidInput("aspect constant requires construction provenance")
     rep = report or coherence(mat)
+    if rep.coherence == 0:
+        return math.inf
     return mat.M / (mat.m * rep.coherence) ** 2

@@ -171,9 +171,9 @@ def omp_batch(A, Y, K: int) -> list:
 def _support_scorer(mat: SensingMatrix):
     """(R -> R @ A, the squared column norms) of A = mat.to_dense(), from
     the supports: row t of the product sums R[t] at each column's rows,
-    times its values unless all are 1, in ascending row order.  The rows
-    must strictly ascend, as recover checks, so that the squared norm of
-    a column is the sum of its squared values."""
+    times its values unless all are 1, in ascending row order.  The
+    supports are as SensingMatrix guarantees, so the squared norm of a
+    column is the sum of its squared values."""
     at = mat.rows.T.ravel()
     vals = mat.vals.T.reshape(-1, 1).astype(np.float64)
     weights = None if (vals == 1).all() else vals
@@ -258,12 +258,12 @@ def basis_pursuit(A, y) -> RecoveryResult:
 def recover(A, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
-    A is a SensingMatrix or an array.  Before any solve, for every
-    solver: an unknown name and a K outside 0..m raise InvalidInput; an
-    A that is not 2-D or has no column, a SensingMatrix whose rows do
-    not strictly ascend within 0..m-1, a Y that is not (trials, m), and
-    a nan or inf in an array A or in Y, raise EulerCSError.  A
-    SensingMatrix's entries are its integer vals, so it holds no nan.
+    A is a SensingMatrix, whose supports its type checks, or an array.
+    Before any solve, for every solver: an unknown name and a K outside
+    0..m raise InvalidInput; an A that is not 2-D or has no column, a Y
+    that is not (trials, m), and a nan or inf in an array A or in Y,
+    raise EulerCSError.  A SensingMatrix's entries are its integer vals,
+    so it holds no nan.
     A Y of no rows returns [].  "omp" is then one omp_batch call of at
     most K atoms; "bp" runs basis_pursuit row by row on the dense array
     (K unused).  A solve that fails shows only in its result's converged
@@ -271,13 +271,7 @@ def recover(A, Y, K: int, solver: str) -> list:
     """
     if solver not in SOLVERS:
         raise InvalidInput(f"unknown solver {solver!r}")
-    if isinstance(A, SensingMatrix):
-        rows = A.rows
-        if rows.size and (rows.min() < 0 or rows.max() >= A.m
-                          or (np.diff(rows, axis=1) <= 0).any()):
-            raise EulerCSError(f"matrix rows must strictly ascend within "
-                               f"0..{A.m - 1} in every column")
-    else:
+    if not isinstance(A, SensingMatrix):
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise EulerCSError(f"A has shape {A.shape}, expected (m, M)")

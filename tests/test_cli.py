@@ -594,7 +594,7 @@ def test_verify_rejects_hostile_provenance_before_build(tmp_path, capsys, monkey
     def no_build(spec):
         raise AssertionError(f"verify built {spec}")
 
-    monkeypatch.setattr("eulercs.experiments.MatrixSpec.build", no_build)
+    monkeypatch.setattr("eulercs.experiments.make_matrix", no_build)
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "does not fit the header" in capsys.readouterr().err

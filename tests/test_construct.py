@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -180,11 +181,7 @@ def test_ternary_with_truncated_hadamard():
     lambda: build_binary_matrix(euler_square(8, 4)),
     lambda: build_extended(12)[0],
     lambda: build_ternary(5, 1, 1),
-    # repeated rows: csc sums duplicates, to 2 in column 0 and 0 in column 2
-    lambda: SensingMatrix(m=4, M=3, alphabet="ternary", k=2,
-                          rows=[[1, 1], [0, 3], [2, 2]],
-                          vals=[[1, 1], [1, -1], [1, -1]]),
-], ids=["euler", "extended", "ternary", "repeated_row"])
+], ids=["euler", "extended", "ternary"])
 def test_to_dense_matches_sparse(build):
     mat = build()
     dense = mat.to_dense()
@@ -227,6 +224,58 @@ def test_replace_densifies_its_own_rows():
     assert np.array_equal(flipped.to_dense(), REFERENCE_6x9[:, ::-1])
     assert np.array_equal(flipped.to_dense(), csc(flipped).toarray())
     assert mat.to_dense() is dense and np.array_equal(dense, REFERENCE_6x9)
+
+
+def supports(m, rows, vals=None, alphabet="binary"):
+    """The SensingMatrix of m rows with these supports, all ones by default."""
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
+    return SensingMatrix(m=m, M=len(rows), alphabet=alphabet, k=rows.shape[1], rows=rows,
+                         vals=np.ones_like(rows) if vals is None else vals)
+
+
+def _rows_within(m):
+    return f"each column's rows must strictly ascend within 0..{m - 1}"
+
+
+def _descending_replace():
+    """dataclasses.replace of an euler matrix with each column's rows reversed."""
+    mat = build_binary_matrix(euler_square(3, 2))
+    return replace(mat, rows=mat.rows[:, ::-1])
+
+
+_ONLY_ONES = "every binary value must be 1"
+_PLUS_MINUS_ONE = "every ternary value must be +-1"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: supports(2, [[0], [0]], [[1], [0]]), _ONLY_ONES),
+    (lambda: supports(3, [[0], [0]], [[2], [1]], "ternary"), _PLUS_MINUS_ONE),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, -3], [1, 1]], "ternary"), _PLUS_MINUS_ONE),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, 0], [1, 1]], "ternary"), _PLUS_MINUS_ONE),
+    (lambda: supports(3, [[1, 1], [0, 2]], alphabet="ternary"), _rows_within(3)),
+    (lambda: supports(3, [[2, 0], [0, 1]], alphabet="ternary"), _rows_within(3)),
+    (lambda: supports(4, [[0, 1], [1, 5], [2, 3]]), _rows_within(4)),
+    (lambda: supports(4, [[0, 1], [1, -1], [2, 3]]), _rows_within(4)),
+    (lambda: supports(40, [[0, 1], [1, 45], [2, 3]]), _rows_within(40)),
+    (lambda: supports(40, [[0, 1], [1, -1], [2, 3]]), _rows_within(40)),
+    (lambda: supports(55, [[0, 0], [1, 2]]), _rows_within(55)),
+    (lambda: supports(55, [[2, 1], [1, 2]]), _rows_within(55)),
+    (lambda: supports(55, [[0, 55], [1, 2]]), _rows_within(55)),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, -1], [1, 1]]), _ONLY_ONES),
+    (lambda: supports(3, [[0, 1], [1, 2]], alphabet="quaternary"),
+     "need a binary or ternary alphabet and k >= 1, got 'quaternary' and k=2"),
+    (lambda: supports(3, np.zeros((2, 0))),
+     "need a binary or ternary alphabet and k >= 1, got 'binary' and k=0"),
+    (_descending_replace, _rows_within(6)),
+], ids=["degenerate_column", "value_2", "value_minus_3", "zero_value", "repeated_row",
+        "descending", "row_5_of_4", "row_-1_of_4", "row_45_of_40", "row_-1_of_40",
+        "repeated_row_of_55", "descending_of_55", "row_55_of_55", "binary_minus_one",
+        "unknown_alphabet", "k_0", "replace_descending"])
+def test_construction_refuses_a_bad_support(make, message):
+    # every column of a SensingMatrix has squared norm k, the fact
+    # coherence's mu = max overlap / k and OMP's support scores rest on
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_esm_round_trip(tmp_path):

@@ -70,12 +70,6 @@ _BAD_INPUTS = [
     (lambda A, Y: (A[:, :0], Y, 2), EulerCSError, "A has no column"),
     (lambda A, Y: (_support_matrix(np.zeros((0, 2))), Y, 2), EulerCSError,
      "A has no column"),
-    (lambda A, Y: (_support_matrix([[0, 0], [1, 2]]), Y, 2), EulerCSError,
-     "matrix rows must strictly ascend within 0..54 in every column"),
-    (lambda A, Y: (_support_matrix([[2, 1], [1, 2]]), Y, 2), EulerCSError,
-     "matrix rows must strictly ascend within 0..54 in every column"),
-    (lambda A, Y: (_support_matrix([[0, 55], [1, 2]]), Y, 2), EulerCSError,
-     "matrix rows must strictly ascend within 0..54 in every column"),
     (lambda A, Y: (A, Y, -1), InvalidInput, "K=-1 is negative"),
     (lambda A, Y: (A, Y, 56), InvalidInput, "K=56 exceeds row count 55"),
 ]
