@@ -6,7 +6,8 @@ blocks, Hadamard matrices (Sylvester / Paley-I), and the ternary
 expansion that replaces each 1 in a binary column with a Hadamard row.
 
 Matrices are stored sparsely: per column, the sorted row indices of the
-nonzeros and their values (all +1 for binary, +-1 for ternary).
+nonzeros and their values (+-1 for ternary; a binary matrix's values are
+a read-only broadcast of 1 that stores nothing).
 """
 
 import re
@@ -21,42 +22,50 @@ from .fields import factorize, is_prime
 INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(eq=False)
+def _ones(shape) -> np.ndarray:
+    """A binary matrix's values: a read-only int64 broadcast of 1."""
+    return np.broadcast_to(np.int64(1), shape)
+
+
+@dataclass(eq=False, frozen=True)
 class SensingMatrix:
     """An m x M matrix with k >= 1 nonzeros per column, stored by its supports.
 
     Construction, `dataclasses.replace` too, raises InvalidInput unless each
     column's rows strictly ascend within 0..m-1 and its values are +-1 (1 when
-    binary), so every column has squared norm k.
+    binary), so every column has squared norm k.  No field can be reassigned,
+    and a binary matrix's `vals` is the read-only broadcast of 1.
     """
     m: int
     M: int
     alphabet: str        # "binary" or "ternary"
     k: int               # nonzeros per column
     rows: np.ndarray     # (M, k) 0-based row indices, ascending per column
-    vals: np.ndarray     # (M, k) entry values at those rows
+    vals: np.ndarray     # (M, k) entry values at those rows; 1 when binary
     provenance: str = ""
     # the dense operator, scattered on the first to_dense() call
     _dense: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # read-only views: to_dense() caches the operator these supports give
-        self.rows = np.asarray(self.rows, dtype=np.int64).view()
-        self.vals = np.asarray(self.vals, dtype=np.int64).view()
-        self.rows.flags.writeable = self.vals.flags.writeable = False
-        if self.rows.shape != (self.M, self.k) or self.vals.shape != (self.M, self.k):
+        rows = np.asarray(self.rows, dtype=np.int64).view()
+        vals = np.asarray(self.vals, dtype=np.int64).view()
+        rows.flags.writeable = vals.flags.writeable = False
+        if rows.shape != (self.M, self.k) or vals.shape != (self.M, self.k):
             raise InvalidInput("support arrays must have shape (M, k)")
         if self.alphabet not in ("binary", "ternary") or self.k < 1:
             raise InvalidInput(f"need a binary or ternary alphabet and k >= 1, "
                                f"got {self.alphabet!r} and k={self.k}")
-        rows, low = self.rows, 1 if self.alphabet == "binary" else -1
+        binary = self.alphabet == "binary"
         if rows.size and (rows.min() < 0 or rows.max() >= self.m
                           or (rows[:, 1:] <= rows[:, :-1]).any()):
             raise InvalidInput(f"each column's rows must strictly ascend "
                                f"within 0..{self.m - 1}")
-        if ((self.vals != 1) & (self.vals != low)).any():
+        if ((vals != 1) & (vals != (1 if binary else -1))).any():
             raise InvalidInput(f"every {self.alphabet} value must be "
-                               f"{'1' if low == 1 else '+-1'}")
+                               f"{'1' if binary else '+-1'}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "vals", _ones(rows.shape) if binary else vals)
 
     def to_dense(self) -> np.ndarray:
         """(m, M) float64 array in Fortran order: column c holds vals[c] at rows[c].
@@ -69,7 +78,7 @@ class SensingMatrix:
             A = np.zeros((self.m, self.M), order="F")
             A[self.rows, np.arange(self.M)[:, None]] = self.vals
             A.flags.writeable = False
-            self._dense = A
+            object.__setattr__(self, "_dense", A)
         return self._dense
 
     @property
@@ -97,9 +106,8 @@ def build_binary_matrix(E: EulerSquare) -> SensingMatrix:
         raise Infeasible(f"need k >= 2 and n >= 3, got ({n},{k})")
     ads = E.cells.reshape(n * n, k)
     rows = np.arange(k)[None, :] * n + ads
-    vals = np.ones_like(rows)
     return SensingMatrix(m=n * k, M=n * n, alphabet="binary", k=k,
-                         rows=rows, vals=vals, provenance=E.provenance)
+                         rows=rows, vals=_ones(rows.shape), provenance=E.provenance)
 
 
 def build_for_row_size(m: int) -> SensingMatrix:
@@ -124,9 +132,8 @@ def build_for_row_size(m: int) -> SensingMatrix:
     else:
         q = fac.min_value
         E = euler_square(m // q, q)
-    mat = build_binary_matrix(E)
-    mat.provenance = f"rows m={m} via {E.provenance}"
-    return mat
+    E.provenance = f"rows m={m} via {E.provenance}"
+    return build_binary_matrix(E)
 
 
 @dataclass(frozen=True)
@@ -167,7 +174,6 @@ def build_extended(n: int):
         raise Infeasible(f"n={n} gives degree k={k} < 2")
     base = build_binary_matrix(euler_square(n, k))
     all_rows = [base.rows]
-    all_vals = [base.vals]
 
     plan = ExtensionPlan(n=n, k=k)
     remaining = sorted(fac.values)   # peel from the largest end
@@ -182,16 +188,14 @@ def build_extended(n: int):
         offsets = [o + s * n_prev for o in offsets for s in range(k)]
         for o in offsets:
             all_rows.append(phi_t.rows + o)
-            all_vals.append(phi_t.vals)
         plan.stages.append(ExtensionStage(
             k_t=k_t, n_t=n_t, copies=k ** t,
             cols=(k ** t) * n_t * n_t, offsets=tuple(offsets)))
         n_prev = n_t
 
     rows = np.concatenate(all_rows, axis=0)
-    vals = np.concatenate(all_vals, axis=0)
     mat = SensingMatrix(m=n * k, M=rows.shape[0], alphabet="binary", k=k,
-                        rows=rows, vals=vals,
+                        rows=rows, vals=_ones(rows.shape),
                         provenance=f"extended n={n} k={k} stages={len(plan.stages)}")
     return mat, plan
 
@@ -348,7 +352,8 @@ def _support_token(tok: str, ternary: bool, line: int) -> tuple:
 
 
 def _read_support(body: list, k: int, ternary: bool):
-    """(rows, vals, error) of the column lines before the first malformed one.
+    """(rows, vals, error) of the column lines before the first malformed one;
+    a binary file's vals are the broadcast of 1.
 
     Lines as save_esm writes them convert as one array.  From the first
     line in another form on, each line is split on whitespace and its
@@ -370,14 +375,18 @@ def _read_support(body: list, k: int, ternary: bool):
         if n == 0 and not tail:
             raise       # nothing read before it, so k need not fit an array shape
         error = exc
-    head = values.reshape(n, k, 1 + ternary)
-    rows = head[:, :, 0] - 1
-    vals = head[:, :, 1] if ternary else np.ones_like(rows)
+    if ternary:
+        head = values.reshape(n, k, 2)
+        rows, vals = head[:, :, 0] - 1, head[:, :, 1]
+    else:
+        values -= 1         # in place: a binary line's numbers are its rows
+        rows = values.reshape(n, k)
     if tail:
         tail = np.array(tail, dtype=np.int64)
         rows = np.concatenate([rows, tail[:, :, 0]])
-        vals = np.concatenate([vals, tail[:, :, 1]])
-    return rows, vals, error
+        if ternary:
+            vals = np.concatenate([vals, tail[:, :, 1]])
+    return rows, (vals if ternary else _ones(rows.shape)), error
 
 
 def load_esm(path: str) -> SensingMatrix:
@@ -412,20 +421,21 @@ def load_esm(path: str) -> SensingMatrix:
         # the empty (0, k) support of two int64 per entry; with columns,
         # the first column line is where that shows and is reported
         raise ParseError(counts, line=1)
-    provenance = lines[1]
-    rows, vals, error = _read_support(lines[2:], k, alphabet == "ternary")
+    provenance, ternary = lines[1], alphabet == "ternary"
+    rows, vals, error = _read_support(lines[2:], k, ternary)
     out_of_range = (rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)
-    bad = np.flatnonzero(out_of_range | (np.diff(rows, axis=1) <= 0).any(axis=1))
+    bad = np.flatnonzero(out_of_range | (rows[:, 1:] <= rows[:, :-1]).any(axis=1))
     if bad.size:
         c = int(bad[0])
         what = "row index out of range" if out_of_range[c] else "rows not strictly ascending"
         raise ParseError(f"{what} in column {c + 1}", line=3 + c)
     if error is not None:
         raise error
-    bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
-    if bad.size:
-        raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
-                         line=3 + int(bad[0]))
+    if ternary:
+        bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
+        if bad.size:
+            raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
+                             line=3 + int(bad[0]))
     return SensingMatrix(m=m, M=M, alphabet=alphabet, k=k, rows=rows, vals=vals,
                          provenance=provenance)
 

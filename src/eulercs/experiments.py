@@ -117,13 +117,18 @@ def make_matrix(spec: MatrixSpec):
     built: the SensingMatrix of a deterministic family's construction,
     whose supports OMP scores, or a read-only float array for gaussian
     and bernoulli; copy the array to write.  Either has .shape and
-    measures by `A @ x`.  Any other family raises InvalidInput."""
+    measures by `A @ x`.  Any other family, or a deterministic spec with
+    a field its provenance pattern names unset, raises InvalidInput."""
     if spec.family == "gaussian":
         A = recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
     elif spec.family == "bernoulli":
         A = recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
     elif spec.family in _FAMILIES:
-        return _FAMILIES[spec.family][1](spec)
+        pattern, build = _FAMILIES[spec.family]
+        for name in re.compile(pattern).groupindex:
+            if getattr(spec, name) is None:
+                raise InvalidInput(f"a {spec.family} spec needs {name} set")
+        return build(spec)
     else:
         raise InvalidInput(f"{spec.family!r} is not a matrix family")
     A.flags.writeable = False

@@ -5,8 +5,10 @@ polynomial whose coefficient of x^t is the t-th base-p digit of e
 (least significant digit = constant term), modulo the smallest monic
 irreducible of degree r.  `build_field` fills row a of the add and mul
 tables from row a // p, by poly(a) = (a mod p) + x*poly(a // p).  Each
-table is a dense q x q int64 array of 8*q^2 bytes: 128 MiB at q = 4096,
-32 GiB at the 2^16 cap, so memory bounds the largest usable field.
+table is a dense q x q array of the narrowest unsigned type that holds
+q - 1: q^2 bytes up to q = 256 and 2*q^2 above, so 32 MiB at q = 4096 and
+8 GiB at the 2^16 cap, where memory bounds the largest usable field;
+GF(2^13)'s two tables fit in 256 MiB.
 `factorize`, the package's one trial division, stops at that cap too.
 """
 
@@ -150,7 +152,8 @@ def build_field(p: int, r: int) -> GaloisField:
     times_x[e] is x*e: e shifted up one digit, the overflow digit t
     cancelled by adding -t times the irreducible's low part.  Cost: 2q
     numpy passes over rows of length q, and no q x q array beyond the two
-    8*q^2-byte tables.
+    tables, each of dtype np.min_scalar_type(q - 1).  Rows are computed
+    in int64 and stored narrow.
 
     Results are cached: fields are immutable after construction, so the
     shared instance is safe for unrestricted concurrent reads.
@@ -167,12 +170,14 @@ def build_field(p: int, r: int) -> GaloisField:
     top = p ** (r - 1)
     low = sum(c * p ** t for t, c in enumerate(irr[:r]))
 
-    add = np.zeros((q, q), dtype=np.int64)
+    dtype = np.min_scalar_type(q - 1)
+    add = np.zeros((q, q), dtype=dtype)
     add[0] = codes
     for a in range(1, q):
-        add[a] = (a + codes) % p + p * add[a // p, codes // p]
+        # upcast before p *: NumPy 2 keeps a narrow operand's type
+        add[a] = (a + codes) % p + p * add[a // p, codes // p].astype(np.int64)
     times_x = add[codes % top * p, scale[-(codes // top) % p, low]]
-    mul = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=dtype)
     for a in range(1, q):
         mul[a] = add[scale[a % p], times_x[mul[a // p]]]
     return GaloisField(p=p, r=r, q=q, irreducible=tuple(irr),

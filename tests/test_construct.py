@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -224,6 +224,58 @@ def test_replace_densifies_its_own_rows():
     assert np.array_equal(flipped.to_dense(), REFERENCE_6x9[:, ::-1])
     assert np.array_equal(flipped.to_dense(), csc(flipped).toarray())
     assert mat.to_dense() is dense and np.array_equal(dense, REFERENCE_6x9)
+
+
+def _esm_reread(mat, tmp_path, tab_line=None):
+    """mat saved and loaded back; line `tab_line` of the file, if given, is
+    rewritten with tabs, so it and the lines after it read token by token."""
+    path = tmp_path / "m.esm"
+    save_esm(mat, str(path))
+    if tab_line is not None:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[tab_line] = lines[tab_line].replace(" ", "\t")
+        path.write_text("".join(lines))
+    return load_esm(str(path))
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: build_binary_matrix(euler_square(11, 5)),
+    lambda tmp_path: build_for_row_size(60),
+    lambda tmp_path: build_extended(12)[0],
+    lambda tmp_path: _esm_reread(build_binary_matrix(euler_square(11, 5)), tmp_path),
+    lambda tmp_path: _esm_reread(build_binary_matrix(euler_square(11, 5)), tmp_path, 40),
+    lambda tmp_path: _esm_reread(build_binary_matrix(euler_square(3, 2)), tmp_path, 2),
+    lambda tmp_path: replace(build_binary_matrix(euler_square(3, 2)), provenance="x"),
+    lambda tmp_path: supports(3, [[0, 1], [1, 2]]),
+], ids=["euler", "rows", "extended", "esm_canonical", "esm_per_token_tail",
+        "esm_per_token_only", "replace", "explicit_ones"])
+def test_binary_vals_are_a_broadcast_of_one(make, tmp_path):
+    mat = make(tmp_path)
+    assert mat.alphabet == "binary"
+    assert mat.vals.shape == (mat.M, mat.k) and mat.vals.strides == (0, 0)
+    assert mat.vals.dtype == np.int64 and (mat.vals == 1).all()
+    assert not mat.vals.flags.writeable
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: build_ternary(5, 1, 1),
+    lambda tmp_path: _esm_reread(build_ternary(5, 1, 1), tmp_path),
+    lambda tmp_path: _esm_reread(build_ternary(5, 1, 1), tmp_path, 40),
+], ids=["ternary", "esm_canonical", "esm_per_token_tail"])
+def test_ternary_vals_are_an_array_of_their_own(make, tmp_path):
+    mat = make(tmp_path)
+    assert 0 not in mat.vals.strides
+    assert (mat.vals == -1).any()
+    assert np.array_equal(mat.vals, build_ternary(5, 1, 1).vals)
+
+
+def test_a_matrix_cannot_be_reassigned():
+    mat = build_binary_matrix(euler_square(3, 2))
+    for name, value in (("m", 4), ("vals", [[2, 2]] * 9), ("provenance", "x")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mat, name, value)
+    assert (mat.m, mat.provenance) == (6, "euler n=3 k=2")
+    assert np.array_equal(mat.to_dense(), REFERENCE_6x9)
 
 
 def supports(m, rows, vals=None, alphabet="binary"):

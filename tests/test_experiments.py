@@ -107,6 +107,18 @@ def test_make_matrix_families():
         make_matrix(MatrixSpec(family="unknown"))
 
 
+@pytest.mark.parametrize("spec, unset", [
+    (MatrixSpec(family="euler"), "n"),
+    (MatrixSpec(family="euler", n=5), "k"),
+    (MatrixSpec(family="rows"), "row_size"),
+    (MatrixSpec(family="extended", k=2), "n"),
+    (MatrixSpec(family="ternary", p=5, j=1), "i"),
+], ids=["euler", "euler_k", "rows", "extended", "ternary"])
+def test_make_matrix_names_the_first_unset_field(spec, unset):
+    with pytest.raises(InvalidInput, match=f"^a {spec.family} spec needs {unset} set$"):
+        make_matrix(spec)
+
+
 @pytest.mark.parametrize("spec", [
     MatrixSpec(family="euler", n=3, k=2),
     MatrixSpec(family="gaussian", m=6, M=9, seed=0),

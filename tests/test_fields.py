@@ -57,6 +57,15 @@ def test_prime_fields_are_mod_p(p):
     assert np.array_equal(F.mul_table, (a[:, None] * a[None, :]) % p)
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 8), (257, 1), (2, 9)])
+def test_tables_are_stored_in_the_narrowest_type(p, r):
+    # q = 2, 256: uint8; q = 257, 512: uint16
+    F = build_field(p, r)
+    narrow = np.min_scalar_type(F.q - 1)
+    assert F.add_table.dtype == F.mul_table.dtype == narrow
+    assert narrow.itemsize == (1 if F.q <= 256 else 2)
+
+
 def test_field_cap():
     with pytest.raises(Infeasible, match="^q=131072 exceeds cap 65536$"):
         build_field(2, 17)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -128,8 +129,7 @@ def test_aspect_constant_extended():
 
 
 def test_aspect_constant_needs_provenance():
-    mat = euler_matrix(3, 2)
-    mat.provenance = ""
+    mat = replace(euler_matrix(3, 2), provenance="")
     with pytest.raises(InvalidInput,
                        match="^aspect constant requires construction provenance$"):
         aspect_constant(mat)
@@ -137,8 +137,7 @@ def test_aspect_constant_needs_provenance():
 
 def test_aspect_constant_is_inf_at_zero_coherence():
     # two disjoint columns: mu = 0, as sparsity_guarantee(0) is inf
-    mat = binary(4, [[0, 1], [2, 3]])
-    mat.provenance = "disjoint"
+    mat = replace(binary(4, [[0, 1], [2, 3]]), provenance="disjoint")
     assert coherence(mat).coherence == 0.0
     assert aspect_constant(mat) == math.inf
 
