@@ -173,12 +173,13 @@ def build_field(p: int, r: int) -> GaloisField:
     dtype = np.min_scalar_type(q - 1)
     add = np.zeros((q, q), dtype=dtype)
     add[0] = codes
+    shifted = codes // p
     for a in range(1, q):
         # upcast before p *: NumPy 2 keeps a narrow operand's type
-        add[a] = (a + codes) % p + p * add[a // p, codes // p].astype(np.int64)
+        add[a] = (a + codes) % p + p * add[a // p].take(shifted).astype(np.int64)
     times_x = add[codes % top * p, scale[-(codes // top) % p, low]]
     mul = np.zeros((q, q), dtype=dtype)
     for a in range(1, q):
-        mul[a] = add[scale[a % p], times_x[mul[a // p]]]
+        mul[a] = add[scale[a % p], times_x.take(mul[a // p])]
     return GaloisField(p=p, r=r, q=q, irreducible=tuple(irr),
                        add_table=add, mul_table=mul)
