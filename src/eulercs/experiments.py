@@ -127,7 +127,7 @@ def make_matrix(spec: MatrixSpec):
         pattern, build = _FAMILIES[spec.family]
         for name in re.compile(pattern).groupindex:
             if getattr(spec, name) is None:
-                raise InvalidInput(f"a {spec.family} spec needs {name} set")
+                raise InvalidInput(f"the {spec.family} family needs {name} set")
         return build(spec)
     else:
         raise InvalidInput(f"{spec.family!r} is not a matrix family")

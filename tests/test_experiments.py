@@ -115,7 +115,7 @@ def test_make_matrix_families():
     (MatrixSpec(family="ternary", p=5, j=1), "i"),
 ], ids=["euler", "euler_k", "rows", "extended", "ternary"])
 def test_make_matrix_names_the_first_unset_field(spec, unset):
-    with pytest.raises(InvalidInput, match=f"^a {spec.family} spec needs {unset} set$"):
+    with pytest.raises(InvalidInput, match=f"^the {spec.family} family needs {unset} set$"):
         make_matrix(spec)
 
 
