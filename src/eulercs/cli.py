@@ -96,10 +96,7 @@ def _patch_columns(P):
 def cmd_gen(args):
     t0 = time.perf_counter()
     mat = experiments.make_matrix(_matrix_spec(args))
-    if args.format == "esm":
-        construct.save_esm(mat, args.out)
-    else:
-        construct.save_csv(mat, args.out)
+    construct.save_esm(mat, args.out)
     _write_manifest(args.out, "gen", args, None, [], [args.out],
                     time.perf_counter() - t0)
     print(f"wrote {mat.m}x{mat.M} {mat.alphabet} matrix to {args.out}",
@@ -226,7 +223,7 @@ def cmd_bench_recon(args):
     A = experiments.make_matrix(experiments.MatrixSpec.of_shape(
         args.family, args.rows, _patch_columns(args.patch), args.seed))
     recon, report = experiments.run_patch_reconstruction(
-        image, A, args.patch, levels=args.levels, solver=args.solver)
+        image, A, args.patch, solver=args.solver)
     imaging.write_pgm(recon, args.out + ".pgm")
     _emit_report(report, args.out, args, args.seed, [args.image],
                  [args.out + ".pgm"])
@@ -285,8 +282,7 @@ def cmd_cbir_index(args):
         raise InvalidInput(f"no .pgm images found in {args.images}")
     feats = None
     for i, (_, _, path) in enumerate(entries):
-        feat = imaging.extract_features(imaging.read_pgm(path), mat, P,
-                                        args.levels)
+        feat = imaging.extract_features(imaging.read_pgm(path), mat, P)
         if feats is None:
             feats = np.empty((len(entries), feat.size))
         elif feat.size != feats.shape[1]:
@@ -296,9 +292,7 @@ def cmd_cbir_index(args):
     db = imaging.FeatureDB(ids=[e[0] for e in entries],
                            labels=[e[1] for e in entries],
                            paths=[e[2] for e in entries],
-                           features=feats, patch=P,
-                           levels=args.levels if args.levels is not None else -1,
-                           matrix_provenance=mat.provenance)
+                           features=feats, patch=P, matrix_provenance=mat.provenance)
     imaging.save_feature_db(db, args.out)
     construct.save_esm(mat, os.path.join(args.out, "matrix.esm"))
     _write_manifest(os.path.join(args.out, "db"), "cbir-index", args, None,
@@ -314,14 +308,12 @@ def _db_and_matrix(db_dir):
     if mat.provenance != db.matrix_provenance:
         raise ParseError(f"{path}: provenance {mat.provenance!r} is not the "
                          f"feature database's {db.matrix_provenance!r}", line=2)
-    levels = None if db.levels < 0 else db.levels
-    return db, mat, levels
+    return db, mat
 
 
 def cmd_cbir_query(args):
-    db, mat, levels = _db_and_matrix(args.db)
-    feat = imaging.extract_features(imaging.read_pgm(args.image), mat, db.patch,
-                                    levels)
+    db, mat = _db_and_matrix(args.db)
+    feat = imaging.extract_features(imaging.read_pgm(args.image), mat, db.patch)
     for rank, (ident, label, sim) in enumerate(
             imaging.retrieve(feat, db, args.topn), start=1):
         print(f"{rank}\t{ident}\t{label}\t{sim:.6f}")
@@ -329,14 +321,13 @@ def cmd_cbir_query(args):
 
 
 def cmd_cbir_score(args):
-    db, mat, levels = _db_and_matrix(args.db)
+    db, mat = _db_and_matrix(args.db)
     queries = _scan_images(args.queries)
     if not queries:
         raise InvalidInput(f"no .pgm query images found in {args.queries}")
     rankings, query_labels = [], []
     for ident, label, path in queries:
-        feat = imaging.extract_features(imaging.read_pgm(path), mat, db.patch,
-                                        levels)
+        feat = imaging.extract_features(imaging.read_pgm(path), mat, db.patch)
         ranked = imaging.retrieve(feat, db, args.topn)
         rankings.append([r[0] for r in ranked])
         query_labels.append((ident, label))
@@ -371,7 +362,6 @@ def build_parser():
     sel.add_argument("--extend", type=int, help="column-extended matrix for order n")
     sel.add_argument("--ternary", help="p,i,j ternary expansion parameters")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--format", choices=["esm", "csv"], default="esm")
     gen.set_defaults(func=cmd_gen)
 
     ver = sub.add_parser("verify", help="verify a matrix file")
@@ -412,7 +402,6 @@ def build_parser():
     recon.add_argument("--image", required=True)
     recon.add_argument("--rows", type=int, required=True)
     recon.add_argument("--patch", type=int, default=32)
-    recon.add_argument("--levels", type=int)
     recon.add_argument("--family", default="euler",
                        choices=["euler", "gaussian", "bernoulli"])
     recon.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
@@ -435,7 +424,6 @@ def build_parser():
     idx.add_argument("--images", required=True)
     idx.add_argument("--rows", type=int, required=True)
     idx.add_argument("--patch", type=int, default=32)
-    idx.add_argument("--levels", type=int)
     idx.add_argument("--out", required=True)
     idx.set_defaults(func=cmd_cbir_index)
 

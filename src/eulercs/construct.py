@@ -217,6 +217,8 @@ def _paley_core(q: int) -> np.ndarray:
 
 def build_hadamard(h: int) -> np.ndarray:
     """h x h +-1 Hadamard matrix by Sylvester doubling and/or a Paley-I core."""
+    if h < 1:
+        raise InvalidInput(f"order {h} must be >= 1")
     if h == 1:
         return np.array([[1]], dtype=np.int64)
     if h == 2:
@@ -438,8 +440,3 @@ def load_esm(path: str) -> SensingMatrix:
                              line=3 + int(bad[0]))
     return SensingMatrix(m=m, M=M, alphabet=alphabet, k=k, rows=rows, vals=vals,
                          provenance=provenance)
-
-
-def save_csv(mat: SensingMatrix, path: str) -> None:
-    """Dense CSV export for interoperability."""
-    np.savetxt(path, mat.to_dense(), fmt="%d", delimiter=",")

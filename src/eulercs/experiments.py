@@ -39,7 +39,9 @@ from .imaging import haar_forward, haar_inverse, patchify, unpatchify
 # "4": basis pursuit is the exact l1 homotopy instead of an ADMM that
 # stopped near 80 dB, so BP rows now reach SUCCESS_DB.  OMP rows are
 # unchanged.
-REPORT_VERSION = "4"
+# "5": every patch takes its full Haar depth, so the recon config has no
+# "levels" entry.  Every row is unchanged.
+REPORT_VERSION = "5"
 
 SUCCESS_DB = 100.0      # recovery.snr at which a trial succeeds
 
@@ -55,6 +57,10 @@ _FAMILIES = {
     "ternary": (r"ternary p=(?P<p>\d+) i=(?P<i>\d+) j=(?P<j>\d+) hadamard=\d+",
                 lambda s: build_ternary(s.p, s.i, s.j)),
 }
+
+# Random family -> its generator, called with (m, M, seed).
+_RANDOM_FAMILIES = {"gaussian": recovery.gen_gaussian_matrix,
+                    "bernoulli": recovery.gen_bernoulli_matrix}
 
 
 @dataclass(frozen=True)
@@ -117,20 +123,23 @@ def make_matrix(spec: MatrixSpec):
     built: the SensingMatrix of a deterministic family's construction,
     whose supports OMP scores, or a read-only float array for gaussian
     and bernoulli; copy the array to write.  Either has .shape and
-    measures by `A @ x`.  Any other family, or a deterministic spec with
-    a field its provenance pattern names unset, raises InvalidInput."""
-    if spec.family == "gaussian":
-        A = recovery.gen_gaussian_matrix(spec.m, spec.M, spec.seed)
-    elif spec.family == "bernoulli":
-        A = recovery.gen_bernoulli_matrix(spec.m, spec.M, spec.seed)
+    measures by `A @ x`.  Any other family, a spec with a field its
+    family needs unset (m and M for a random family, the fields of a
+    deterministic family's provenance pattern), or a random spec that
+    MatrixSpec.of_shape refuses raises InvalidInput."""
+    if spec.family in _RANDOM_FAMILIES:
+        needed = ("m", "M")
     elif spec.family in _FAMILIES:
-        pattern, build = _FAMILIES[spec.family]
-        for name in re.compile(pattern).groupindex:
-            if getattr(spec, name) is None:
-                raise InvalidInput(f"the {spec.family} family needs {name} set")
-        return build(spec)
+        needed = re.compile(_FAMILIES[spec.family][0]).groupindex
     else:
         raise InvalidInput(f"{spec.family!r} is not a matrix family")
+    for name in needed:
+        if getattr(spec, name) is None:
+            raise InvalidInput(f"the {spec.family} family needs {name} set")
+    if spec.family in _FAMILIES:
+        return _FAMILIES[spec.family][1](spec)
+    MatrixSpec.of_shape(spec.family, spec.m, spec.M, spec.seed)     # size and seed rules
+    A = _RANDOM_FAMILIES[spec.family](spec.m, spec.M, spec.seed)
     A.flags.writeable = False
     return A
 
@@ -370,7 +379,7 @@ def run_phase_transition(M: int, row_sizes, fraction: float = 0.9,
 
 
 def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
-                             levels: int = None, solver: str = "omp"):
+                             solver: str = "omp"):
     """Compress every patch through Phi, a SensingMatrix or a float
     array, and reconstruct it back.
 
@@ -387,14 +396,13 @@ def run_patch_reconstruction(image: np.ndarray, Phi, patch: int,
     grid, patches = patchify(image, patch)
     K = m // 2
     # one product per patch: a single Phi @ W.T need not round the same way
-    Y = np.stack([Phi @ w for w in haar_forward(patches, levels)])
+    Y = np.stack([Phi @ w for w in haar_forward(patches)])
     results = recovery.recover(Phi, Y, K, solver)
-    recon = unpatchify(grid, haar_inverse(np.stack([r.estimate for r in results]),
-                                          levels))
+    recon = unpatchify(grid, haar_inverse(np.stack([r.estimate for r in results])))
     snr_db = recovery.snr(np.asarray(image, float).ravel(), recon.ravel())
     report = ExperimentReport(
         kind="recon",
-        config={"patch": patch, "levels": levels, "solver": solver,
+        config={"patch": patch, "solver": solver,
                 "m": int(m), "M": int(M), "max_atoms": K},
         rows=[{"snr_db": snr_db, "downsampling_factor": M / m,
                "patches": grid.num_patches}])

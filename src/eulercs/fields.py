@@ -116,12 +116,19 @@ def find_irreducible(p: int, r: int) -> list:
 
     Brute force: candidates enumerated in ascending order of their
     low-coefficient code, each tested by trial division against every
-    monic polynomial of degree 1..r//2.
+    monic polynomial of degree 1..r//2.  Before any of that, p must be
+    prime, r at least 1 and p**r at most DEFAULT_FIELD_CAP, the largest
+    field `build_field` makes; an r so large that p**r is costly to form
+    is refused from r alone.
     """
     if not is_prime(p):
         raise InvalidInput(f"p={p} is not prime")
     if r < 1:
         raise InvalidInput(f"degree r={r} must be >= 1")
+    if r > DEFAULT_FIELD_CAP.bit_length():    # then p**r >= 2**r > the cap
+        raise Infeasible(f"q={p}**{r} exceeds cap {DEFAULT_FIELD_CAP}")
+    if p ** r > DEFAULT_FIELD_CAP:
+        raise Infeasible(f"q={p ** r} exceeds cap {DEFAULT_FIELD_CAP}")
     if r == 1:
         return [0, 1]  # x; degree-1 polynomials are always irreducible
     divisors = [d for deg in range(1, r // 2 + 1) for d in _monic_polys(p, deg)]
@@ -158,12 +165,8 @@ def build_field(p: int, r: int) -> GaloisField:
     Results are cached: fields are immutable after construction, so the
     shared instance is safe for unrestricted concurrent reads.
     """
-    if not is_prime(p):
-        raise InvalidInput(f"p={p} is not prime")
+    irr = find_irreducible(p, r)       # refuses p, r and q = p**r first
     q = p ** r
-    if q > DEFAULT_FIELD_CAP:
-        raise Infeasible(f"q={q} exceeds cap {DEFAULT_FIELD_CAP}")
-    irr = find_irreducible(p, r)
     codes = np.arange(q, dtype=np.int64)
     s = np.arange(p, dtype=np.int64)[:, None]
     scale = sum(s * (codes // p ** t % p) % p * p ** t for t in range(r))

@@ -33,17 +33,11 @@ from .errors import EulerCSError, InvalidInput, ParseError, decode_utf8
 SQRT2 = math.sqrt(2.0)
 
 
-def _check_patch_size(P: int, levels):
+def _haar_depth(P: int) -> int:
+    """log2 P, the number of Haar levels a P x P patch takes."""
     if P < 1 or P & (P - 1) != 0:
         raise InvalidInput(f"patch edge {P} is not a power of two")
-    depth = P.bit_length() - 1
-    if levels is None:
-        return depth
-    if levels < 0:
-        raise InvalidInput(f"levels={levels} is a negative level count")
-    if levels > depth:
-        raise InvalidInput(f"levels={levels} exceeds log2({P})={depth}")
-    return levels
+    return P.bit_length() - 1
 
 
 def _patch_last(a: np.ndarray, P: int) -> np.ndarray:
@@ -60,8 +54,9 @@ def _patch_first(out: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(shape)
 
 
-def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
-    """Orthonormal 2-D Haar transform of the trailing P x P axes.
+def haar_forward(patches: np.ndarray) -> np.ndarray:
+    """Orthonormal 2-D Haar transform of the trailing P x P axes, to full
+    depth (log2 P levels).
 
     Maps (..., P, P) to (..., P*P): a single patch gives one flattened
     vector, a stack of patches one vector per patch.  Every entry comes
@@ -72,11 +67,11 @@ def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"patch must be square, got {a.shape}")
     P = a.shape[-1]
-    levels = _check_patch_size(P, levels)
+    depth = _haar_depth(P)
     out = _patch_last(a, P)
     buf = np.empty_like(out)
     s = P
-    for _ in range(levels):
+    for _ in range(depth):
         half = s // 2
         blk, tmp = out[:s, :s], buf[:s, :s]
         # columns, then rows: the sums and differences of the even/odd
@@ -93,7 +88,7 @@ def haar_forward(patches: np.ndarray, levels: int = None) -> np.ndarray:
     return _patch_first(out, a.shape[:-2] + (P * P,))
 
 
-def haar_inverse(coeffs: np.ndarray, levels: int = None) -> np.ndarray:
+def haar_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of haar_forward: maps (..., P*P) to (..., P, P)."""
     v = np.asarray(coeffs, dtype=np.float64)
     if v.ndim < 1:
@@ -101,10 +96,10 @@ def haar_inverse(coeffs: np.ndarray, levels: int = None) -> np.ndarray:
     P = int(round(math.sqrt(v.shape[-1])))
     if P * P != v.shape[-1]:
         raise InvalidInput(f"coefficient length {v.shape[-1]} is not a square")
-    levels = _check_patch_size(P, levels)
+    depth = _haar_depth(P)
     out = _patch_last(v, P)
     buf = np.empty_like(out)
-    for s in reversed([P >> t for t in range(levels)]):
+    for s in reversed([P >> t for t in range(depth)]):
         half = s // 2
         blk, tmp = out[:s, :s], buf[:s, :s]
         # rows, then columns: the undone pairs interleave back through tmp
@@ -152,14 +147,13 @@ def unpatchify(grid: PatchGrid, patches: np.ndarray) -> np.ndarray:
     return arr.transpose(0, 2, 1, 3).reshape(grid.height, grid.width)
 
 
-def extract_features(image: np.ndarray, T: SensingMatrix, P: int,
-                     levels: int = None) -> np.ndarray:
+def extract_features(image: np.ndarray, T: SensingMatrix, P: int) -> np.ndarray:
     """Concatenated compressed Haar coefficients, patch by patch."""
     if T.M != P * P:
         raise EulerCSError(f"matrix has {T.M} columns, patch needs {P * P}")
     grid, patches = patchify(image, P)
     A = T.to_dense()
-    coeffs = haar_forward(patches, levels)   # (M', P*P)
+    coeffs = haar_forward(patches)   # (M', P*P)
     return (coeffs @ A.T).ravel()
 
 
@@ -170,7 +164,6 @@ class FeatureDB:
     paths: list
     features: np.ndarray        # (N, L) float64
     patch: int
-    levels: int
     matrix_provenance: str = ""
 
     @property
@@ -178,7 +171,10 @@ class FeatureDB:
         return hashlib.sha256(self.matrix_provenance.encode()).hexdigest()[:16]
 
 
-_FDB_MAGIC = b"ESFDB1\n"
+# Format 2 stores no Haar depth, since every patch takes its full depth.
+# A format-1 file may hold rows of another depth, so its magic is refused
+# rather than its rows matched against full-depth queries.
+_FDB_MAGIC = b"ESFDB2\n"
 
 
 def save_feature_db(db: FeatureDB, directory: str) -> None:
@@ -190,8 +186,7 @@ def save_feature_db(db: FeatureDB, directory: str) -> None:
     n, L = db.features.shape
     with open(os.path.join(directory, "features.bin"), "wb") as f:
         f.write(_FDB_MAGIC)
-        header = (f"count={n} len={L} patch={db.patch} levels={db.levels} "
-                  f"hash={db.provenance_hash}\n")
+        header = f"count={n} len={L} patch={db.patch} hash={db.provenance_hash}\n"
         f.write(header.encode())
         f.write(db.matrix_provenance.encode() + b"\n")
         np.ascontiguousarray(db.features, dtype=np.float64).tofile(f)
@@ -214,7 +209,7 @@ def load_feature_db(directory: str) -> FeatureDB:
         try:
             fields = dict(tok.split("=") for tok in header.split())
             n, L = int(fields["count"]), int(fields["len"])
-            patch, levels = int(fields["patch"]), int(fields["levels"])
+            patch = int(fields["patch"])
             stored_hash = fields["hash"]
         except (KeyError, ValueError):
             raise ParseError("malformed feature header fields", line=2)
@@ -233,7 +228,7 @@ def load_feature_db(directory: str) -> FeatureDB:
     if n != len(ids):
         raise ParseError(f"manifest lists {len(ids)} entries, blob has {n}")
     db = FeatureDB(ids=ids, labels=labels, paths=paths, features=data,
-                   patch=patch, levels=levels, matrix_provenance=provenance)
+                   patch=patch, matrix_provenance=provenance)
     if stored_hash != db.provenance_hash:
         raise ParseError(f"hash={stored_hash} is not the provenance line's "
                          f"{db.provenance_hash}", line=2)

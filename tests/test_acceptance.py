@@ -242,7 +242,7 @@ def test_criterion_10_retrieval(announce):
         db = FeatureDB(ids=[f"img{i:02d}" for i in range(len(images))],
                        labels=labels,
                        paths=[f"img{i:02d}.pgm" for i in range(len(images))],
-                       features=feats, patch=8, levels=-1,
+                       features=feats, patch=8,
                        matrix_provenance=T.provenance)
         for i, img in enumerate(images):
             ranked = retrieve(extract_features(img, T, 8), db, topn=1)

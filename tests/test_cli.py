@@ -40,14 +40,10 @@ def test_gen_extend(tmp_path):
     assert run(["verify", out]) == 0
 
 
-def test_gen_ternary_and_csv(tmp_path):
+def test_gen_ternary(tmp_path):
     out = str(tmp_path / "t.esm")
     assert run(["gen", "--ternary", "5,1,1", "--out", out]) == 0
     assert run(["verify", out]) == 0
-    csv_out = str(tmp_path / "t.csv")
-    assert run(["gen", "--ternary", "5,1,1", "--out", csv_out,
-                "--format", "csv"]) == 0
-    assert np.loadtxt(csv_out, delimiter=",").shape == (20, 100)
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,8 +272,6 @@ def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
 
 
 @pytest.mark.parametrize("argv, code, err", [
-    (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8",
-      "--levels", "4"], 2, "error: levels=4 exceeds log2(8)=3\n"),
     (["bench", "recon", "--image", "{tmp}/in24.pgm", "--rows", "24", "--patch", "12"],
      2, "error: patch edge 12 is not a power of two\n"),
     (["bench", "sweep", "--family", "gaussian", "--m", "20", "--M", "10",
@@ -300,7 +294,7 @@ def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
       "--family", "gaussian", "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
     (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8",
       "--family", "bernoulli", "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
-], ids=["recon_levels_above_depth", "recon_patch_not_power_of_two",
+], ids=["recon_patch_not_power_of_two",
         "sweep_level_above_M", "phase_rows_above_M", "recon_zero_image",
         "sweep_euler_negative_seed", "sweep_gaussian_negative_seed",
         "phase_euler_negative_seed", "phase_gaussian_negative_seed",
@@ -351,17 +345,21 @@ def test_bench_sweep_kmax_below_one_exits_2(tmp_path, capsys, kmax):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "32", "--patch", "8",
-     "--out", "{tmp}/o"],
-    ["cbir", "index", "--images", "{tmp}", "--rows", "32", "--patch", "8",
-     "--out", "{tmp}/db"],
-], ids=["bench_recon", "cbir_index"])
-def test_negative_levels_exit_2(tmp_path, capsys, argv):
+# every patch takes its full Haar depth and gen writes only ESM, so a
+# depth or format flag is a usage error that writes nothing
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "32", "--patch", "8",
+      "--out", "{tmp}/o"], ["--levels", "2"]),
+    (["cbir", "index", "--images", "{tmp}", "--rows", "32", "--patch", "8",
+      "--out", "{tmp}/db"], ["--levels", "2"]),
+    (["gen", "--index", "3,2", "--out", "{tmp}/m.csv"], ["--format", "csv"]),
+], ids=["bench_recon_levels", "cbir_index_levels", "gen_format"])
+def test_removed_flags_exit_2(tmp_path, capsys, argv, flag):
     tmp = str(tmp_path)
     write_pgm(np.zeros((16, 16)), f"{tmp}/in.pgm")
-    assert run([*(a.format(tmp=tmp) for a in argv), "--levels", "-1"]) == 2
-    assert capsys.readouterr().err == "error: levels=-1 is a negative level count\n"
+    assert run([*(a.format(tmp=tmp) for a in argv), *flag]) == 2
+    assert (capsys.readouterr().err
+            == f"error: unrecognized arguments: {' '.join(flag)}\n")
     assert os.listdir(tmp) == ["in.pgm"]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                build_extended, build_for_row_size,
                                build_hadamard, build_ternary, load_esm,
-                               save_csv, save_esm)
+                               save_esm)
 from eulercs.errors import Infeasible, InvalidInput, ParseError, decode_utf8
 from eulercs.euler import euler_square
 
@@ -140,6 +140,12 @@ def test_hadamard_orders(h):
 @pytest.mark.parametrize("h", [3, 6, 10, 28])
 def test_hadamard_unavailable(h):
     with pytest.raises(Infeasible, match=f"^order {h} "):
+        build_hadamard(h)
+
+
+@pytest.mark.parametrize("h", [0, -1, -4])
+def test_hadamard_order_below_one_is_invalid(h):
+    with pytest.raises(InvalidInput, match=f"^order {h} must be >= 1$"):
         build_hadamard(h)
 
 
@@ -576,14 +582,6 @@ def test_esm_bytes_and_round_trip_at_scale(tmp_path):
         back = load_esm(str(path))
         assert np.array_equal(back.rows, mat.rows)
         assert np.array_equal(back.vals, mat.vals)
-
-
-def test_csv_export(tmp_path):
-    mat = build_binary_matrix(euler_square(3, 2))
-    path = str(tmp_path / "m.csv")
-    save_csv(mat, path)
-    dense = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(dense, REFERENCE_6x9)
 
 
 @pytest.mark.parametrize("p, i", [(0, -1), (1, 3), (-2, 4), (2, 0)])

@@ -113,10 +113,25 @@ def test_make_matrix_families():
     (MatrixSpec(family="rows"), "row_size"),
     (MatrixSpec(family="extended", k=2), "n"),
     (MatrixSpec(family="ternary", p=5, j=1), "i"),
-], ids=["euler", "euler_k", "rows", "extended", "ternary"])
+    (MatrixSpec(family="gaussian"), "m"),
+    (MatrixSpec(family="bernoulli", m=5), "M"),
+], ids=["euler", "euler_k", "rows", "extended", "ternary", "gaussian", "bernoulli"])
 def test_make_matrix_names_the_first_unset_field(spec, unset):
     with pytest.raises(InvalidInput, match=f"^the {spec.family} family needs {unset} set$"):
         make_matrix(spec)
+
+
+# the rules of MatrixSpec.of_shape, where numpy would raise a raw
+# ValueError or return an empty matrix
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("shape, seed, message", [
+    ((5, 7), -1, "seed -1 must be >= 0"),
+    ((0, 7), 0, "matrix shape 0x7 needs m >= 1 and M >= 1"),
+], ids=["negative_seed", "zero_rows"])
+def test_make_matrix_refuses_what_of_shape_refuses(family, shape, seed, message):
+    m, M = shape
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        make_matrix(MatrixSpec(family=family, m=m, M=M, seed=seed))
 
 
 @pytest.mark.parametrize("spec", [
@@ -432,25 +447,22 @@ def test_patch_reconstruction_factor_echo():
     assert Phi.M / Phi.m == pytest.approx(2.2)
 
 
-def _per_patch_recon(image, A, P, levels, solve):
+def _per_patch_recon(image, A, P, solve):
     """Reference recon: one solver call per patch."""
     grid, patches = patchify(image, P)
     return unpatchify(grid, np.stack([
-        haar_inverse(solve(A @ haar_forward(p, levels)).estimate, levels)
-        for p in patches]))
+        haar_inverse(solve(A @ haar_forward(p)).estimate) for p in patches]))
 
 
-@pytest.mark.parametrize("matrix, levels", [
-    ("euler_8_4", None), ("euler_8_4", 2), ("gaussian_32x64", None),
-], ids=["euler_8_4", "euler_8_4_levels_2", "gaussian_32x64"])
-def test_patch_reconstruction_matches_per_patch_omp(matrix, levels):
+@pytest.mark.parametrize("matrix", ["euler_8_4", "gaussian_32x64"])
+def test_patch_reconstruction_matches_per_patch_omp(matrix):
     A = (build_binary_matrix(euler_square(8, 4)).to_dense().astype(float)
          if matrix == "euler_8_4" else recovery.gen_gaussian_matrix(32, 64, 5))
     rng = np.random.default_rng(3)
     image = np.cumsum(rng.integers(0, 9, (32, 32)), axis=1).astype(float)
     image[:8, :8] = 0.0                 # a patch measured as y = 0
-    recon, _ = run_patch_reconstruction(image, A, 8, levels=levels)
-    want = _per_patch_recon(image, A, 8, levels,
+    recon, _ = run_patch_reconstruction(image, A, 8)
+    want = _per_patch_recon(image, A, 8,
                             lambda y: recovery.omp_batch(A, y[None], 16)[0])
     assert np.array_equal(recon, want)
 
@@ -460,6 +472,6 @@ def test_patch_reconstruction_bp_matches_per_patch_bp():
     image = np.random.default_rng(4).integers(0, 256, (16, 16)).astype(float)
 
     recon, report = run_patch_reconstruction(image, A, 8, solver="bp")
-    want = _per_patch_recon(image, A, 8, None, lambda y: recovery.basis_pursuit(A, y))
+    want = _per_patch_recon(image, A, 8, lambda y: recovery.basis_pursuit(A, y))
     assert np.array_equal(recon, want)
     assert report.config["solver"] == "bp"

@@ -1,8 +1,11 @@
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from eulercs import fields
 from eulercs.errors import Infeasible, InvalidInput
 from eulercs.fields import (_code_to_poly, _poly_mod, build_field, factorize,
                             find_irreducible, is_prime)
@@ -69,6 +72,24 @@ def test_tables_are_stored_in_the_narrowest_type(p, r):
 def test_field_cap():
     with pytest.raises(Infeasible, match="^q=131072 exceeds cap 65536$"):
         build_field(2, 17)
+
+
+@pytest.mark.parametrize("fn", [find_irreducible, build_field])
+@pytest.mark.parametrize("r, message", [
+    (17, "q=131072 exceeds cap 65536"),
+    (10 ** 9, "q=2**1000000000 exceeds cap 65536"),
+], ids=["r17", "r1e9"])
+def test_field_above_cap_is_refused_before_any_work(monkeypatch, fn, r, message):
+    monkeypatch.setattr(fields, "_monic_polys",
+                        lambda *a: pytest.fail("candidate polynomials enumerated"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Infeasible, match=f"^{re.escape(message)}$"):
+            fn(2, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20       # 2**(10**9) alone would take 125 MB
 
 
 def check_field_axioms(F):

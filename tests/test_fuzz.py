@@ -50,7 +50,7 @@ def feature_db_files(tmp_path_factory):
     save_feature_db(FeatureDB(ids=["a_0", "b_0"], labels=["a", "b"],
                               paths=["a_0.pgm", "b_0.pgm"],
                               features=np.array([[1.5, -2.0, 0.25], [0.0, 3.0, -1.0]]),
-                              patch=8, levels=-1, matrix_provenance="euler n=8 k=4"),
+                              patch=8, matrix_provenance="euler n=8 k=4"),
                     str(directory))
     return {name: (directory / name).read_bytes()
             for name in ("manifest.tsv", "features.bin")}

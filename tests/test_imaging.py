@@ -28,54 +28,44 @@ def test_haar_round_trip_and_energy(P, seed):
     assert abs(np.linalg.norm(coeffs) - np.linalg.norm(patch)) <= 1e-10
 
 
-def test_haar_partial_levels():
-    patch = np.random.default_rng(0).standard_normal((16, 16))
-    coeffs = haar_forward(patch, levels=2)
-    assert np.abs(haar_inverse(coeffs, levels=2) - patch).max() <= 1e-10
-
-
 def test_haar_rejects_non_power_of_two():
     with pytest.raises(InvalidInput, match="^patch edge 6 is not a power of two$"):
         haar_forward(np.zeros((6, 6)))
-    with pytest.raises(InvalidInput, match=r"^levels=4 exceeds log2\(8\)=3$"):
-        haar_forward(np.zeros((8, 8)), levels=4)
 
 
-def _haar_loop(fn, arr, in_shape, out_shape, levels):
+def _haar_loop(fn, arr, in_shape, out_shape):
     """fn applied one patch or vector at a time, restacked."""
     lead = arr.shape[:arr.ndim - len(in_shape)]
     flat = arr.reshape((-1,) + in_shape)
-    return np.stack([fn(x, levels) for x in flat]).reshape(lead + out_shape)
+    return np.stack([fn(x) for x in flat]).reshape(lead + out_shape)
 
 
 @pytest.mark.parametrize("P", [1, 2, 4, 8, 16])
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
 def test_haar_batched_equals_per_patch_loop(P, lead):
-    rng = np.random.default_rng(P)
-    for levels in range(P.bit_length()):
-        patches = rng.standard_normal(lead + (P, P)) * 100
-        coeffs = haar_forward(patches, levels)
-        assert coeffs.shape == lead + (P * P,)
-        if lead:
-            assert np.array_equal(coeffs, _haar_loop(
-                haar_forward, patches, (P, P), (P * P,), levels))
-        back = haar_inverse(coeffs, levels)
-        assert back.shape == lead + (P, P)
-        if lead:
-            assert np.array_equal(back, _haar_loop(
-                haar_inverse, coeffs, (P * P,), (P, P), levels))
-        assert np.abs(back - patches).max() <= 1e-10
+    patches = np.random.default_rng(P).standard_normal(lead + (P, P)) * 100
+    coeffs = haar_forward(patches)
+    assert coeffs.shape == lead + (P * P,)
+    if lead:
+        assert np.array_equal(coeffs, _haar_loop(
+            haar_forward, patches, (P, P), (P * P,)))
+    back = haar_inverse(coeffs)
+    assert back.shape == lead + (P, P)
+    if lead:
+        assert np.array_equal(back, _haar_loop(
+            haar_inverse, coeffs, (P * P,), (P, P)))
+    assert np.abs(back - patches).max() <= 1e-10
 
 
 SQRT2 = np.sqrt(2.0)
 
 
-def _oracle_forward(patches, levels):
+def _oracle_forward(patches):
     """The moveaxis kernel haar_forward replaced, frozen as a reference."""
     P = patches.shape[-1]
     out = np.array(patches, dtype=np.float64)
     s = P
-    for _ in range(P.bit_length() - 1 if levels is None else levels):
+    for _ in range(P.bit_length() - 1):
         for axis in (-1, -2):
             b = np.moveaxis(out[..., :s, :s], axis, -1)
             even, odd = b[..., 0::2], b[..., 1::2]
@@ -87,12 +77,11 @@ def _oracle_forward(patches, levels):
     return out.reshape(patches.shape[:-2] + (P * P,))
 
 
-def _oracle_inverse(coeffs, levels):
+def _oracle_inverse(coeffs):
     """The moveaxis kernel haar_inverse replaced, frozen as a reference."""
     P = int(round(np.sqrt(coeffs.shape[-1])))
     out = np.array(coeffs, dtype=np.float64).reshape(coeffs.shape[:-1] + (P, P))
-    depth = P.bit_length() - 1 if levels is None else levels
-    for s in reversed([P >> t for t in range(depth)]):
+    for s in reversed([P >> t for t in range(P.bit_length() - 1)]):
         half = s // 2
         for axis in (-2, -1):
             b = np.moveaxis(out[..., :s, :s], axis, -1)
@@ -107,19 +96,17 @@ def _oracle_inverse(coeffs, levels):
 @pytest.mark.parametrize("P", [1, 2, 4, 8, 16, 32])
 @pytest.mark.parametrize("lead", [(), (3,), (64,), (2, 5)])
 def test_haar_matches_moveaxis_oracle_bit_for_bit(P, lead):
-    rng = np.random.default_rng([P, len(lead)])
-    for levels in [None, *range(P.bit_length())]:
-        patches = rng.standard_normal(lead + (P, P)) * 100
-        kept = patches.copy()
-        coeffs = haar_forward(patches, levels)
-        assert np.array_equal(coeffs, _oracle_forward(patches, levels))
-        assert coeffs.flags.c_contiguous
-        assert np.array_equal(patches, kept)          # the input is not written
-        kept = coeffs.copy()
-        back = haar_inverse(coeffs, levels)
-        assert np.array_equal(back, _oracle_inverse(coeffs, levels))
-        assert back.flags.c_contiguous and back.shape == lead + (P, P)
-        assert np.array_equal(coeffs, kept)
+    patches = np.random.default_rng([P, len(lead)]).standard_normal(lead + (P, P)) * 100
+    kept = patches.copy()
+    coeffs = haar_forward(patches)
+    assert np.array_equal(coeffs, _oracle_forward(patches))
+    assert coeffs.flags.c_contiguous
+    assert np.array_equal(patches, kept)          # the input is not written
+    kept = coeffs.copy()
+    back = haar_inverse(coeffs)
+    assert np.array_equal(back, _oracle_inverse(coeffs))
+    assert back.flags.c_contiguous and back.shape == lead + (P, P)
+    assert np.array_equal(coeffs, kept)
 
 
 @pytest.mark.parametrize("shape", [(4, 8), (3, 4, 8), (16,), ()])
@@ -211,7 +198,7 @@ def make_db(features, labels=None):
     return FeatureDB(ids=[f"img{i}" for i in range(n)], labels=labels,
                      paths=[f"/x/img{i}.pgm" for i in range(n)],
                      features=np.asarray(features, dtype=float),
-                     patch=8, levels=-1, matrix_provenance="euler n=8 k=4")
+                     patch=8, matrix_provenance="euler n=8 k=4")
 
 
 def test_retrieve_identical_member_first():
@@ -304,7 +291,7 @@ def test_feature_db_round_trip(tmp_path):
 
 @pytest.mark.parametrize("corrupt", [
     lambda data: data[:-5],
-    lambda data: data.replace(b" levels=", b" levels", 1),
+    lambda data: data.replace(b" patch=", b" patch", 1),
     lambda data: data.replace(b" hash=", b" hsh=", 1),
     # a count far past the file's size fails before any allocation
     lambda data: data.replace(b"count=5 ", b"count=1000000000000 ", 1),
@@ -319,6 +306,21 @@ def test_feature_db_corruption_fails_closed(tmp_path, corrupt):
     blob.write_bytes(corrupt(blob.read_bytes()))
     with pytest.raises(ParseError):
         load_feature_db(str(tmp_path / "db"))
+
+
+def test_feature_db_of_format_1_is_refused_at_line_1(tmp_path):
+    # format 1 stored a Haar depth; its rows may be of another depth than
+    # every query's, so it is refused rather than read
+    db = make_db(np.random.default_rng(7).standard_normal((5, 9)))
+    save_feature_db(db, str(tmp_path / "db"))
+    blob = tmp_path / "db" / "features.bin"
+    data = blob.read_bytes()
+    assert data.startswith(b"ESFDB2\n")
+    blob.write_bytes(b"ESFDB1\n" + data[len(b"ESFDB2\n"):].replace(
+        b" patch=8 ", b" patch=8 levels=-1 ", 1))
+    with pytest.raises(ParseError, match="^bad feature file magic$") as exc:
+        load_feature_db(str(tmp_path / "db"))
+    assert exc.value.line == 1
 
 
 def test_feature_db_blob_is_row_major_float64(tmp_path):
