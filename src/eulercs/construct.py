@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Infeasible, InvalidInput, ParseError, decode_utf8
 from .euler import EulerSquare, euler_square
-from .fields import factorize, is_prime
+from .fields import DEFAULT_FIELD_CAP, factorize, is_prime
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -219,17 +219,13 @@ def build_hadamard(h: int) -> np.ndarray:
     """h x h +-1 Hadamard matrix by Sylvester doubling and/or a Paley-I core."""
     if h < 1:
         raise InvalidInput(f"order {h} must be >= 1")
-    if h == 1:
-        return np.array([[1]], dtype=np.int64)
-    if h == 2:
-        return np.array([[1, 1], [1, -1]], dtype=np.int64)
-    if h % 4 != 0:
-        raise Infeasible(f"order {h} must be 1, 2, or a multiple of 4")
     if h & (h - 1) == 0:
         H = np.array([[1]], dtype=np.int64)
         while H.shape[0] < h:
             H = np.block([[H, H], [H, -H]])
         return H
+    if h % 4 != 0:
+        raise Infeasible(f"order {h} must be 1, 2, or a multiple of 4")
     # Sylvester doubling of a Paley-I core: h = 2^a * (q + 1)
     a = 0
     rest = h
@@ -258,6 +254,10 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
         raise InvalidInput(f"j={j} must be 1 or 2")
     if p < 2 or i < 1:
         raise InvalidInput(f"need p >= 2 and i >= 1, got p={p} i={i}")
+    # an order above the cap has a field above it or k > minpp(n) - 1, and
+    # p**i >= 2**i, so i alone refuses an order too costly to form
+    if i > DEFAULT_FIELD_CAP.bit_length() or p ** i > DEFAULT_FIELD_CAP:
+        raise Infeasible(f"order {p}**{i} exceeds cap {DEFAULT_FIELD_CAP}")
     n = p ** i
     k = n - j
     if k < 2:

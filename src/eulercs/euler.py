@@ -98,42 +98,36 @@ def euler_square(n: int, k: int) -> EulerSquare:
 
 
 def validate_euler_square(E: EulerSquare) -> ValidationReport:
-    """Exhaustive row-Latin, column-Latin and orthogonality check.
+    """Exhaustive check that the k + 2 factors, row, column and the k
+    coordinates, are pairwise orthogonal: each pair takes each of its n^2
+    value pairs once.  (row, r) orthogonal is row-Latin in coordinate r,
+    and (column, r) column-Latin.
 
-    Orthogonality is ordered-pair distinctness per coordinate pair.
-    Reports the first violation found with its cell coordinates.
+    After the range check the pairs are visited as (row, r), (column, r)
+    for r = 0..k-1, then (r, s) for r < s.  The first pair with a repeat
+    is reported at the second cell, in row-major order, of its smallest
+    repeated value pair: a row-Latin fault names the first row holding a
+    repeat, a column-Latin fault the first column.
     """
     n, k, cells = E.n, E.k, E.cells
     if cells.min() < 0 or cells.max() >= n:
         loc = np.unravel_index(np.argmax((cells < 0) | (cells >= n)), cells.shape)
         return ValidationReport(False, "cell value out of range", tuple(int(v) for v in loc))
-    # Latin: one count of the codes (r*n + line)*n + value over every row,
-    # then every column, of every layer; (k, n) True where a line repeats
-    layers = np.ascontiguousarray(np.moveaxis(cells, 2, 0))   # (k, n, n)
-    line_codes = np.arange(k * n).reshape(k, n, 1) * n
-    row_repeats, col_repeats = (
-        np.bincount((line_codes + view).ravel(), minlength=k * n * n)
-        .reshape(k, n, n).max(axis=2) > 1
-        for view in (layers, layers.transpose(0, 2, 1)))
+    layers = np.ascontiguousarray(cells.reshape(n * n, k).T)   # (k, n^2)
+    row, col = np.divmod(np.arange(n * n), n)
+    # (first factor, second factor, message, (keep i, keep j, r) of the location)
+    pairs = []
     for r in range(k):
-        if row_repeats[r].any():
-            return ValidationReport(False, f"row-Latin violation in coordinate {r}",
-                                    (int(np.argmax(row_repeats[r])), -1, r))
-        if col_repeats[r].any():
-            return ValidationReport(False, f"column-Latin violation in coordinate {r}",
-                                    (-1, int(np.argmax(col_repeats[r])), r))
-    # orthogonality: one count of the n^2 codes per layer pair; the
-    # stable sort only locates the first repeated code of a failing pair
-    flat_layers = layers.reshape(k, n * n)
-    for r in range(k):
-        for s in range(r + 1, k):
-            flat = flat_layers[r] * n + flat_layers[s]
-            if np.bincount(flat, minlength=n * n).max() > 1:
-                order = np.argsort(flat, kind="stable")
-                dup = order[np.nonzero(np.diff(flat[order]) == 0)[0][0] + 1]
-                i, j = divmod(int(dup), n)
-                return ValidationReport(
-                    False, f"orthogonality violation for coordinates ({r},{s})",
-                    (i, j, r))
+        pairs += [(row, layers[r], f"row-Latin violation in coordinate {r}", (True, False, r)),
+                  (col, layers[r], f"column-Latin violation in coordinate {r}", (False, True, r))]
+    pairs += [(layers[r], layers[s], f"orthogonality violation for coordinates ({r},{s})",
+               (True, True, r)) for r in range(k) for s in range(r + 1, k)]
+    for a, b, message, (keep_i, keep_j, r) in pairs:
+        codes = a * n + b
+        if np.bincount(codes, minlength=n * n).max() > 1:
+            order = np.argsort(codes, kind="stable")
+            dup = order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1]
+            i, j = divmod(int(dup), n)
+            return ValidationReport(False, message,
+                                    (i if keep_i else -1, j if keep_j else -1, r))
     return ValidationReport(True)
-

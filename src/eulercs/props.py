@@ -204,12 +204,12 @@ def sparsity_guarantee(mu):
     return k - 1 if k == bound else k
 
 
-def aspect_constant(mat: SensingMatrix, report: CoherenceReport = None) -> float:
+def aspect_constant(mat: SensingMatrix) -> float:
     """c = M / (m*mu)^2 with measured coherence; c in [1,2) for the
     Euler-square constructions, inf when mu == 0."""
     if not mat.provenance:
         raise InvalidInput("aspect constant requires construction provenance")
-    rep = report or coherence(mat)
-    if rep.coherence == 0:
+    mu = coherence(mat).coherence
+    if mu == 0:
         return math.inf
-    return mat.M / (mat.m * rep.coherence) ** 2
+    return mat.M / (mat.m * mu) ** 2

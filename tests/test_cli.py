@@ -651,11 +651,14 @@ def test_cbir_matrix_must_match_feature_db(tmp_path, corpus, capsys):
     ["--rows", "1000000000000000003"],
     ["--ternary", "40,40,1"],
     ["--ternary", "2,20,1"],
-], ids=["index", "rows", "ternary", "ternary_power_of_two"])
+    ["--ternary", "2,300000,1"],
+    ["--ternary", f"{10 ** 300},15,1"],
+], ids=["index", "rows", "ternary", "ternary_power_of_two", "ternary_long_exponent",
+        "ternary_long_base"])
 def test_gen_huge_request_exits_3_at_once(tmp_path, capsys, argv):
     # each needs a field above the cap: trial division finds a prime factor
     # above it by stopping at the cap instead of dividing on up to sqrt(n),
-    # and the ternary build consults the cap before any Sylvester doubling
+    # and the ternary build refuses an order above the cap before forming it
     t0 = time.perf_counter()
     assert run(["gen", *argv, "--out", str(tmp_path / "m.esm")]) == 3
     assert time.perf_counter() - t0 < 2.0

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -590,3 +591,15 @@ def test_ternary_rejects_base_or_exponent_out_of_range(p, i):
     # line verify cannot parse back
     with pytest.raises(InvalidInput):
         build_ternary(p, i, 1)
+
+
+def test_ternary_order_above_cap_is_refused_before_it_is_formed():
+    # 2 ** (10 ** 9) alone would take 125 MB, and factorizing it would not end
+    tracemalloc.start()
+    try:
+        with pytest.raises(Infeasible, match=r"^order 2\*\*1000000000 exceeds cap 65536$"):
+            build_ternary(2, 10 ** 9, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulercs.errors import Infeasible, InvalidInput
-from eulercs.euler import (EulerSquare, euler_square, factorize,
-                           macneish_product, mols_prime_power,
+from eulercs.euler import (EulerSquare, ValidationReport, euler_square,
+                           factorize, macneish_product, mols_prime_power,
                            validate_euler_square)
 from eulercs.fields import build_field
 
@@ -181,3 +181,66 @@ def test_validator_reports_column_violation():
     report = validate_euler_square(EulerSquare(n=5, k=3, cells=cells))
     assert report.message == "column-Latin violation in coordinate 1"
     assert report.location == (-1, 0, 1)
+
+
+def _scan_oracle(n, k, cells):
+    """validate_euler_square's documented report, by a cell-by-cell scan:
+    the first out-of-range cell in (i, j, r) order; then per coordinate r
+    the first row, then the first column, that repeats a value; then per
+    coordinate pair (r, s) with r < s the smallest repeated value pair,
+    located at its second cell in row-major order."""
+    for i in range(n):
+        for j in range(n):
+            for r in range(k):
+                if not 0 <= cells[i][j][r] < n:
+                    return ValidationReport(False, "cell value out of range", (i, j, r))
+    for r in range(k):
+        for i in range(n):
+            if len({cells[i][j][r] for j in range(n)}) < n:
+                return ValidationReport(
+                    False, f"row-Latin violation in coordinate {r}", (i, -1, r))
+        for j in range(n):
+            if len({cells[i][j][r] for i in range(n)}) < n:
+                return ValidationReport(
+                    False, f"column-Latin violation in coordinate {r}", (-1, j, r))
+    for r in range(k):
+        for s in range(r + 1, k):
+            seen = {}
+            for i in range(n):
+                for j in range(n):
+                    seen.setdefault((cells[i][j][r], cells[i][j][s]), []).append((i, j))
+            repeated = [pair for pair, where in seen.items() if len(where) > 1]
+            if repeated:
+                i, j = seen[min(repeated)][1]
+                return ValidationReport(
+                    False, f"orthogonality violation for coordinates ({r},{s})",
+                    (i, j, r))
+    return ValidationReport(True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 3), (5, 4), (7, 3), (8, 7), (9, 8), (12, 2)]),
+       st.data())
+def test_validator_matches_a_cell_by_cell_oracle(index, data):
+    # squares with several faults of different kinds: which one is
+    # reported, and where, is fixed by the scan order above
+    n, k = index
+    cells = euler_square(n, k).cells.copy()
+    if data.draw(st.booleans()):
+        r, s = data.draw(st.permutations(range(k)))[:2]
+        cells[:, :, s] = cells[:, :, r]
+    # each edit sets one cell, maybe out of range, or swaps two cells of a
+    # row (rows stay Latin) or of a column (columns stay Latin)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j, i2, j2 = (data.draw(st.integers(0, n - 1)) for _ in range(4))
+        r = data.draw(st.integers(0, k - 1))
+        edit = data.draw(st.sampled_from(["set", "row swap", "column swap"]))
+        if edit == "set":
+            cells[i, j, r] = data.draw(st.one_of(st.integers(0, n - 1),
+                                                 st.sampled_from([-1, n])))
+        elif edit == "row swap":
+            cells[i, [j, j2], r] = cells[i, [j2, j], r]
+        else:
+            cells[[i, i2], j, r] = cells[[i2, i], j, r]
+    report = validate_euler_square(EulerSquare(n, k, cells=cells))
+    assert report == _scan_oracle(n, k, cells.tolist())
