@@ -147,7 +147,7 @@ def _rebuild_failures(mat, spec):
         return ["matrix does not match its provenance rebuild"]
     if spec.family == "euler":
         cells = (rebuilt.rows - np.arange(spec.k) * spec.n).reshape(spec.n, spec.n, -1)
-        val = validate_euler_square(EulerSquare(spec.n, spec.k, cells))
+        val = validate_euler_square(EulerSquare(cells))
         if not val.ok:
             return [f"euler square validation: {val.message}"]
     return []

@@ -22,40 +22,44 @@ from .fields import DEFAULT_FIELD_CAP, factorize, is_prime
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def _ones(shape) -> np.ndarray:
-    """A binary matrix's values: a read-only int64 broadcast of 1."""
-    return np.broadcast_to(np.int64(1), shape)
-
-
 @dataclass(eq=False, frozen=True)
 class SensingMatrix:
     """An m x M matrix with k >= 1 nonzeros per column, stored by its supports.
 
-    Construction, `dataclasses.replace` too, raises InvalidInput unless each
-    column's rows strictly ascend within 0..m-1 and its values are +-1 (1 when
-    binary), so every column has squared norm k.  No field can be reassigned,
-    and a binary matrix's `vals` is the read-only broadcast of 1.
+    M and k are the shape of `rows`.  Construction, `dataclasses.replace`
+    too, raises InvalidInput unless `rows` is 2-D with k >= 1, `vals` (all
+    1 when left out) has its shape, both hold integers, each column's rows
+    strictly ascend within 0..m-1 and its values are +-1 (1 when binary),
+    so every column has squared norm k.  No field can be reassigned, and a
+    binary matrix's `vals` is the read-only broadcast of 1.
     """
     m: int
-    M: int
     alphabet: str        # "binary" or "ternary"
-    k: int               # nonzeros per column
     rows: np.ndarray     # (M, k) 0-based row indices, ascending per column
-    vals: np.ndarray     # (M, k) entry values at those rows; 1 when binary
+    vals: np.ndarray = None  # (M, k) entry values at those rows; 1 when binary
     provenance: str = ""
     # the dense operator, scattered on the first to_dense() call
     _dense: np.ndarray = field(default=None, init=False, repr=False)
 
+    M = property(lambda self: self.rows.shape[0], doc="columns")
+    k = property(lambda self: self.rows.shape[1], doc="nonzeros per column")
+
     def __post_init__(self):
-        # read-only views: to_dense() caches the operator these supports give
-        rows = np.asarray(self.rows, dtype=np.int64).view()
-        vals = np.asarray(self.vals, dtype=np.int64).view()
-        rows.flags.writeable = vals.flags.writeable = False
-        if rows.shape != (self.M, self.k) or vals.shape != (self.M, self.k):
-            raise InvalidInput("support arrays must have shape (M, k)")
-        if self.alphabet not in ("binary", "ternary") or self.k < 1:
+        rows = np.asarray(self.rows)
+        ones = np.broadcast_to(np.int64(1), rows.shape)
+        vals = ones if self.vals is None else np.asarray(self.vals)
+        if rows.ndim != 2 or vals.shape != rows.shape:
+            raise InvalidInput("support arrays must be 2-D and of one shape")
+        if self.alphabet not in ("binary", "ternary") or rows.shape[1] < 1:
             raise InvalidInput(f"need a binary or ternary alphabet and k >= 1, "
-                               f"got {self.alphabet!r} and k={self.k}")
+                               f"got {self.alphabet!r} and k={rows.shape[1]}")
+        try:
+            # read-only views: to_dense() caches the operator these supports give
+            rows, vals = (a.astype(np.int64, casting="same_kind", copy=False).view()
+                          for a in (rows, vals))
+        except TypeError:
+            raise InvalidInput("support arrays must hold integers") from None
+        rows.flags.writeable = vals.flags.writeable = False
         binary = self.alphabet == "binary"
         if rows.size and (rows.min() < 0 or rows.max() >= self.m
                           or (rows[:, 1:] <= rows[:, :-1]).any()):
@@ -65,7 +69,7 @@ class SensingMatrix:
             raise InvalidInput(f"every {self.alphabet} value must be "
                                f"{'1' if binary else '+-1'}")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "vals", _ones(rows.shape) if binary else vals)
+        object.__setattr__(self, "vals", ones if binary else vals)
 
     def to_dense(self) -> np.ndarray:
         """(m, M) float64 array in Fortran order: column c holds vals[c] at rows[c].
@@ -92,7 +96,7 @@ class SensingMatrix:
 
     @property
     def density(self) -> float:
-        return (self.M * self.k) / (self.m * self.M)
+        return self.k / self.m
 
 
 def build_binary_matrix(E: EulerSquare) -> SensingMatrix:
@@ -106,8 +110,7 @@ def build_binary_matrix(E: EulerSquare) -> SensingMatrix:
         raise Infeasible(f"need k >= 2 and n >= 3, got ({n},{k})")
     ads = E.cells.reshape(n * n, k)
     rows = np.arange(k)[None, :] * n + ads
-    return SensingMatrix(m=n * k, M=n * n, alphabet="binary", k=k,
-                         rows=rows, vals=_ones(rows.shape), provenance=E.provenance)
+    return SensingMatrix(m=n * k, alphabet="binary", rows=rows, provenance=E.provenance)
 
 
 def build_for_row_size(m: int) -> SensingMatrix:
@@ -140,20 +143,10 @@ def build_for_row_size(m: int) -> SensingMatrix:
 class ExtensionStage:
     k_t: int            # prime-power peeled at this stage
     n_t: int            # order of this stage's component square
-    copies: int         # k ** t zero-padded copies
-    cols: int           # copies * n_t ** 2
-    offsets: tuple      # row offset of each copy
+    offsets: tuple      # row offset of each zero-padded copy
 
-
-@dataclass(eq=False)
-class ExtensionPlan:
-    n: int
-    k: int
-    stages: list = field(default_factory=list)
-
-    @property
-    def total_cols(self) -> int:
-        return self.n ** 2 + sum(s.cols for s in self.stages)
+    copies = property(lambda self: len(self.offsets), doc="k ** t copies")
+    cols = property(lambda self: self.copies * self.n_t ** 2, doc="columns of the copies")
 
 
 def build_extended(n: int):
@@ -164,7 +157,7 @@ def build_extended(n: int):
     offset; offsets recurse as o + s*n_{t-1} for s = 0..k-1.  Every
     column keeps exactly k ones and pairwise overlap stays <= 1.
 
-    Returns (SensingMatrix, ExtensionPlan).
+    Returns (SensingMatrix, list of its ExtensionStages).
     """
     fac = factorize(n)
     if len(fac.components) < 2:
@@ -175,29 +168,23 @@ def build_extended(n: int):
     base = build_binary_matrix(euler_square(n, k))
     all_rows = [base.rows]
 
-    plan = ExtensionPlan(n=n, k=k)
+    stages = []
     remaining = sorted(fac.values)   # peel from the largest end
     offsets = [0]
     n_prev = n
-    t = 0
     while len(remaining) > 1:
-        t += 1
         k_t = remaining.pop()
         n_t = n_prev // k_t
         phi_t = build_binary_matrix(euler_square(n_t, k))
         offsets = [o + s * n_prev for o in offsets for s in range(k)]
         for o in offsets:
             all_rows.append(phi_t.rows + o)
-        plan.stages.append(ExtensionStage(
-            k_t=k_t, n_t=n_t, copies=k ** t,
-            cols=(k ** t) * n_t * n_t, offsets=tuple(offsets)))
+        stages.append(ExtensionStage(k_t=k_t, n_t=n_t, offsets=tuple(offsets)))
         n_prev = n_t
 
-    rows = np.concatenate(all_rows, axis=0)
-    mat = SensingMatrix(m=n * k, M=rows.shape[0], alphabet="binary", k=k,
-                        rows=rows, vals=_ones(rows.shape),
-                        provenance=f"extended n={n} k={k} stages={len(plan.stages)}")
-    return mat, plan
+    mat = SensingMatrix(m=n * k, alphabet="binary", rows=np.concatenate(all_rows, axis=0),
+                        provenance=f"extended n={n} k={k} stages={len(stages)}")
+    return mat, stages
 
 
 def _paley_core(q: int) -> np.ndarray:
@@ -273,8 +260,7 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
     # column order: all k spawned columns of phi column 0, then column 1, ...
     rows = np.repeat(phi.rows, k, axis=0)
     vals = np.tile(H.T, (phi.M, 1))
-    return SensingMatrix(m=phi.m, M=phi.M * k, alphabet="ternary", k=k,
-                         rows=rows, vals=vals,
+    return SensingMatrix(m=phi.m, alphabet="ternary", rows=rows, vals=vals,
                          provenance=f"ternary p={p} i={i} j={j} hadamard={h_used}")
 
 
@@ -355,7 +341,7 @@ def _support_token(tok: str, ternary: bool, line: int) -> tuple:
 
 def _read_support(body: list, k: int, ternary: bool):
     """(rows, vals, error) of the column lines before the first malformed one;
-    a binary file's vals are the broadcast of 1.
+    vals is None for a binary file, whose values are all 1.
 
     Lines as save_esm writes them convert as one array.  From the first
     line in another form on, each line is split on whitespace and its
@@ -388,7 +374,7 @@ def _read_support(body: list, k: int, ternary: bool):
         rows = np.concatenate([rows, tail[:, :, 0]])
         if ternary:
             vals = np.concatenate([vals, tail[:, :, 1]])
-    return rows, (vals if ternary else _ones(rows.shape)), error
+    return rows, (vals if ternary else None), error
 
 
 def load_esm(path: str) -> SensingMatrix:
@@ -438,5 +424,5 @@ def load_esm(path: str) -> SensingMatrix:
         if bad.size:
             raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
                              line=3 + int(bad[0]))
-    return SensingMatrix(m=m, M=M, alphabet=alphabet, k=k, rows=rows, vals=vals,
+    return SensingMatrix(m=m, alphabet=alphabet, rows=rows, vals=vals,
                          provenance=provenance)

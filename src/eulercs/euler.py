@@ -20,16 +20,20 @@ from .fields import GaloisField, build_field, factorize
 
 @dataclass(eq=False)
 class EulerSquare:
-    n: int
-    k: int
     cells: np.ndarray  # shape (n, n, k), values 0..n-1
     provenance: str = ""
 
+    n = property(lambda self: self.cells.shape[0], doc="order")
+    k = property(lambda self: self.cells.shape[2], doc="degree")
+
     def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=np.int64)
-        if self.cells.shape != (self.n, self.n, self.k):
-            raise InvalidInput(
-                f"cells shape {self.cells.shape} != {(self.n, self.n, self.k)}")
+        cells = np.asarray(self.cells)
+        if cells.ndim != 3 or cells.shape[0] != cells.shape[1]:
+            raise InvalidInput(f"cells shape {cells.shape} is not (n, n, k)")
+        try:
+            self.cells = cells.astype(np.int64, casting="same_kind", copy=False)
+        except TypeError:
+            raise InvalidInput(f"cells must hold integers, not {cells.dtype}") from None
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,7 @@ def mols_prime_power(F: GaloisField, k: int) -> EulerSquare:
     ys = np.arange(q)
     for t in range(1, k + 1):
         cells[:, :, t - 1] = F.add_table[F.mul_table[t, :][:, None], ys[None, :]]
-    return EulerSquare(n=q, k=k, cells=cells,
-                       provenance=f"prime-power p={F.p} r={F.r}")
+    return EulerSquare(cells, provenance=f"prime-power p={F.p} r={F.r}")
 
 
 def macneish_product(A: EulerSquare, B: EulerSquare) -> EulerSquare:
@@ -66,8 +69,7 @@ def macneish_product(A: EulerSquare, B: EulerSquare) -> EulerSquare:
         raise InvalidInput(f"degrees differ: {A.k} vs {B.k}")
     n1, n2, k = A.n, B.n, A.k
     prod = (A.cells[:, None, :, None, :] * n2 + B.cells[None, :, None, :, :])
-    cells = prod.reshape(n1 * n2, n1 * n2, k)
-    return EulerSquare(n=n1 * n2, k=k, cells=cells,
+    return EulerSquare(prod.reshape(n1 * n2, n1 * n2, k),
                        provenance=f"product({A.provenance} x {B.provenance})")
 
 

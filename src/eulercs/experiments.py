@@ -90,7 +90,10 @@ class MatrixSpec:
         match = re.fullmatch(_FAMILIES[family][0], text, re.ASCII)
         if match is None:
             raise ParseError(f"provenance {text!r} is not a well-formed {family} line")
-        return cls(family=family, **{f: int(v) for f, v in match.groupdict().items()})
+        try:
+            return cls(family=family, **{f: int(v) for f, v in match.groupdict().items()})
+        except ValueError:      # more digits than int() converts
+            raise ParseError(f"provenance {family} line has a number too long to read") from None
 
     @classmethod
     def of_shape(cls, family: str, m: int, M: int, seed=None):

@@ -38,13 +38,16 @@ from .errors import InvalidInput
 class CoherenceReport:
     m: int
     M: int
-    coherence: float
+    k: int                      # nonzeros, and squared norm, of every column
     argmax_pair: tuple          # lexicographically smallest 0-based (i, j),
                                 # i < j, attaining max_overlap
     max_overlap: int            # max |<phi_i, phi_j>| before normalization
-    welch: float                # Welch bound, nan when M <= m
-    density: float
-    column_weight_hist: dict    # weight -> count
+
+    coherence = property(lambda self: self.max_overlap / self.k, doc="mu")
+    welch = property(lambda self: welch_bound(self.m, self.M) if self.M > self.m
+                     else float("nan"), doc="Welch bound, nan when M <= m")
+    density = property(lambda self: self.k / self.m)
+    column_weight_hist = property(lambda self: {self.k: self.M}, doc="weight -> count")
 
     def to_text(self) -> str:
         lines = [
@@ -162,12 +165,8 @@ def coherence(mat: SensingMatrix) -> CoherenceReport:
         used, inverse = np.unique(rows, return_inverse=True)
         proved = replace(mat, m=used.size, rows=inverse.reshape(rows.shape))
     max_off, pair = _row_pair_extrema(proved) or _gram_scan(proved)
-    mu = max_off / float(mat.k)
-    welch = welch_bound(mat.m, mat.M) if mat.M > mat.m else float("nan")
-    weights = {int(mat.k): mat.M}
-    return CoherenceReport(m=mat.m, M=mat.M, coherence=mu, argmax_pair=pair,
-                           max_overlap=int(round(max_off)), welch=welch,
-                           density=mat.density, column_weight_hist=weights)
+    return CoherenceReport(m=mat.m, M=mat.M, k=mat.k, argmax_pair=pair,
+                           max_overlap=int(round(max_off)))
 
 
 def welch_bound(m: int, M: int) -> float:

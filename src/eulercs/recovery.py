@@ -95,14 +95,13 @@ def omp_batch(A, Y, K: int) -> list:
     """
     if isinstance(A, SensingMatrix):
         scores_of, sq = _support_scorer(A)
-        norms = np.sqrt(sq)
         A = A.to_dense()
     else:
         def scores_of(R):
             return R @ A
 
         sq = np.einsum("mj,mj->j", A, A)
-        norms = np.linalg.norm(A, axis=0)
+    norms = np.sqrt(sq)
     m, M = A.shape
     if np.any(norms == 0):
         raise InvalidInput("matrix has a zero column")

@@ -130,9 +130,9 @@ def test_criterion_05_column_extension(announce):
         expected_cols = {12: 162, 20: 448, 24: 594, 60: 3924}
         t0 = time.perf_counter()
         for n, want in expected_cols.items():
-            mat, plan = build_extended(n)
+            mat, stages = build_extended(n)
             # independent count: n^2 plus per-stage block size times copies
-            total = n * n + sum(s.n_t * s.n_t * s.copies for s in plan.stages)
+            total = n * n + sum(s.n_t * s.n_t * s.copies for s in stages)
             assert mat.M == total == want, n
             rep = coherence(mat)
             assert rep.coherence <= 1 / mat.k, n
@@ -297,8 +297,7 @@ def test_criterion_11_validators(announce):
             i, j = rng.integers(sq.n, size=2)
             t = rng.integers(sq.k)
             mutated[i, j, t] = (mutated[i, j, t] + 1 + rng.integers(sq.n - 1)) % sq.n
-            broken = type(sq)(n=sq.n, k=sq.k, cells=mutated,
-                              provenance=sq.provenance)
+            broken = type(sq)(cells=mutated, provenance=sq.provenance)
             report = validate_euler_square(broken)
             assert not report.ok, trial
             assert report.location is not None

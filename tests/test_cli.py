@@ -137,6 +137,25 @@ def test_verify_huge_header_k_exits_1(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("provenance, family", [
+    ("euler n=" + "1" * 5000 + " k=2", "euler"),
+    ("rows m=6 via euler n=3 k=" + "2" * 5000, "euler"),      # read after the report
+    ("ternary p=5 i=1 j=" + "1" * 4301 + " hadamard=4", "ternary"),
+], ids=["euler_n", "rows_via_k", "ternary_j"])
+def test_verify_provenance_number_too_long_for_int_exits_1(tmp_path, capsys, provenance,
+                                                            family):
+    # int() refuses more than 4300 digits with a ValueError
+    out = tmp_path / "m.esm"
+    run(["gen", "--index", "3,2", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    lines[1] = provenance
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: provenance {family} line has a number too long to read\n")
+
+
 def test_verify_unshapeable_empty_matrix_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.esm"
     bad.write_text("ESM v1 rows=4611686018427387904 cols=0 alphabet=binary "

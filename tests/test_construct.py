@@ -91,20 +91,19 @@ def test_row_size_exclusions(m):
 
 
 def test_extended_12():
-    mat, plan = build_extended(12)
+    mat, stages = build_extended(12)
     assert (mat.m, mat.M) == (24, 162)
-    assert plan.total_cols == 162
-    assert len(plan.stages) == 1
-    stage = plan.stages[0]
+    assert len(stages) == 1
+    stage = stages[0]
     assert (stage.k_t, stage.n_t, stage.copies, stage.cols) == (4, 3, 2, 18)
     off, diag = max_overlap(mat)
     assert off <= 1 and (diag == 2).all()
 
 
 def test_extended_60():
-    mat, plan = build_extended(60)
+    mat, stages = build_extended(60)
     assert mat.M == 3600 + 2 * 144 + 4 * 9 == 3924
-    assert [s.k_t for s in plan.stages] == [5, 4]
+    assert [s.k_t for s in stages] == [5, 4]
     off, diag = max_overlap(mat)
     assert off <= 1 and (diag == 2).all()
 
@@ -112,13 +111,26 @@ def test_extended_60():
 def test_extended_column_lower_bound():
     # geometric-series lower bound on the stage sum
     for n in (12, 24, 60):
-        mat, plan = build_extended(n)
-        k = plan.k
-        k1 = plan.stages[0].k_t
-        l = len(plan.stages)
+        mat, stages = build_extended(n)
+        k = mat.k
+        k1 = stages[0].k_t
+        l = len(stages)
         ratio = k / k1 ** 2
         bound = n ** 2 * (1 - ratio ** (l + 1)) / (1 - ratio)
-        assert plan.total_cols >= bound
+        assert mat.M >= bound
+
+
+@pytest.mark.parametrize("n, k, stages", [
+    (12, 2, [(4, 3, 2, 18)]),
+    (24, 2, [(8, 3, 2, 18)]),
+    (60, 2, [(5, 12, 2, 288), (4, 3, 4, 36)]),
+])
+def test_extended_stage_copies_and_cols_follow_the_offsets(n, k, stages):
+    # (k_t, n_t, copies, cols): stage t places k ** t copies of n_t ** 2 columns
+    mat, got = build_extended(n)
+    assert [(s.k_t, s.n_t, s.copies, s.cols) for s in got] == stages
+    assert all(s.copies == k ** t for t, s in enumerate(got, 1))
+    assert mat.M == n * n + sum(s.cols for s in got)
 
 
 def test_extended_single_prime_power_rejected():
@@ -212,7 +224,7 @@ def test_to_dense_is_one_read_only_array_per_matrix():
 def test_supports_are_read_only_and_the_callers_arrays_are_not():
     rows = np.array([[0, 1], [0, 2], [1, 2]])
     vals = np.array([[1, 1], [1, -1], [-1, 1]])
-    mat = SensingMatrix(m=3, M=3, alphabet="ternary", k=2, rows=rows, vals=vals)
+    mat = SensingMatrix(m=3, alphabet="ternary", rows=rows, vals=vals)
     dense = mat.to_dense().copy()
     for arr in (mat.rows, mat.vals):
         with pytest.raises(ValueError):
@@ -286,9 +298,10 @@ def test_a_matrix_cannot_be_reassigned():
 
 
 def supports(m, rows, vals=None, alphabet="binary"):
-    """The SensingMatrix of m rows with these supports, all ones by default."""
-    rows = np.array(rows, dtype=np.int64).reshape(len(rows), -1)
-    return SensingMatrix(m=m, M=len(rows), alphabet=alphabet, k=rows.shape[1], rows=rows,
+    """The SensingMatrix of m rows with these supports, all ones by default;
+    the rows keep the dtype numpy gives them."""
+    rows = np.array(rows).reshape(len(rows), -1)
+    return SensingMatrix(m=m, alphabet=alphabet, rows=rows,
                          vals=np.ones_like(rows) if vals is None else vals)
 
 
@@ -303,6 +316,8 @@ def _descending_replace():
 
 
 _ONLY_ONES = "every binary value must be 1"
+_SHAPES = "support arrays must be 2-D and of one shape"
+_INTEGERS = "support arrays must hold integers"
 _PLUS_MINUS_ONE = "every ternary value must be +-1"
 
 
@@ -326,15 +341,58 @@ _PLUS_MINUS_ONE = "every ternary value must be +-1"
     (lambda: supports(3, np.zeros((2, 0))),
      "need a binary or ternary alphabet and k >= 1, got 'binary' and k=0"),
     (_descending_replace, _rows_within(6)),
+    (lambda: SensingMatrix(m=3, alphabet="binary", rows=[0, 1, 2]), _SHAPES),
+    (lambda: SensingMatrix(m=3, alphabet="binary", rows=np.zeros((1, 2, 2), int)), _SHAPES),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, 1]]), _SHAPES),
+    (lambda: supports(3, [[0, 1], [1, 2]], [1, 1]), _SHAPES),
+    (lambda: supports(3, [[0.9, 1.7], [0.2, 2.5]]), _INTEGERS),
+    (lambda: supports(3, [[0.0, 1.0], [1.0, 2.0]]), _INTEGERS),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, 1.5], [1, 1]]), _INTEGERS),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, -1.0], [1, 1]], "ternary"), _INTEGERS),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, 1j], [1, 1]], "ternary"), _INTEGERS),
+    (lambda: supports(3, [[0, 2 ** 70], [1, 2]]), _INTEGERS),
 ], ids=["degenerate_column", "value_2", "value_minus_3", "zero_value", "repeated_row",
         "descending", "row_5_of_4", "row_-1_of_4", "row_45_of_40", "row_-1_of_40",
         "repeated_row_of_55", "descending_of_55", "row_55_of_55", "binary_minus_one",
-        "unknown_alphabet", "k_0", "replace_descending"])
+        "unknown_alphabet", "k_0", "replace_descending", "rows_1d", "rows_3d",
+        "vals_fewer_columns", "vals_1d", "float_rows", "integral_float_rows",
+        "float_value", "float_ternary_value", "complex_value", "object_rows"])
 def test_construction_refuses_a_bad_support(make, message):
     # every column of a SensingMatrix has squared norm k, the fact
     # coherence's mu = max overlap / k and OMP's support scores rest on
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("alphabet", ["binary", "ternary"])
+def test_left_out_vals_are_all_ones(alphabet):
+    mat = SensingMatrix(m=4, alphabet=alphabet, rows=[[0, 1], [1, 3], [2, 3]])
+    assert (mat.M, mat.k, mat.shape) == (3, 2, (4, 3))
+    assert mat.vals.shape == (3, 2) and (mat.vals == 1).all()
+    assert mat.vals.dtype == np.int64 and not mat.vals.flags.writeable
+    assert np.array_equal(mat.to_dense(), [[1, 0, 0], [1, 1, 0], [0, 0, 1], [0, 1, 1]])
+
+
+def test_integer_and_bool_supports_are_accepted():
+    mat = SensingMatrix(m=3, alphabet="ternary", rows=np.array([[0, 1], [1, 2]], np.uint8),
+                        vals=np.array([[1, -1], [1, 1]], np.int8))
+    assert mat.rows.dtype == mat.vals.dtype == np.int64
+    assert np.array_equal(mat.rows, [[0, 1], [1, 2]])
+    assert np.array_equal(mat.vals, [[1, -1], [1, 1]])
+    assert np.array_equal(supports(2, [[0, 1]], [[True, True]]).rows, [[0, 1]])
+
+
+def test_shape_follows_the_rows():
+    mat = build_binary_matrix(euler_square(3, 2))
+    flipped = replace(mat, rows=mat.rows[::-1])
+    assert (flipped.m, flipped.M, flipped.k) == (mat.m, mat.M, mat.k) == (6, 9, 2)
+    fewer = replace(mat, rows=mat.rows[:4], vals=None)
+    assert (fewer.M, fewer.k, fewer.vals.shape, fewer.density) == (4, 2, (4, 2), 1 / 3)
+    with pytest.raises(InvalidInput, match=f"^{_SHAPES}$"):
+        replace(mat, rows=mat.rows[:4])         # keeps the (9, 2) vals
+    for name in ("M", "k"):
+        with pytest.raises(TypeError):
+            replace(mat, **{name: 3})
 
 
 def test_esm_round_trip(tmp_path):

@@ -109,7 +109,7 @@ def test_validator_reports_row_violation():
     E = euler_square(3, 2)
     cells = E.cells.copy()
     cells[0, 0, 0] = 1  # duplicates value 1 in row 0, coordinate 0
-    report = validate_euler_square(EulerSquare(n=3, k=2, cells=cells))
+    report = validate_euler_square(EulerSquare(cells))
     assert not report.ok
     assert "row-Latin" in report.message
     assert report.location[0] == 0
@@ -119,7 +119,29 @@ def test_validator_reports_out_of_range():
     E = euler_square(3, 2)
     cells = E.cells.copy()
     cells[1, 1, 1] = 7
-    assert not validate_euler_square(EulerSquare(n=3, k=2, cells=cells)).ok
+    assert not validate_euler_square(EulerSquare(cells)).ok
+
+
+def test_square_shape_follows_its_cells():
+    E = euler_square(12, 2)
+    assert (E.n, E.k, E.cells.shape) == (12, 2, (12, 12, 2))
+    E.cells = E.cells[:, :, :1]
+    assert (E.n, E.k) == (12, 1)
+    square = EulerSquare(np.zeros((4, 4, 3), dtype=np.int8))
+    assert (square.n, square.k, square.cells.dtype) == (4, 3, np.int64)
+
+
+@pytest.mark.parametrize("cells, message", [
+    (np.zeros((3, 3), int), r"^cells shape \(3, 3\) is not \(n, n, k\)$"),
+    (np.zeros((3, 3, 2, 1), int), r"^cells shape \(3, 3, 2, 1\) is not \(n, n, k\)$"),
+    (np.zeros((3, 4, 2), int), r"^cells shape \(3, 4, 2\) is not \(n, n, k\)$"),
+    (euler_square(3, 2).cells + 0.6, "^cells must hold integers, not float64$"),
+    (euler_square(3, 2).cells + 0.0, "^cells must hold integers, not float64$"),
+], ids=["2d", "4d", "not_square", "fractional", "integral_float"])
+def test_square_refuses_bad_cells(cells, message):
+    # truncated to int64, (3,2) + 0.6 would validate
+    with pytest.raises(InvalidInput, match=message):
+        EulerSquare(cells)
 
 
 def test_all_constructible_small_orders_validate():
@@ -161,7 +183,7 @@ def test_validator_reports_latin_but_not_orthogonal(index, r, s, location):
     E = euler_square(*index)
     cells = E.cells.copy()
     cells[:, :, s] = cells[:, :, r]   # still Latin in every coordinate
-    report = validate_euler_square(EulerSquare(*index, cells=cells))
+    report = validate_euler_square(EulerSquare(cells))
     assert not report.ok
     assert report.message == f"orthogonality violation for coordinates ({r},{s})"
     assert report.location == location
@@ -178,7 +200,7 @@ def test_validator_reports_column_violation():
     E = euler_square(5, 3)
     cells = E.cells.copy()
     cells[3, :, 1] = cells[0, :, 1]   # rows stay Latin, columns repeat
-    report = validate_euler_square(EulerSquare(n=5, k=3, cells=cells))
+    report = validate_euler_square(EulerSquare(cells))
     assert report.message == "column-Latin violation in coordinate 1"
     assert report.location == (-1, 0, 1)
 
@@ -242,5 +264,5 @@ def test_validator_matches_a_cell_by_cell_oracle(index, data):
             cells[i, [j, j2], r] = cells[i, [j2, j], r]
         else:
             cells[[i, i2], j, r] = cells[[i2, i], j, r]
-    report = validate_euler_square(EulerSquare(n, k, cells=cells))
+    report = validate_euler_square(EulerSquare(cells))
     assert report == _scan_oracle(n, k, cells.tolist())

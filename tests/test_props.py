@@ -42,6 +42,23 @@ def test_coherence_6x9():
     assert rep.column_weight_hist == {2: 9}
 
 
+@pytest.mark.parametrize("build, stored", [
+    (lambda: euler_matrix(11, 5),
+     (55, 121, 0.2, (0, 17), 1, 0.1, 0.09090909090909091, {5: 121})),
+    (lambda: build_ternary(5, 1, 1),
+     (20, 100, 0.25, (0, 24), 1, 0.20100756305184242, 0.2, {4: 100})),
+    (lambda: spread(euler_matrix(5, 3), 10 ** 15),
+     (10 ** 15, 25, 0.3333333333333333, (0, 7), 1, math.nan, 3e-15, {3: 25})),
+], ids=["euler_11_5", "ternary_5_1_1", "wide"])
+def test_report_properties_equal_the_values_once_stored(build, stored):
+    # (m, M, coherence, argmax_pair, max_overlap, welch, density, weights),
+    # pinned to the last digit that verify prints
+    rep = coherence(build())
+    got = (rep.m, rep.M, rep.coherence, rep.argmax_pair, rep.max_overlap,
+           rep.welch, rep.density, rep.column_weight_hist)
+    assert repr(got) == repr(stored)
+
+
 def test_coherence_argmax_pair_really_attains():
     mat = euler_matrix(5, 3)
     rep = coherence(mat)
@@ -177,8 +194,7 @@ def brute_force(mat):
 
 def binary(m, columns):
     rows = np.array(columns)
-    return SensingMatrix(m=m, M=len(columns), alphabet="binary",
-                         k=rows.shape[1], rows=rows, vals=np.ones_like(rows))
+    return SensingMatrix(m=m, alphabet="binary", rows=rows, vals=np.ones_like(rows))
 
 
 def assert_matches_oracle(mat):
@@ -311,7 +327,7 @@ def signed_supports(draw):
         others = [r for r in range(m) if r not in pair]
         columns[b] = sorted(pair + draw(st.permutations(others))[:k - 2])
     signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=M * k, max_size=M * k))
-    return SensingMatrix(m=m, M=M, alphabet="ternary", k=k, rows=columns,
+    return SensingMatrix(m=m, alphabet="ternary", rows=columns,
                          vals=np.reshape(signs, (M, k)))
 
 
@@ -352,8 +368,8 @@ def test_repeat_at_different_positions(m, columns, overlap, pair):
 
 def spread(mat, m):
     """mat with its rows mapped in order into m rows, m > M*k."""
-    return SensingMatrix(m=m, M=mat.M, alphabet=mat.alphabet, k=mat.k,
-                         rows=mat.rows * (m // mat.m), vals=mat.vals)
+    return SensingMatrix(m=m, alphabet=mat.alphabet, rows=mat.rows * (m // mat.m),
+                         vals=mat.vals)
 
 
 @pytest.mark.parametrize("build", [

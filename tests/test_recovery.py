@@ -53,8 +53,7 @@ def _with(a, where, value):
 def _support_matrix(rows):
     """A binary 55-row SensingMatrix with the given supports."""
     rows = np.array(rows, dtype=np.int64)
-    return SensingMatrix(m=55, M=len(rows), alphabet="binary", k=rows.shape[1],
-                         rows=rows, vals=np.ones_like(rows))
+    return SensingMatrix(m=55, alphabet="binary", rows=rows, vals=np.ones_like(rows))
 
 
 # (A, Y, K) from the valid (A55, Y, 2) -> (class, message)
