@@ -12,7 +12,8 @@ error, nan or inf measurements too, a convergence failure), 2
 InvalidInput (argparse's usage errors too) or a path that cannot be
 opened, 3 Infeasible (such as an m x M shape no euler square has) or out
 of memory.  Each error prints one `error:` line, which a ParseError that
-knows its line ends with ` (line N)`.
+knows its line ends with ` (line N)`; a failed verification prints it
+after its report.
 """
 
 import argparse
@@ -130,54 +131,48 @@ def _fits_header(mat, spec):
     return spec.n * spec.n <= mat.M and (spec.family != "euler" or spec.k <= mat.k)
 
 
-def _rebuild_failures(mat, spec):
-    """Ways `mat` differs from the matrix its provenance spec builds."""
+def _check_rebuild(mat, spec):
+    """Raise EulerCSError at the first way `mat` differs from the matrix its
+    provenance spec builds, or at an euler square that does not validate."""
     if not _fits_header(mat, spec):
-        return [f"provenance {mat.provenance!r} does not fit the header "
-                f"rows={mat.m} cols={mat.M} k={mat.k}"]
+        raise EulerCSError(f"provenance {mat.provenance!r} does not fit the header "
+                           f"rows={mat.m} cols={mat.M} k={mat.k}")
     try:
         rebuilt = experiments.make_matrix(spec)
     except EulerCSError as exc:
-        return [f"provenance {mat.provenance!r} cannot be rebuilt: {exc}"]
-    same = ((rebuilt.m, rebuilt.M, rebuilt.alphabet, rebuilt.k, rebuilt.provenance)
-            == (mat.m, mat.M, mat.alphabet, mat.k, mat.provenance)
+        raise EulerCSError(f"provenance {mat.provenance!r} cannot be rebuilt: {exc}") from None
+    same = ((rebuilt.m, rebuilt.alphabet, rebuilt.provenance)
+            == (mat.m, mat.alphabet, mat.provenance)
             and np.array_equal(rebuilt.rows, mat.rows)
             and np.array_equal(rebuilt.vals, mat.vals))
     if not same:
-        return ["matrix does not match its provenance rebuild"]
+        raise EulerCSError("matrix does not match its provenance rebuild")
     if spec.family == "euler":
         cells = (rebuilt.rows - np.arange(spec.k) * spec.n).reshape(spec.n, spec.n, -1)
         val = validate_euler_square(EulerSquare(cells))
         if not val.ok:
-            return [f"euler square validation: {val.message}"]
-    return []
+            raise EulerCSError(f"euler square validation: {val.message}")
 
 
 def cmd_verify(args):
     """Print the exhaustive coherence report, then check the provenance.
 
     Provenance of the euler, rows, extended and ternary families (the
-    lines their constructions write) is parsed into a MatrixSpec and
-    rebuilt.  The file must then keep column overlap <= 1 and match the
-    rebuild in shape, alphabet, column weight, support, values and
-    provenance; an euler square must also validate.  A malformed line of
-    those families is a ParseError, a claim that does not fit the header
-    fails before anything is built, and one that cannot be built fails.
-    Any other provenance is only reported.
+    lines their constructions write) is parsed into a MatrixSpec, and a
+    malformed line of those families is a ParseError before anything is
+    printed.  After the report, the first failed check (_check_rebuild,
+    then column overlap <= 1) raises EulerCSError, which main prints as
+    one `error:` line.  Any other provenance is only reported.
     """
     mat = construct.load_esm(args.matrix)
     spec = experiments.MatrixSpec.from_provenance(mat.provenance)
     report = props.coherence(mat)
     sys.stdout.write(report.to_text())
-    failures = []
     if spec is not None:
+        _check_rebuild(mat, spec)
+        # a file that matches its rebuild exceeds 1 only if the construction is broken
         if report.max_overlap > 1:
-            failures.append(f"max column overlap {report.max_overlap} exceeds 1")
-        failures += _rebuild_failures(mat, spec)
-    if failures:
-        for msg in failures:
-            print(f"FAIL: {msg}", file=sys.stderr)
-        return 1
+            raise EulerCSError(f"max column overlap {report.max_overlap} exceeds 1")
     print("verification passed", file=sys.stderr)
     return 0
 

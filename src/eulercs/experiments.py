@@ -45,16 +45,16 @@ REPORT_VERSION = "5"
 
 SUCCESS_DB = 100.0      # recovery.snr at which a trial succeeds
 
-# Deterministic family -> (the provenance line its construction writes,
-# as a pattern whose named groups are MatrixSpec fields; the builder).
+# Deterministic family -> (the provenance line its construction writes, as a
+# pattern grouping every number, named when it is a MatrixSpec field; the builder).
 _FAMILIES = {
     "euler": (r"euler n=(?P<n>\d+) k=(?P<k>\d+)",
               lambda s: build_binary_matrix(euler_square(s.n, s.k))),
-    "rows": (r"rows m=(?P<row_size>\d+) via euler n=\d+ k=\d+",
+    "rows": (r"rows m=(?P<row_size>\d+) via euler n=(\d+) k=(\d+)",
              lambda s: build_for_row_size(s.row_size)),
-    "extended": (r"extended n=(?P<n>\d+) k=\d+ stages=\d+",
+    "extended": (r"extended n=(?P<n>\d+) k=(\d+) stages=(\d+)",
                  lambda s: build_extended(s.n)[0]),
-    "ternary": (r"ternary p=(?P<p>\d+) i=(?P<i>\d+) j=(?P<j>\d+) hadamard=\d+",
+    "ternary": (r"ternary p=(?P<p>\d+) i=(?P<i>\d+) j=(?P<j>\d+) hadamard=(\d+)",
                 lambda s: build_ternary(s.p, s.i, s.j)),
 }
 
@@ -82,7 +82,8 @@ class MatrixSpec:
         """The spec a construction's provenance line names.
 
         Returns None when the first token is not a deterministic family;
-        raises ParseError when it is one but the line has another form.
+        raises ParseError when it is one but the line has another form or
+        a number too long to read.
         """
         family = (text.split() or [""])[0]
         if family not in _FAMILIES:
@@ -91,9 +92,10 @@ class MatrixSpec:
         if match is None:
             raise ParseError(f"provenance {text!r} is not a well-formed {family} line")
         try:
-            return cls(family=family, **{f: int(v) for f, v in match.groupdict().items()})
+            numbers = [int(v) for v in match.groups()]
         except ValueError:      # more digits than int() converts
             raise ParseError(f"provenance {family} line has a number too long to read") from None
+        return cls(family=family, **{f: numbers[g - 1] for f, g in match.re.groupindex.items()})
 
     @classmethod
     def of_shape(cls, family: str, m: int, M: int, seed=None):
@@ -319,15 +321,13 @@ def _level_reaches_fraction(A, k, solver, fraction, seeds):
     while done < len(seeds):
         # the bound is not positive for a fraction of 0 or above 1
         chunk = max(1, min(need - successes, allowed_failures + 1 - failures))
-        for ok in _trial_outcomes(A, k, solver, seeds[done:done + chunk]):
-            if ok:
-                successes += 1
-                if successes >= need:
-                    return True
-            else:
-                failures += 1
-                if failures > allowed_failures:
-                    return False
+        hits = sum(_trial_outcomes(A, k, solver, seeds[done:done + chunk]))
+        successes += hits
+        failures += chunk - hits
+        if hits and successes >= need:
+            return True
+        if failures > allowed_failures:
+            return False
         done += chunk
     return successes >= need
 

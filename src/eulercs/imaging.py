@@ -23,6 +23,7 @@ import hashlib
 import io
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,23 +318,18 @@ def score_retrieval(rankings: list, query_labels: list, db_labels: dict,
 # ---------------------------------------------------------------------------
 # PGM I/O (P2 ascii / P5 binary, 8-bit)
 
+# a header token after any whitespace and comments; the lookahead makes a
+# comment run to its line's end, so no token is read from inside one
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*([^ \t\r\n#]+)")
+
+
 def read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         data = f.read()
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        if data[i:i + 1] == b"#":
-            while i < len(data) and data[i] not in b"\n":
-                i += 1
-        elif data[i] in b" \t\r\n":
-            i += 1
-        else:
-            j = i
-            while j < len(data) and data[j] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
+    tokens, i = [], 0
+    while len(tokens) < 4 and (match := _PGM_TOKEN.match(data, i)):
+        tokens.append(match[1])
+        i = match.end()
     if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
         raise ParseError("not an 8-bit PGM (P2/P5) file", line=1)
     magic = tokens[0]

@@ -25,8 +25,8 @@ multiplies by the values unless all are 1, and sums the k terms in
 ascending row order.  Those are the nonzero terms that a product adds,
 in its row order; its other terms are exact zeros, and adding a zero
 changes no sum, so the two scores differ at most by the rounding order
-a BLAS kernel may take, far inside TIE_RTOL.  The column norms are the
-square roots of the summed squared values.  Picked columns,
+a BLAS kernel may take, far inside TIE_RTOL.  Every column norm is
+sqrt(k), as the matrix's +-1 values give.  Picked columns,
 coefficients and residuals still come from the matrix's one cached
 dense array, and basis pursuit runs on that array.
 
@@ -90,8 +90,8 @@ def omp_batch(A, Y, K: int) -> list:
     last c and its residual_norm is the norm of its last residual; no
     least-squares fit is solved afresh.  The Gram A^T A is never
     formed; the state takes (m + K) * K floats per trial.  A and Y are
-    as recover has checked them: A a SensingMatrix or a float array, Y
-    a float array.
+    as recover has checked them: A a SensingMatrix or a float array
+    with no zero column, Y a float array.
     """
     if isinstance(A, SensingMatrix):
         scores_of, sq = _support_scorer(A)
@@ -103,9 +103,6 @@ def omp_batch(A, Y, K: int) -> list:
         sq = np.einsum("mj,mj->j", A, A)
     norms = np.sqrt(sq)
     m, M = A.shape
-    if np.any(norms == 0):
-        raise InvalidInput("matrix has a zero column")
-
     At = np.ascontiguousarray(A.T)
     T = Y.shape[0]
     picks = np.full((T, K), -1)                 # pick order, per trial
@@ -170,9 +167,9 @@ def omp_batch(A, Y, K: int) -> list:
 def _support_scorer(mat: SensingMatrix):
     """(R -> R @ A, the squared column norms) of A = mat.to_dense(), from
     the supports: row t of the product sums R[t] at each column's rows,
-    times its values unless all are 1, in ascending row order.  The
-    supports are as SensingMatrix guarantees, so the squared norm of a
-    column is the sum of its squared values."""
+    times its values unless all are 1, in ascending row order.  Every
+    column's values are +-1, as SensingMatrix guarantees, so every
+    squared norm is k."""
     at = mat.rows.T.ravel()
     vals = mat.vals.T.reshape(-1, 1).astype(np.float64)
     weights = None if (vals == 1).all() else vals
@@ -183,7 +180,7 @@ def _support_scorer(mat: SensingMatrix):
             G *= weights
         return np.add.reduce(G.reshape(mat.k, mat.M, len(R)), axis=0).T
 
-    return scores_of, (vals * vals).reshape(mat.k, mat.M).sum(axis=0)
+    return scores_of, np.full(mat.M, float(mat.k))
 
 
 def basis_pursuit(A, y) -> RecoveryResult:
@@ -258,11 +255,13 @@ def recover(A, Y, K: int, solver: str) -> list:
     """One RecoveryResult per row of Y from the solver named in SOLVERS.
 
     A is a SensingMatrix, whose supports its type checks, or an array.
-    Before any solve, for every solver: an unknown name and a K outside
-    0..m raise InvalidInput; an A that is not 2-D or has no column, a Y
-    that is not (trials, m), and a nan or inf in an array A or in Y,
-    raise EulerCSError.  A SensingMatrix's entries are its integer vals,
-    so it holds no nan.
+    Before any solve, for every solver: an unknown name, an array A with
+    a column of squared norm 0 (all zero, or so small its squares
+    underflow) and a K outside 0..m raise InvalidInput; an A that
+    is not 2-D or has no column, a Y that is not (trials, m), and a nan
+    or inf in an array A or in Y, raise EulerCSError.  A SensingMatrix's
+    entries are its integer vals, k >= 1 of them +-1 per column, so it
+    holds no nan and no zero column.
     A Y of no rows returns [].  "omp" is then one omp_batch call of at
     most K atoms; "bp" runs basis_pursuit row by row on the dense array
     (K unused).  A solve that fails shows only in its result's converged
@@ -276,6 +275,8 @@ def recover(A, Y, K: int, solver: str) -> list:
             raise EulerCSError(f"A has shape {A.shape}, expected (m, M)")
         if not np.isfinite(A).all():
             raise EulerCSError("A has a nan or inf entry")
+        if not np.einsum("mj,mj->j", A, A).all():     # omp_batch divides by the norms
+            raise InvalidInput("matrix has a zero column")
     m, M = A.shape
     if M < 1:
         raise EulerCSError("A has no column")

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from eulercs import errors, experiments, recovery
+from eulercs import errors, experiments, props, recovery
 from eulercs.cli import main
 from eulercs.construct import load_esm
 from eulercs.errors import ParseError
@@ -112,7 +112,28 @@ def test_verify_detects_corruption(tmp_path, capsys, index, line, text, message)
     open(out, "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["verify", out]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_verify_fails_square_validation_in_one_error_line(tmp_path, capsys, monkeypatch):
+    # a (5,2) square with two cells of row 0 swapped: the matrix's columns are
+    # only permuted, so its overlap stays 1 and verify rebuilds the same
+    # matrix, but the square is no longer column-Latin
+    square = experiments.euler_square(5, 2)
+    cells = square.cells.copy()
+    cells[0, [0, 1]] = cells[0, [1, 0]]
+    shuffled = type(square)(cells=cells, provenance=square.provenance)
+    monkeypatch.setattr(experiments, "euler_square", lambda n, k: shuffled)
+    out = str(tmp_path / "m.esm")
+    assert run(["gen", "--index", "5,2", "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == props.coherence(load_esm(out)).to_text()
+    assert captured.err.startswith("error: euler square validation: column-Latin ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_reports_unknown_provenance(tmp_path):
@@ -139,7 +160,7 @@ def test_verify_huge_header_k_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("provenance, family", [
     ("euler n=" + "1" * 5000 + " k=2", "euler"),
-    ("rows m=6 via euler n=3 k=" + "2" * 5000, "euler"),      # read after the report
+    ("rows m=6 via euler n=3 k=" + "2" * 5000, "rows"),
     ("ternary p=5 i=1 j=" + "1" * 4301 + " hadamard=4", "ternary"),
 ], ids=["euler_n", "rows_via_k", "ternary_j"])
 def test_verify_provenance_number_too_long_for_int_exits_1(tmp_path, capsys, provenance,
@@ -152,8 +173,8 @@ def test_verify_provenance_number_too_long_for_int_exits_1(tmp_path, capsys, pro
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: provenance {family} line has a number too long to read\n")
+    assert capsys.readouterr() == (
+        "", f"error: provenance {family} line has a number too long to read\n")
 
 
 def test_verify_unshapeable_empty_matrix_exits_1(tmp_path, capsys):

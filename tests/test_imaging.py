@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from eulercs.construct import build_binary_matrix
 from eulercs.errors import EulerCSError, InvalidInput, ParseError
 from eulercs.euler import euler_square
-from eulercs.imaging import (FeatureDB, extract_features,
+from eulercs.imaging import (_PGM_TOKEN, FeatureDB, extract_features,
                              haar_forward, haar_inverse, load_feature_db,
                              patchify, read_pgm, retrieve, save_feature_db,
                              score_retrieval, unpatchify, write_pgm)
@@ -343,6 +343,46 @@ def test_pgm_ascii(tmp_path):
     img = read_pgm(str(path))
     assert img.shape == (2, 3)
     assert img[1, 2] == 5
+
+
+def _header_tokens_by_bytes(data):
+    """The byte-at-a-time header scan _PGM_TOKEN replaced: up to four
+    tokens and the offset just past the last one."""
+    tokens = []
+    i = 0
+    while len(tokens) < 4 and i < len(data):
+        if data[i:i + 1] == b"#":
+            while i < len(data) and data[i] not in b"\n":
+                i += 1
+        elif data[i] in b" \t\r\n":
+            i += 1
+        else:
+            j = i
+            while j < len(data) and data[j] not in b" \t\r\n#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    return tokens, i
+
+
+# headers made mostly of the bytes the scan treats specially
+_HEADER_BYTES = st.one_of(
+    st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"#", b"P5", b"7", b"x",
+                              b"\x0b", b"\xff"]), max_size=40).map(b"".join),
+    st.binary(max_size=40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_HEADER_BYTES)
+def test_pgm_header_pattern_reads_the_tokens_the_byte_scan_read(data):
+    tokens, i = [], 0
+    while len(tokens) < 4 and (match := _PGM_TOKEN.match(data, i)):
+        tokens.append(match[1])
+        i = match.end()
+    want, end = _header_tokens_by_bytes(data)
+    assert tokens == want
+    if len(tokens) == 4:        # with fewer, read_pgm refuses the file
+        assert i == end
 
 
 @pytest.mark.parametrize("content", [b"P5\n3 2\n255\n\x00\x01\x02\x03\x04",

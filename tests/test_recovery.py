@@ -63,6 +63,10 @@ _BAD_INPUTS = [
     (lambda A, Y: (A, _with(Y, (1, 7), np.nan), 2), EulerCSError, "Y has a nan or inf entry"),
     (lambda A, Y: (A, _with(Y, (0, 0), -np.inf), 2), EulerCSError, "Y has a nan or inf entry"),
     (lambda A, Y: (_with(A, (3, 9), np.nan), Y, 2), EulerCSError, "A has a nan or inf entry"),
+    (lambda A, Y: (_with(A, (slice(None), 9), 0.0), Y, 2), InvalidInput,
+     "matrix has a zero column"),
+    (lambda A, Y: (_with(A, (slice(None), 9), 1e-200), Y, 2), InvalidInput,
+     "matrix has a zero column"),
     (lambda A, Y: (A[:, 0], Y, 2), EulerCSError, "A has shape (55,), expected (m, M)"),
     (lambda A, Y: (A[None], Y, 2), EulerCSError,
      "A has shape (1, 55, 121), expected (m, M)"),
