@@ -10,7 +10,7 @@ nonzeros and their values (+-1 for ternary; a binary matrix's values are
 a read-only broadcast of 1 that stores nothing).
 """
 
-import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,64 +267,131 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 # ---------------------------------------------------------------------------
 # file format: "ESM v1" text header + one support line per column
 #
-# The writer formats a block of column lines with one %-format; a block
-# holds about _BLOCK_VALUES numbers, which bounds the transient tuple and
-# text.  The reader, which every `verify` runs, converts the leading lines
-# in the writer's own form with one regular expression match and one numpy
-# call.  _NUMBER takes at most 18 digits, which always fit in int64, so
-# that conversion cannot overflow.  From the first line in another form on,
-# the reader scans line by line, accepting what `str.split` and `int`
-# accept and naming the first bad line.
+# One renderer makes the column lines.  Each number's token ("%d " or
+# "%d\n", and "%d:" for a ternary row) is gathered from a table of
+# null-padded fixed-width bytes, built once per matrix, and a block of
+# about _BLOCK_VALUES numbers becomes text with one tobytes().  The
+# writer writes its blocks.  The reader, which every `verify` runs,
+# parses a body with one numpy call and keeps the numbers only if
+# rendering them gives back the body byte for byte: a text that renders
+# back exactly is in the writer's form and holds exactly those numbers,
+# so the round trip is the whole validation.  Any other file is decoded
+# and read line by line from line 3, accepting what `str.split` and
+# `int` accept and naming the first bad line.
 
 _BLOCK_VALUES = 1 << 16
-_NUMBER = r"[0-9]{1,18}"
 
 
-def _repeated(token, count):
-    """Pattern of `count` space-separated `token`s; none match if count < 1."""
-    if count < 1:
-        return "(?!)"
-    return rf"(?:{token} ){{{count - 1}}}{token}"
+def _tokenizer(numbers, suffixes):
+    """Function from a block of rows of the 2-D `numbers` to the null-padded
+    fixed-width bytes array of their decimal tokens: suffixes[-1] follows
+    a row's last number and suffixes[0] every other.
 
-
-def _format_lines(values, line):
-    """Text chunks of `line` %-formatted with each row of 2-D `values`."""
-    per_block = max(1, _BLOCK_VALUES // max(1, values.shape[1]))
-    for b in range(0, len(values), per_block):
-        block = values[b:b + per_block]
-        yield line * len(block) % tuple(block.ravel().tolist())
-
-
-def _canonical_prefix(lines, line_pattern):
-    """Numbers of the leading lines that fully match `line_pattern`.
-
-    The pattern may separate numbers by spaces or ':'.  Returns
-    (values, n): the first n lines match and `values` holds their
-    numbers in order as one int64 array.
+    The token table is built once.  It spans min..max where that is fewer
+    values than `numbers` holds, and else only the values in use, so its
+    size is bounded by the count of numbers, never by their magnitude.
     """
-    try:
-        match = re.compile(line_pattern).fullmatch
-    except OverflowError:
-        # a repeat count beyond re's limit: no line held in memory has
-        # that many numbers
-        return np.empty(0, dtype=np.int64), 0
-    n = len(lines)
-    if not all(map(match, lines)):
-        n = next(i for i, line in enumerate(lines) if not match(line))
-    head = " ".join(lines[:n]).replace(":", " ")
-    return np.fromstring(head, dtype=np.int64, sep=" "), n
+    lo, hi = int(numbers.min()), int(numbers.max())
+    if hi - lo < numbers.size:
+        values, index = range(lo, hi + 1), lambda block: block - lo
+    else:
+        values = np.unique(numbers)
+        index = lambda block: np.searchsorted(values, block)
+    digits = np.array(" ".join(map(str, values)).encode().split())
+    n, w, k = len(suffixes), digits.itemsize, numbers.shape[1]
+    # a token is its digits, null padding, then its suffix
+    table = np.zeros((digits.size, n, w + 1), dtype=np.uint8)
+    table[:, :, :w] = digits.view(np.uint8).reshape(-1, 1, w)
+    table[:, :, w] = np.frombuffer(b"".join(suffixes), dtype=np.uint8)
+    table = table.view(f"S{w + 1}").ravel()
+    suffix = (np.arange(k) == k - 1) * (n - 1)
+    return lambda block: table.take(index(block) * n + suffix)
+
+
+def _column_text(rows, vals, ternary):
+    """Bytes blocks of the column lines of the (M, k) 1-based row numbers
+    `rows`, each ternary row followed by its value in `vals`; a block
+    holds about _BLOCK_VALUES numbers."""
+    M, k = rows.shape
+    if not M:
+        return
+    ends = (b" ", b"\n")
+    row_tokens = _tokenizer(rows, (b":",) if ternary else ends)
+    if ternary:
+        val_tokens = _tokenizer(vals, ends)
+    per_block = max(1, _BLOCK_VALUES // k)
+    for b in range(0, M, per_block):
+        tokens = row_tokens(rows[b:b + per_block])
+        if ternary:
+            tokens = np.stack([tokens, val_tokens(vals[b:b + per_block])], axis=-1)
+        yield tokens.tobytes().replace(b"\0", b"")
 
 
 def save_esm(mat: SensingMatrix, path: str) -> None:
-    ternary = mat.alphabet == "ternary"
-    support = mat.rows + 1
-    if ternary:
-        support = np.stack([support, mat.vals], axis=-1).reshape(mat.M, -1)
-    line = " ".join(["%d:%d" if ternary else "%d"] * mat.k) + "\n"
-    with open(path, "w") as f:
-        f.write(f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n")
-        f.write(f"{mat.provenance or 'unknown'}\n")
-        f.writelines(_format_lines(support, line))
+    """Write `mat` as an ESM v1 file, byte for byte the same on every platform."""
+    with open(path, "wb") as f:
+        f.write(f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n"
+                f"{mat.provenance or 'unknown'}\n".encode())
+        f.writelines(_column_text(mat.rows + 1, mat.vals, mat.alphabet == "ternary"))
+
+
+def _header_counts(line: str) -> tuple:
+    """(m, M, k, alphabet) of an ESM v1 header line, or ParseError on line 1."""
+    if not line.startswith("ESM v1 "):
+        raise ParseError("missing 'ESM v1' header", line=1)
+    try:
+        fields = dict(tok.split("=") for tok in line.split()[2:])
+        m, M, k = int(fields["rows"]), int(fields["cols"]), int(fields["k"])
+        alphabet = fields["alphabet"]
+    except (KeyError, ValueError):
+        raise ParseError("malformed header fields", line=1)
+    if alphabet not in ("binary", "ternary"):
+        raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
+    if k < 1 or m < 1 or M < 0 or max(m, M, k) > INT64_MAX:
+        raise ParseError(f"counts rows={m} cols={M} k={k} out of range", line=1)
+    return m, M, k, alphabet
+
+
+def _read_canonical(head: bytes, body: bytes):
+    """(m, alphabet, provenance, rows, vals, None) of a file whose column
+    lines are those save_esm writes for their numbers, or None.
+
+    `head` is the file's first two lines and `body` the rest.  The body
+    is parsed with one numpy call and kept only if it holds M*k numbers
+    (2*M*k when ternary) whose rendering is the body, byte for byte.
+    """
+    try:
+        text = head.decode("utf-8")
+        lines = text.splitlines()
+        provenance = lines[1]
+        m, M, k, alphabet = _header_counts(lines[0])
+    except (UnicodeDecodeError, IndexError, ParseError):
+        return None       # the line reader reports a fault, in line order
+    ternary = alphabet == "ternary"
+    if text != f"{lines[0]}\n{provenance}\n" or not M:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy warns, or raises, on text it cannot read to its end
+            warnings.simplefilter("error")
+            numbers = np.fromstring(body.replace(b":", b" ") if ternary else body,
+                                    dtype=np.int64, sep=" ")
+    except (ValueError, Warning):
+        return None
+    if numbers.size != M * k * (2 if ternary else 1):
+        return None
+    numbers = numbers.reshape(M, k, -1)
+    rows, vals = numbers[:, :, 0], (numbers[:, :, 1] if ternary else None)
+    at = 0
+    for block in _column_text(rows, vals, ternary):
+        if not body.startswith(block, at):
+            return None
+        at += len(block)
+    # a row number of -2**63 is one whose row int64 cannot hold
+    if at != len(body) or rows.min() == -INT64_MAX - 1:
+        return None
+    rows -= 1
+    return m, alphabet, provenance, rows, vals, None
 
 
 def _support_token(tok: str, ternary: bool, line: int) -> tuple:
@@ -339,67 +406,17 @@ def _support_token(tok: str, ternary: bool, line: int) -> tuple:
     return entry
 
 
-def _read_support(body: list, k: int, ternary: bool):
-    """(rows, vals, error) of the column lines before the first malformed one;
-    vals is None for a binary file, whose values are all 1.
+def _read_lines(lines: list):
+    """(m, alphabet, provenance, rows, vals, error) of a file's lines.
 
-    Lines as save_esm writes them convert as one array.  From the first
-    line in another form on, each line is split on whitespace and its
-    tokens are read with int().  A malformed line has a token count
-    other than k or a token that does not read; `error` is its
-    ParseError, or None when every line reads.
+    The header and line count are checked first.  Then each column line
+    is split on whitespace and its tokens are read with int(); rows and
+    vals hold the lines before the first malformed one, which has a
+    token count other than k or a token that does not read.  `error` is
+    that line's ParseError, or None when every line reads; vals is None
+    for a binary file, whose values are all 1.
     """
-    token = _NUMBER + (":-?" + _NUMBER if ternary else "")
-    values, n = _canonical_prefix(body, _repeated(token, k))
-    tail, error = [], None
-    try:
-        for c in range(n, len(body)):
-            parts = body[c].split()
-            if len(parts) != k:
-                raise ParseError(f"column {c + 1} has {len(parts)} entries, expected {k}",
-                                 line=3 + c)
-            tail.append([_support_token(tok, ternary, 3 + c) for tok in parts])
-    except ParseError as exc:
-        if n == 0 and not tail:
-            raise       # nothing read before it, so k need not fit an array shape
-        error = exc
-    if ternary:
-        head = values.reshape(n, k, 2)
-        rows, vals = head[:, :, 0] - 1, head[:, :, 1]
-    else:
-        values -= 1         # in place: a binary line's numbers are its rows
-        rows = values.reshape(n, k)
-    if tail:
-        tail = np.array(tail, dtype=np.int64)
-        rows = np.concatenate([rows, tail[:, :, 0]])
-        if ternary:
-            vals = np.concatenate([vals, tail[:, :, 1]])
-    return rows, (vals if ternary else None), error
-
-
-def load_esm(path: str) -> SensingMatrix:
-    """Read an ESM v1 file; a malformed one raises ParseError with its line.
-
-    Where a file has several faults, the one reported is the first in
-    line order: per column line, token count, then each token, then row
-    range, then ascent; ternary values other than +-1 only after every
-    column line is sound.
-    """
-    with open(path, "rb") as f:
-        lines = decode_utf8(f.read()).splitlines()
-    if not lines or not lines[0].startswith("ESM v1 "):
-        raise ParseError("missing 'ESM v1' header", line=1)
-    try:
-        fields = dict(tok.split("=") for tok in lines[0].split()[2:])
-        m, M, k = int(fields["rows"]), int(fields["cols"]), int(fields["k"])
-        alphabet = fields["alphabet"]
-    except (KeyError, ValueError):
-        raise ParseError("malformed header fields", line=1)
-    if alphabet not in ("binary", "ternary"):
-        raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
-    counts = f"counts rows={m} cols={M} k={k} out of range"
-    if k < 1 or m < 1 or M < 0 or max(m, M, k) > INT64_MAX:
-        raise ParseError(counts, line=1)
+    m, M, k, alphabet = _header_counts(lines[0] if lines else "")
     if len(lines) < 2 + M:
         raise ParseError(f"expected {M} column lines", line=len(lines))
     if len(lines) > 2 + M:
@@ -408,9 +425,42 @@ def load_esm(path: str) -> SensingMatrix:
         # no column holds k distinct rows below m, and numpy cannot shape
         # the empty (0, k) support of two int64 per entry; with columns,
         # the first column line is where that shows and is reported
-        raise ParseError(counts, line=1)
-    provenance, ternary = lines[1], alphabet == "ternary"
-    rows, vals, error = _read_support(lines[2:], k, ternary)
+        raise ParseError(f"counts rows={m} cols={M} k={k} out of range", line=1)
+    ternary, read, error = alphabet == "ternary", [], None
+    try:
+        for c, line in enumerate(lines[2:]):
+            parts = line.split()
+            if len(parts) != k:
+                raise ParseError(f"column {c + 1} has {len(parts)} entries, expected {k}",
+                                 line=3 + c)
+            read.append([_support_token(tok, ternary, 3 + c) for tok in parts])
+    except ParseError as exc:
+        if not read:
+            raise       # nothing read before it, so k need not fit an array shape
+        error = exc
+    support = np.array(read, dtype=np.int64).reshape(len(read), k, 2)
+    return m, alphabet, lines[1], support[:, :, 0], (support[:, :, 1] if ternary else None), error
+
+
+def load_esm(path: str) -> SensingMatrix:
+    """Read an ESM v1 file; a malformed one raises ParseError with its line.
+
+    A file in the writer's form is read as one array: its body is parsed
+    with one numpy call and accepted only if rendering the numbers gives
+    back the body byte for byte.  Any other file is decoded and read line
+    by line.  Where a file has several faults, the one reported is the
+    first in line order: a byte that is not UTF-8 anywhere in the file,
+    then the header, then per column line, token count, then each token,
+    then row range, then ascent; ternary values other than +-1 only after
+    every column line is sound.
+    """
+    with open(path, "rb") as f:
+        head = f.readline() + f.readline()
+        body = f.read()
+    read = _read_canonical(head, body)
+    if read is None:
+        read = _read_lines(decode_utf8(head + body).splitlines())
+    m, alphabet, provenance, rows, vals, error = read
     out_of_range = (rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)
     bad = np.flatnonzero(out_of_range | (rows[:, 1:] <= rows[:, :-1]).any(axis=1))
     if bad.size:
@@ -419,7 +469,7 @@ def load_esm(path: str) -> SensingMatrix:
         raise ParseError(f"{what} in column {c + 1}", line=3 + c)
     if error is not None:
         raise error
-    if ternary:
+    if vals is not None:
         bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
         if bad.size:
             raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",

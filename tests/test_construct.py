@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eulercs import construct
 from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                build_extended, build_for_row_size,
                                build_hadamard, build_ternary, load_esm,
@@ -450,14 +452,16 @@ def test_esm_rejects_extra_line_and_bad_value(tmp_path, ternary, index, text, li
 
 
 def _esm_variant(tmp_path, ternary, index, text, newline="\n"):
-    """Path of a (3,2) binary or (5,1,1) ternary ESM with line `index` set to `text`."""
+    """Path of a (3,2) binary or (5,1,1) ternary ESM with line `index` set to `text`,
+    its lines ended by `newline`."""
     mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
     path = tmp_path / "m.esm"
     save_esm(mat, str(path))
     lines = path.read_text().splitlines()
     if index is not None:
         lines[index] = text if text is not None else lines[index].replace(":", " ", 1)
-    path.write_bytes((newline.join(lines) + newline).encode())
+    # newline None: lines end with "\n" but the last has no line break
+    path.write_bytes(((newline or "\n").join(lines) + (newline or "")).encode())
     return str(path), mat
 
 
@@ -478,9 +482,17 @@ def _esm_variant(tmp_path, ternary, index, text, newline="\n"):
     (False, 2, "1 4_0", "\n", (3, "row index out of range in column 1")),
     (False, 2, "4 1", "\n", (3, "rows not strictly ascending in column 1")),
     (True, 2, None, "\n", (3, "column 1 has 5 entries, expected 4")),  # '1 1' for '1:1'
+    (False, 2, "001 04", "\n", None),
+    (False, 2, "-1 4", "\n", (3, "row index out of range in column 1")),
+    (False, None, None, None, None),
+    (True, 2, "1:+1 6:1 11:1 16:1", "\n", None),
+    (False, 2, "1 -9223372036854775808", "\n", (3, "bad support token '-9223372036854775808'")),
+    (False, 1, "euler n=3\x0bk=2", "\n", (12, "unexpected line after the 9 column lines")),
 ], ids=["blank_line", "hash_token", "hash_comment", "float", "plus_sign",
         "non_ascii_digit", "crlf", "tab", "extra_spaces", "short_line", "long_line",
-        "underscore", "descending", "ternary_space"])
+        "underscore", "descending", "ternary_space", "leading_zeros", "negative_row",
+        "no_final_newline", "ternary_plus_sign", "row_below_int64",
+        "provenance_line_break"])
 def test_esm_defect_corpus(tmp_path, ternary, index, text, newline, expected):
     path, mat = _esm_variant(tmp_path, ternary, index, text, newline)
     if expected is None:
@@ -541,6 +553,18 @@ def _reference_load_esm(data: bytes):
     return m, M, k, alphabet, rows, vals, lines[1]
 
 
+def _reference_save_esm(mat) -> bytes:
+    """The bytes the %-format ESM writer save_esm replaced wrote for mat."""
+    ternary = mat.alphabet == "ternary"
+    support = mat.rows + 1
+    if ternary:
+        support = np.stack([support, mat.vals], axis=-1).reshape(mat.M, 2 * mat.k)
+    line = " ".join(["%d:%d" if ternary else "%d"] * mat.k) + "\n"
+    return (f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n"
+            f"{mat.provenance or 'unknown'}\n" +
+            line * mat.M % tuple(support.ravel().tolist())).encode()
+
+
 # bytes a mutation may write: the format's own, the traps of a
 # whole-array reader, and bytes that are not UTF-8 on their own
 _MUTATION_BYTES = st.sampled_from(list(b"0123456789 :-+#.,\t\r\n\x0b\xa0\xff") +
@@ -570,15 +594,72 @@ def test_esm_byte_mutations_read_as_before(tmp_path, ternary, edits):
     try:
         expected = _reference_load_esm(bytes(data))
     except ParseError as exc:
-        with pytest.raises(ParseError) as got:
+        with warnings.catch_warnings(), pytest.raises(ParseError) as got:
+            warnings.simplefilter("error")      # no numpy parse warning leaks
             load_esm(str(path))
         assert (got.value.line, str(got.value)) == (exc.line, str(exc))
         return
-    back = load_esm(str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_esm(str(path))
     assert (back.m, back.M, back.k, back.alphabet) == expected[:4]
     assert np.array_equal(back.rows, expected[4])
     assert np.array_equal(back.vals, expected[5])
     assert back.provenance == expected[6]
+
+
+@st.composite
+def _valid_matrices(draw):
+    """A binary or ternary SensingMatrix of random supports, m up to 2**62."""
+    alphabet = draw(st.sampled_from(["binary", "ternary"]))
+    m = draw(st.one_of(st.integers(1, 40), st.integers(1, 2 ** 62)))
+    k = draw(st.integers(1, min(m, 5)))
+    M = draw(st.integers(0, 12))
+    column = st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True)
+    rows = np.array([sorted(draw(column)) for _ in range(M)], dtype=np.int64)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=k * M, max_size=k * M)
+    vals = np.array(draw(signs), dtype=np.int64).reshape(M, k) if alphabet == "ternary" else None
+    return SensingMatrix(m=m, alphabet=alphabet, rows=rows.reshape(M, k), vals=vals,
+                         provenance=draw(st.sampled_from(["", "euler n=3 k=2", "é ✓"])))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mat=_valid_matrices(), block=st.integers(1, 40))
+def test_esm_writer_matches_the_reference_writer(tmp_path, monkeypatch, mat, block):
+    # blocks of a few numbers split the columns at every place
+    monkeypatch.setattr(construct, "_BLOCK_VALUES", block)
+    path = tmp_path / "m.esm"
+    save_esm(mat, str(path))
+    assert path.read_bytes() == _reference_save_esm(mat)
+    if mat.M:       # what the writer writes never takes the line reader
+        monkeypatch.setattr(construct, "_read_lines", lambda lines: pytest.fail("line reader"))
+    back = load_esm(str(path))
+    monkeypatch.undo()      # the next example may hold no column
+    assert (back.m, back.alphabet, back.provenance) == (mat.m, mat.alphabet,
+                                                        mat.provenance or "unknown")
+    assert np.array_equal(back.rows, mat.rows) and np.array_equal(back.vals, mat.vals)
+
+
+def test_esm_text_allocates_nothing_proportional_to_m(tmp_path):
+    # 2000 rows spread over 0..m-1: a token table spanning them would
+    # hold m entries, so its values in use are what is tabled
+    path = str(tmp_path / "m.esm")
+    save_esm(build_ternary(5, 1, 1), path)      # first calls import and cache
+    load_esm(path)
+    for m in (4000, 2 ** 62):
+        rows = (np.arange(2000) * ((m - 1) // 1999)).reshape(1000, 2)
+        mat = SensingMatrix(m=m, alphabet="ternary", rows=rows,
+                            vals=np.where(rows % 3, 1, -1))
+        tracemalloc.start()
+        try:
+            save_esm(mat, path)
+            back = load_esm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.rows, mat.rows) and np.array_equal(back.vals, mat.vals)
+        assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("token", ["99999999999999999999", "-9223372036854775807"])
