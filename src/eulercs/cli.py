@@ -373,8 +373,9 @@ def build_parser():
     sweep_sel.add_argument("--family", choices=["gaussian", "bernoulli"])
     sweep.add_argument("--m", type=int)
     sweep.add_argument("--M", type=int)
-    sweep.add_argument("--kmax", type=int, default=10)
-    sweep.add_argument("--levels", help="explicit comma-separated sparsity levels")
+    sweep_levels = sweep.add_mutually_exclusive_group()
+    sweep_levels.add_argument("--kmax", type=int, default=10)
+    sweep_levels.add_argument("--levels", help="explicit comma-separated sparsity levels")
     sweep.add_argument("--trials", type=int, default=1000)
     sweep.add_argument("--solver", choices=recovery.SOLVERS, default="omp")
     sweep.add_argument("--seed", type=int, default=0)

@@ -271,9 +271,9 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 # "%d\n", and "%d:" for a ternary row) is gathered from a table of
 # null-padded fixed-width bytes, built once per matrix, and a block of
 # about _BLOCK_VALUES numbers becomes text with one tobytes().  The
-# writer writes its blocks.  The reader, which every `verify` runs,
-# parses a body with one numpy call and keeps the numbers only if
-# rendering them gives back the body byte for byte: a text that renders
+# writer writes its blocks.  The reader, which every `verify` runs, reads
+# CRLF as LF, parses a body with one numpy call and keeps the numbers only
+# if rendering them gives back the body byte for byte: a text that renders
 # back exactly is in the writer's form and holds exactly those numbers,
 # so the round trip is the whole validation.  Any other file is decoded
 # and read line by line from line 3, accepting what `str.split` and
@@ -445,19 +445,19 @@ def _read_lines(lines: list):
 def load_esm(path: str) -> SensingMatrix:
     """Read an ESM v1 file; a malformed one raises ParseError with its line.
 
-    A file in the writer's form is read as one array: its body is parsed
-    with one numpy call and accepted only if rendering the numbers gives
-    back the body byte for byte.  Any other file is decoded and read line
-    by line.  Where a file has several faults, the one reported is the
-    first in line order: a byte that is not UTF-8 anywhere in the file,
-    then the header, then per column line, token count, then each token,
-    then row range, then ascent; ternary values other than +-1 only after
-    every column line is sound.
+    A file in the writer's form, its line ends LF or CRLF, is read as one
+    array: its body is parsed with one numpy call and accepted only if
+    rendering the numbers gives back the LF body byte for byte.  Any other
+    file is decoded and read line by line.  Where a file has several
+    faults, the one reported is the first in line order: a byte that is
+    not UTF-8 anywhere in the file, then the header, then per column
+    line, token count, then each token, then row range, then ascent;
+    ternary values other than +-1 only after every column line is sound.
     """
     with open(path, "rb") as f:
         head = f.readline() + f.readline()
         body = f.read()
-    read = _read_canonical(head, body)
+    read = _read_canonical(head.replace(b"\r\n", b"\n"), body.replace(b"\r\n", b"\n"))
     if read is None:
         read = _read_lines(decode_utf8(head + body).splitlines())
     m, alphabet, provenance, rows, vals, error = read

@@ -99,6 +99,16 @@ def euler_square(n: int, k: int) -> EulerSquare:
     return square
 
 
+def first_repeat(a, b, span: int):
+    """Index of the second occurrence of the smallest pair (a[i], b[i]) that
+    repeats, or None: one bincount of span**2 codes, a and b in 0..span-1."""
+    codes = a * span + b
+    if np.bincount(codes).max() <= 1:
+        return None
+    order = np.argsort(codes, kind="stable")
+    return int(order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1])
+
+
 def validate_euler_square(E: EulerSquare) -> ValidationReport:
     """Exhaustive check that the k + 2 factors, row, column and the k
     coordinates, are pairwise orthogonal: each pair takes each of its n^2
@@ -125,11 +135,8 @@ def validate_euler_square(E: EulerSquare) -> ValidationReport:
     pairs += [(layers[r], layers[s], f"orthogonality violation for coordinates ({r},{s})",
                (True, True, r)) for r in range(k) for s in range(r + 1, k)]
     for a, b, message, (keep_i, keep_j, r) in pairs:
-        codes = a * n + b
-        if np.bincount(codes, minlength=n * n).max() > 1:
-            order = np.argsort(codes, kind="stable")
-            dup = order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1]
-            i, j = divmod(int(dup), n)
+        if (dup := first_repeat(a, b, n)) is not None:
+            i, j = divmod(dup, n)
             return ValidationReport(False, message,
                                     (i if keep_i else -1, j if keep_j else -1, r))
     return ValidationReport(True)

@@ -7,13 +7,12 @@ SensingMatrix does, so mu is the max overlap over k.  No M x M Gram
 matrix is formed:
 
 - A matrix whose columns share no row pair is proved by its row pairs.
-  Each column emits its C(k, 2) row pairs as r1*m + r2; two columns
-  share two rows exactly when a code repeats.  The codes are laid out
-  pair-major, one contiguous block of M codes per position pair, in
-  the narrowest unsigned type that holds m*m - 1, and sorted in place.
-  If none repeats, two columns share at most one row, so the max
-  overlap is 1 when some row holds two columns and 0 otherwise.  This
-  is the overlap argument behind mu = 1/k, and it costs O(M k^2) memory.
+  Where positions hold disjoint row ranges, as in every Euler-square
+  build, two columns share two rows only within one position pair, each
+  proved by `euler.first_repeat`, the count that validates a square, in
+  O(M k) memory; else all C(k, 2) codes r1*m + r2 are sorted, in O(M k^2).
+  If none repeats, two columns share at most one row, so the max overlap
+  is 1 when some row holds two columns and 0 otherwise (mu = 1/k).
 - Every other matrix (a ternary expansion, whose columns repeat their
   binary parent's support, or a file whose row pairs repeat) goes
   through `_gram_scan`, which forms A^T A one row at a time from the
@@ -32,6 +31,7 @@ import numpy as np
 
 from .construct import SensingMatrix
 from .errors import InvalidInput
+from .euler import first_repeat
 
 
 @dataclass(frozen=True)
@@ -101,30 +101,24 @@ def _gram_scan(mat: SensingMatrix):
     return best, pair
 
 
-def _row_pair_extrema(mat: SensingMatrix):
-    """(max overlap, argmax pair) of a +-1 matrix from its row pairs.
-
-    None when a row pair repeats (overlap may reach 2, left to the Gram
-    scan).  The supports are as SensingMatrix guarantees.
-
-    The codes r_a*m + r_b, a < b, are laid out pair-major, one
-    contiguous block of M codes per position pair (a, b), in the
-    narrowest unsigned type that holds m*m - 1.  Above 2**32 rows a
-    uint64 code can wrap; that can only merge two distinct pairs into a
-    false repeat, which sends the matrix to the Gram scan, while equal
-    pairs always give equal codes.
-    """
-    rows, m, k = mat.rows, mat.m, mat.k
+def _shares_a_row_pair(rows, m: int) -> bool:
+    """Whether two columns of the supports `rows`, rows below m, share two
+    rows: by `first_repeat` per position pair where positions hold disjoint
+    ascending row ranges (hi[t] < lo[t+1]) and span**2 <= M, else by sorting
+    the codes r_a*m + r_b, a < b, in the narrowest unsigned type that holds
+    m*m - 1.  Above 2**32 rows a uint64 code can wrap; that can only merge
+    two distinct pairs into a false repeat, left to the Gram scan."""
+    M, k = rows.shape
+    by_position = rows.T.copy()     # contiguous per position: fast reductions
+    lo, hi = by_position.min(axis=1), by_position.max(axis=1)
+    span = int((hi - lo).max()) + 1
+    if (hi[:-1] < lo[1:]).all() and span * span <= M:
+        by_position -= lo[:, None]
+        return any(first_repeat(by_position[a], by_position[b], span) is not None
+                   for a in range(k) for b in range(a + 1, k))
     dtype = np.min_scalar_type(min(m * m - 1, 2 ** 64 - 1))
-    by_position = rows.T.astype(dtype)
-    if k > 1:
-        # columns that share a support, as a ternary expansion's do,
-        # repeat their first two rows: decline before the C(k, 2) blocks
-        first = by_position[1] + by_position[0] * m
-        first.sort()
-        if np.any(first[1:] == first[:-1]):
-            return None
-    codes = np.empty((k * (k - 1) // 2, mat.M), dtype=dtype)
+    by_position = by_position.astype(dtype)
+    codes = np.empty((k * (k - 1) // 2, M), dtype=dtype)
     start = 0
     for a in range(k - 1):
         stop = start + k - 1 - a
@@ -132,7 +126,15 @@ def _row_pair_extrema(mat: SensingMatrix):
         start = stop
     codes = codes.ravel()
     codes.sort()
-    if np.any(codes[1:] == codes[:-1]):
+    return bool(np.any(codes[1:] == codes[:-1]))
+
+
+def _row_pair_extrema(mat: SensingMatrix):
+    """(max overlap, argmax pair) of a +-1 matrix from its row pairs, or
+    None when a row pair repeats (overlap may reach 2, left to the Gram
+    scan).  The supports are as SensingMatrix guarantees."""
+    rows, m = mat.rows, mat.m
+    if _shares_a_row_pair(rows, m):
         return None
     # no pair repeats, so two columns overlap in at most one row; i is
     # the first column holding a row of degree > 1, and j the first

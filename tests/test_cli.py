@@ -2,6 +2,7 @@ import json
 import os
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ def test_gen_deterministic_bytes(tmp_path):
     b = str(tmp_path / "b.esm")
     run(["gen", "--index", "11,5", "--out", a])
     run(["gen", "--index", "11,5", "--out", b])
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_verify_reports_coherence(tmp_path, capsys):
@@ -107,9 +108,9 @@ def test_verify_reports_coherence(tmp_path, capsys):
 def test_verify_detects_corruption(tmp_path, capsys, index, line, text, message):
     out = str(tmp_path / "m.esm")
     run(["gen", "--index", index, "--out", out])
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     lines[line] = text
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["verify", out]) == 1
     err = capsys.readouterr().err
@@ -139,9 +140,9 @@ def test_verify_fails_square_validation_in_one_error_line(tmp_path, capsys, monk
 def test_verify_reports_unknown_provenance(tmp_path):
     out = str(tmp_path / "m.esm")
     run(["gen", "--index", "3,2", "--out", out])
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     lines[1] = "from-text"
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     assert run(["verify", out]) == 0
 
 
@@ -222,9 +223,9 @@ def test_bench_sweep(tmp_path):
     out = str(tmp_path / "sweep")
     assert run(["bench", "sweep", "--index", "3,2", "--kmax", "2",
                 "--trials", "10", "--seed", "7", "--out", out]) == 0
-    rows = json.load(open(out + ".json"))["rows"]
+    rows = json.loads(Path(out + ".json").read_text())["rows"]
     assert [row["k"] for row in rows] == [1, 2]
-    csv = open(out + ".csv").read().splitlines()
+    csv = Path(out + ".csv").read_text().splitlines()
     assert csv[0] == "k,successes,trials,success_pct"
     assert os.path.exists(out + ".manifest.json")
 
@@ -235,15 +236,15 @@ def test_bench_sweep_identical_reruns(tmp_path):
             "--trials", "10", "--seed", "3"]
     run([*args, "--out", a])
     run([*args, "--out", b])
-    assert open(a + ".json").read() == open(b + ".json").read()
-    assert open(a + ".csv").read() == open(b + ".csv").read()
+    assert Path(a + ".json").read_text() == Path(b + ".json").read_text()
+    assert Path(a + ".csv").read_text() == Path(b + ".csv").read_text()
 
 
 def test_bench_phase(tmp_path):
     out = str(tmp_path / "phase")
     assert run(["bench", "phase", "--M", "121", "--rows", "22,33",
                 "--trials", "10", "--seed", "7", "--out", out]) == 0
-    rows = json.load(open(out + ".json"))["rows"]
+    rows = json.loads(Path(out + ".json").read_text())["rows"]
     assert [row["m"] for row in rows] == [22, 33]
 
 
@@ -382,6 +383,15 @@ def test_bench_sweep_kmax_below_one_exits_2(tmp_path, capsys, kmax):
     assert run(["bench", "sweep", "--index", "3,2", "--kmax", kmax,
                 "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err == "error: need at least one sparsity level\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_bench_sweep_kmax_with_levels_exits_2(tmp_path, capsys):
+    # a sweep takes its levels from one flag, so its manifest records no ignored one
+    assert run(["bench", "sweep", "--index", "3,2", "--kmax", "3", "--levels", "1,2",
+                "--out", str(tmp_path / "s")]) == 2
+    assert (capsys.readouterr().err
+            == "error: argument --levels: not allowed with argument --kmax\n")
     assert os.listdir(tmp_path) == []
 
 

@@ -2,6 +2,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,9 +422,9 @@ def test_esm_rejects_corrupt_support(tmp_path):
     mat = build_binary_matrix(euler_square(3, 2))
     path = str(tmp_path / "m.esm")
     save_esm(mat, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[2] = "1 999"  # row index out of range
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as exc:
         load_esm(path)
     assert exc.value.line == 3
@@ -443,9 +444,9 @@ def test_esm_rejects_extra_line_and_bad_value(tmp_path, ternary, index, text, li
     mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
     path = str(tmp_path / "m.esm")
     save_esm(mat, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     lines[index:index + 1] = [text]  # replaces the line, or appends past the end
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as exc:
         load_esm(path)
     assert exc.value.line == line
@@ -639,6 +640,31 @@ def test_esm_writer_matches_the_reference_writer(tmp_path, monkeypatch, mat, blo
     assert (back.m, back.alphabet, back.provenance) == (mat.m, mat.alphabet,
                                                         mat.provenance or "unknown")
     assert np.array_equal(back.rows, mat.rows) and np.array_equal(back.vals, mat.vals)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_binary_matrix(euler_square(11, 5)),
+    lambda: build_ternary(5, 1, 1),
+], ids=["euler_11_5", "ternary_5_1_1"])
+def test_esm_crlf_reads_as_its_lf_file_without_the_line_reader(tmp_path, monkeypatch,
+                                                                build):
+    path = tmp_path / "m.esm"
+    save_esm(build(), str(path))
+    lf = load_esm(str(path))
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    monkeypatch.setattr(construct, "_read_lines", lambda lines: pytest.fail("line reader"))
+    crlf = load_esm(str(path))
+    assert (crlf.m, crlf.alphabet, crlf.provenance) == (lf.m, lf.alphabet, lf.provenance)
+    assert np.array_equal(crlf.rows, lf.rows) and np.array_equal(crlf.vals, lf.vals)
+    # a doubled \r is a blank line to the line reader, which still reports it
+    monkeypatch.undo()
+    path.write_bytes(data.replace(b"\n", b"\r\r\n"))
+    with pytest.raises(ParseError) as got:
+        load_esm(str(path))
+    with pytest.raises(ParseError) as want:
+        _reference_load_esm(path.read_bytes())
+    assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
 
 
 def test_esm_text_allocates_nothing_proportional_to_m(tmp_path):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -336,6 +337,60 @@ def signed_supports(draw):
 def test_coherence_matches_oracle_signed_repeats(mat):
     assert_matches_oracle(mat)
     assert_paths_agree(mat)
+
+
+@st.composite
+def euler_structured_supports(draw):
+    """Binary supports whose row at position t lies in t*n..t*n+n-1, with
+    M >= n**2 columns: an Euler square's, in a drawn order, with up to two
+    entries redrawn and up to three columns added, so a row pair repeats
+    within one position pair unless the square is left whole."""
+    n = draw(st.sampled_from([3, 4, 5, 7]))
+    k = draw(st.integers(1, n - 1))
+    ads = draw(st.permutations(euler_square(n, k).cells.reshape(n * n, k).tolist()))
+    value = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        ads[draw(st.integers(0, n * n - 1))][draw(st.integers(0, k - 1))] = draw(value)
+    ads += draw(st.lists(st.lists(value, min_size=k, max_size=k), max_size=3))
+    return binary(n * k, np.arange(k) * n + np.array(ads))
+
+
+@settings(max_examples=300, deadline=None)
+@given(euler_structured_supports())
+def test_coherence_matches_oracle_euler_structured(mat):
+    assert_matches_oracle(mat)
+    assert_paths_agree(mat)
+
+
+def test_coherence_128_16_peaks_below_three_support_arrays():
+    # the proof holds one position-major copy of the supports, and the
+    # argmax pair one array of their shape, never both at once
+    mat = euler_matrix(128, 16)
+    tracemalloc.start()
+    try:
+        rep = coherence(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.max_overlap, rep.argmax_pair) == (1, (0, 129))
+    assert peak < 3 * mat.rows.nbytes
+
+
+def test_disjoint_ranges_wider_than_the_columns_are_sorted():
+    # positions hold rows 0..M-1 and M..2M-1: disjoint, but a count of
+    # span**2 = 4 * 10**10 bins would take 320 GB, so the codes are sorted.
+    # A last column equal to the first repeats a row pair.
+    M = 2 * 10 ** 5
+    columns = np.stack([np.arange(M), M + np.arange(M)], axis=1)
+    repeated = np.concatenate([columns, columns[:1]])
+    tracemalloc.start()
+    try:
+        reports = [coherence(binary(2 * M, c)) for c in (columns, repeated)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.max_overlap, r.argmax_pair) for r in reports] == [(0, (0, 1)), (2, (0, M))]
+    assert peak < 2 ** 25
 
 
 @pytest.mark.parametrize("m", [16, 17, 256, 257, 65536, 65537])
