@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, construct, experiments, imaging, props, recovery
 from .errors import EulerCSError, Infeasible, InvalidInput, ParseError
-from .euler import EulerSquare, validate_euler_square
+from .euler import latin_report
 
 
 def _write_manifest(out_path, subcommand, args, seed, inputs, outputs, wall):
@@ -133,7 +133,10 @@ def _fits_header(mat, spec):
 
 def _check_rebuild(mat, spec):
     """Raise EulerCSError at the first way `mat` differs from the matrix its
-    provenance spec builds, or at an euler square that does not validate."""
+    provenance spec builds, or at an euler square out of range or not Latin,
+    read from `mat` once the rebuild is dropped: coordinate r is rows[:, r] - r*n.
+    Orthogonality is cmd_verify's overlap check, as two columns of this file
+    share two rows only where two coordinates repeat a value pair."""
     if not _fits_header(mat, spec):
         raise EulerCSError(f"provenance {mat.provenance!r} does not fit the header "
                            f"rows={mat.m} cols={mat.M} k={mat.k}")
@@ -145,12 +148,11 @@ def _check_rebuild(mat, spec):
             == (mat.m, mat.alphabet, mat.provenance)
             and np.array_equal(rebuilt.rows, mat.rows)
             and np.array_equal(rebuilt.vals, mat.vals))
+    del rebuilt
     if not same:
         raise EulerCSError("matrix does not match its provenance rebuild")
-    if spec.family == "euler":
-        cells = (rebuilt.rows - np.arange(spec.k) * spec.n).reshape(spec.n, spec.n, -1)
-        val = validate_euler_square(EulerSquare(cells))
-        if not val.ok:
+    for r in range(spec.k if spec.family == "euler" else 0):
+        if not (val := latin_report(spec.n, mat.rows[:, r:r + 1] - r * spec.n, r)).ok:
             raise EulerCSError(f"euler square validation: {val.message}")
 
 
@@ -160,9 +162,9 @@ def cmd_verify(args):
     Provenance of the euler, rows, extended and ternary families (the
     lines their constructions write) is parsed into a MatrixSpec, and a
     malformed line of those families is a ParseError before anything is
-    printed.  After the report, the first failed check (_check_rebuild,
-    then column overlap <= 1) raises EulerCSError, which main prints as
-    one `error:` line.  Any other provenance is only reported.
+    printed.  After the report, the first failed check (_check_rebuild, then
+    column overlap <= 1, an euler square's orthogonality) raises
+    EulerCSError, printed as one `error:` line.  Other provenance is only reported.
     """
     mat = construct.load_esm(args.matrix)
     spec = experiments.MatrixSpec.from_provenance(mat.provenance)
@@ -170,7 +172,6 @@ def cmd_verify(args):
     sys.stdout.write(report.to_text())
     if spec is not None:
         _check_rebuild(mat, spec)
-        # a file that matches its rebuild exceeds 1 only if the construction is broken
         if report.max_overlap > 1:
             raise EulerCSError(f"max column overlap {report.max_overlap} exceeds 1")
     print("verification passed", file=sys.stderr)
@@ -194,6 +195,7 @@ def _emit_report(report, out, args, seed, inputs, extra_outputs=()):
 
 def cmd_bench_sweep(args):
     spec = _matrix_spec(args)
+    args.kmax = 10 if args.kmax is None and not args.levels else args.kmax
     levels = (_parse_ints(args.levels, "--levels")
               if args.levels else tuple(range(1, args.kmax + 1)))
     cfg = experiments.SweepConfig(matrix=spec, sparsity_levels=levels,
@@ -374,7 +376,7 @@ def build_parser():
     sweep.add_argument("--m", type=int)
     sweep.add_argument("--M", type=int)
     sweep_levels = sweep.add_mutually_exclusive_group()
-    sweep_levels.add_argument("--kmax", type=int, default=10)
+    sweep_levels.add_argument("--kmax", type=int)  # 10 via cmd_bench_sweep; explicit 10 conflicts
     sweep_levels.add_argument("--levels", help="explicit comma-separated sparsity levels")
     sweep.add_argument("--trials", type=int, default=1000)
     sweep.add_argument("--solver", choices=recovery.SOLVERS, default="omp")

@@ -109,6 +109,22 @@ def first_repeat(a, b, span: int):
     return int(order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1])
 
 
+def latin_report(n: int, values, first: int = 0) -> ValidationReport:
+    """validate_euler_square's range check and (row, r), (column, r) counts on coordinates
+    first, first + 1, ... of an order-n square, as (n*n, c) values in row-major cell order."""
+    if (bad := (values < 0) | (values >= n)).any():
+        cell, r = divmod(int(np.argmax(bad)), bad.shape[1])
+        return ValidationReport(False, "cell value out of range", (*divmod(cell, n), first + r))
+    row, col = np.divmod(np.arange(n * n), n)
+    for r, coordinate in enumerate(values.T, first):
+        for kind, factor in (("row", row), ("column", col)):
+            if (dup := first_repeat(factor, coordinate, n)) is not None:
+                i, j = divmod(dup, n)
+                return ValidationReport(False, f"{kind}-Latin violation in coordinate {r}",
+                                        (i, -1, r) if factor is row else (-1, j, r))
+    return ValidationReport(True)
+
+
 def validate_euler_square(E: EulerSquare) -> ValidationReport:
     """Exhaustive check that the k + 2 factors, row, column and the k
     coordinates, are pairwise orthogonal: each pair takes each of its n^2
@@ -116,27 +132,17 @@ def validate_euler_square(E: EulerSquare) -> ValidationReport:
     and (column, r) column-Latin.
 
     After the range check the pairs are visited as (row, r), (column, r)
-    for r = 0..k-1, then (r, s) for r < s.  The first pair with a repeat
-    is reported at the second cell, in row-major order, of its smallest
-    repeated value pair: a row-Latin fault names the first row holding a
-    repeat, a column-Latin fault the first column.
+    for r = 0..k-1 (`latin_report`), then (r, s) for r < s.  The first
+    pair with a repeat is reported at the second cell, in row-major order,
+    of its smallest repeated value pair: a row-Latin fault names the first
+    row holding a repeat, a column-Latin fault the first column.
     """
-    n, k, cells = E.n, E.k, E.cells
-    if cells.min() < 0 or cells.max() >= n:
-        loc = np.unravel_index(np.argmax((cells < 0) | (cells >= n)), cells.shape)
-        return ValidationReport(False, "cell value out of range", tuple(int(v) for v in loc))
-    layers = np.ascontiguousarray(cells.reshape(n * n, k).T)   # (k, n^2)
-    row, col = np.divmod(np.arange(n * n), n)
-    # (first factor, second factor, message, (keep i, keep j, r) of the location)
-    pairs = []
-    for r in range(k):
-        pairs += [(row, layers[r], f"row-Latin violation in coordinate {r}", (True, False, r)),
-                  (col, layers[r], f"column-Latin violation in coordinate {r}", (False, True, r))]
-    pairs += [(layers[r], layers[s], f"orthogonality violation for coordinates ({r},{s})",
-               (True, True, r)) for r in range(k) for s in range(r + 1, k)]
-    for a, b, message, (keep_i, keep_j, r) in pairs:
-        if (dup := first_repeat(a, b, n)) is not None:
-            i, j = divmod(dup, n)
-            return ValidationReport(False, message,
-                                    (i if keep_i else -1, j if keep_j else -1, r))
+    n, k = E.n, E.k
+    layers = np.ascontiguousarray(E.cells.reshape(n * n, k).T)   # (k, n^2)
+    if not (report := latin_report(n, layers.T)).ok:
+        return report
+    for r, s in ((r, s) for r in range(k) for s in range(r + 1, k)):
+        if (dup := first_repeat(layers[r], layers[s], n)) is not None:
+            return ValidationReport(False, f"orthogonality violation for coordinates ({r},{s})",
+                                    (*divmod(dup, n), r))
     return ValidationReport(True)

@@ -2,12 +2,13 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eulercs import errors, experiments, props, recovery
+from eulercs import cli, errors, euler, experiments, props, recovery
 from eulercs.cli import main
 from eulercs.construct import load_esm
 from eulercs.errors import ParseError
@@ -135,6 +136,63 @@ def test_verify_fails_square_validation_in_one_error_line(tmp_path, capsys, monk
     assert captured.out == props.coherence(load_esm(out)).to_text()
     assert captured.err.startswith("error: euler square validation: column-Latin ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("at, value, error", [
+    # coordinate 1 repeats coordinate 0: Latin but not orthogonal, so the
+    # overlap check, the one proof of orthogonality, is the check that fails
+    (np.s_[:, :, 1], lambda cells: cells[:, :, 0], "max column overlap 2 exceeds 1"),
+    # coordinate 1 of cell (0,0) is -1, row 4, still above the cell's row 0
+    (np.s_[0, 0, 1], lambda cells: -1, "euler square validation: cell value out of range"),
+], ids=["not_orthogonal", "out_of_range"])
+def test_verify_fails_planted_square_in_one_error_line(tmp_path, capsys, monkeypatch,
+                                                       at, value, error):
+    square = experiments.euler_square(5, 2)
+    cells = square.cells.copy()
+    cells[at] = value(cells)
+    planted = type(square)(cells=cells, provenance=square.provenance)
+    monkeypatch.setattr(experiments, "euler_square", lambda n, k: planted)
+    out = str(tmp_path / "m.esm")
+    assert run(["gen", "--index", "5,2", "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == props.coherence(load_esm(out)).to_text()
+    assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("n, k", [(11, 5), (128, 16)])
+def test_verify_counts_each_pair_once(tmp_path, monkeypatch, n, k):
+    # coherence proves the C(k,2) coordinate pairs, and the square check adds
+    # only the (row, r) and (column, r) Latin counts
+    out = str(tmp_path / "m.esm")
+    assert run(["gen", "--index", f"{n},{k}", "--out", out]) == 0
+    calls = []
+
+    def counted(a, b, span, first_repeat=euler.first_repeat):
+        calls.append(span)
+        return first_repeat(a, b, span)
+
+    monkeypatch.setattr(euler, "first_repeat", counted)
+    monkeypatch.setattr(props, "first_repeat", counted)
+    assert run(["verify", out]) == 0
+    assert len(calls) == k * (k - 1) // 2 + 2 * k
+
+
+def test_check_rebuild_drops_the_rebuild_before_the_square_check(tmp_path):
+    # the rebuild and its square's cells are never held with a copy of the
+    # cells as well: the peak stays near the rebuild's own cells and rows
+    out = str(tmp_path / "m.esm")
+    assert run(["gen", "--index", "128,16", "--out", out]) == 0
+    mat = load_esm(out)
+    spec = experiments.MatrixSpec.from_provenance(mat.provenance)
+    tracemalloc.start()
+    try:
+        cli._check_rebuild(mat, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * mat.rows.nbytes
 
 
 def test_verify_reports_unknown_provenance(tmp_path):
@@ -386,9 +444,10 @@ def test_bench_sweep_kmax_below_one_exits_2(tmp_path, capsys, kmax):
     assert os.listdir(tmp_path) == []
 
 
-def test_bench_sweep_kmax_with_levels_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("kmax", ["3", "10"])
+def test_bench_sweep_kmax_with_levels_exits_2(tmp_path, capsys, kmax):
     # a sweep takes its levels from one flag, so its manifest records no ignored one
-    assert run(["bench", "sweep", "--index", "3,2", "--kmax", "3", "--levels", "1,2",
+    assert run(["bench", "sweep", "--index", "3,2", "--kmax", kmax, "--levels", "1,2",
                 "--out", str(tmp_path / "s")]) == 2
     assert (capsys.readouterr().err
             == "error: argument --levels: not allowed with argument --kmax\n")
