@@ -19,6 +19,7 @@ after its report.
 import argparse
 import json
 import os
+import stat
 import sys
 import time
 import warnings
@@ -108,42 +109,58 @@ def cmd_gen(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def _fits_header(mat, spec):
-    """Whether the provenance line's matrix can be the one the header describes.
+def _fits_header(spec, provenance, cols, k):
+    """Whether the provenance line's matrix can be the one a header of
+    `cols` columns of weight `k` describes.
 
     Decided from the line's numbers alone, so a line that claims a huge
     matrix fails before anything is built.  A claim fits when its columns
     and column weight are no more than the header's and its numbers agree
-    with each other.  The header's cols and k are bounded by the file's
-    own lines, so rebuilding a claim that fits costs about as much as
-    reading the file did.
+    with each other.  The header's cols and k are bounded by the file: by
+    its own lines once they are read, and by its size, 2 bytes a support
+    token, before _canonical_rebuild builds.  So rebuilding a claim that
+    fits costs about as much as reading the file does.
     """
     if spec.family == "ternary":
-        if spec.p > 1 and spec.i > mat.M.bit_length():   # then p**i > M
+        if spec.p > 1 and spec.i > cols.bit_length():   # then p**i > cols
             return False
         n = spec.p ** spec.i
-        k = n - spec.j
-        return n * n * k <= mat.M and k <= mat.k
+        weight = n - spec.j
+        return n * n * weight <= cols and weight <= k
     if spec.family == "rows":
-        via = experiments.MatrixSpec.from_provenance(mat.provenance.split(" via ")[1])
-        return spec.row_size == via.n * via.k and _fits_header(mat, via)
+        via = experiments.MatrixSpec.from_provenance(provenance.split(" via ")[1])
+        return spec.row_size == via.n * via.k and _fits_header(via, provenance, cols, k)
     # euler and extended: the n*n columns of the order-n square come first
-    return spec.n * spec.n <= mat.M and (spec.family != "euler" or spec.k <= mat.k)
+    return spec.n * spec.n <= cols and (spec.family != "euler" or spec.k <= k)
+
+
+def _rebuild(spec, provenance, m, cols, k):
+    """The matrix `spec` builds, or EulerCSError where the provenance line
+    does not fit the header rows=m cols=cols k=k or cannot be built."""
+    if not _fits_header(spec, provenance, cols, k):
+        raise EulerCSError(f"provenance {provenance!r} does not fit the header "
+                           f"rows={m} cols={cols} k={k}")
+    try:
+        return experiments.make_matrix(spec)
+    except EulerCSError as exc:
+        raise EulerCSError(f"provenance {provenance!r} cannot be rebuilt: {exc}") from None
+
+
+def _check_square(mat, spec):
+    """Raise EulerCSError at an euler square out of range or not Latin, read
+    from `mat`: coordinate r is rows[:, r] - r*n.  Orthogonality is
+    cmd_verify's overlap check, as two columns of a file equal to its
+    rebuild share two rows only where two coordinates repeat a value pair."""
+    for r in range(spec.k if spec.family == "euler" else 0):
+        if not (val := latin_report(spec.n, mat.rows[:, r:r + 1] - r * spec.n, r)).ok:
+            raise EulerCSError(f"euler square validation: {val.message}")
 
 
 def _check_rebuild(mat, spec):
     """Raise EulerCSError at the first way `mat` differs from the matrix its
-    provenance spec builds, or at an euler square out of range or not Latin,
-    read from `mat` once the rebuild is dropped: coordinate r is rows[:, r] - r*n.
-    Orthogonality is cmd_verify's overlap check, as two columns of this file
-    share two rows only where two coordinates repeat a value pair."""
-    if not _fits_header(mat, spec):
-        raise EulerCSError(f"provenance {mat.provenance!r} does not fit the header "
-                           f"rows={mat.m} cols={mat.M} k={mat.k}")
-    try:
-        rebuilt = experiments.make_matrix(spec)
-    except EulerCSError as exc:
-        raise EulerCSError(f"provenance {mat.provenance!r} cannot be rebuilt: {exc}") from None
+    provenance spec builds, then as _check_square does; the rebuild is
+    dropped before the square is read from `mat`."""
+    rebuilt = _rebuild(spec, mat.provenance, mat.m, mat.M, mat.k)
     same = ((rebuilt.m, rebuilt.alphabet, rebuilt.provenance)
             == (mat.m, mat.alphabet, mat.provenance)
             and np.array_equal(rebuilt.rows, mat.rows)
@@ -151,27 +168,66 @@ def _check_rebuild(mat, spec):
     del rebuilt
     if not same:
         raise EulerCSError("matrix does not match its provenance rebuild")
-    for r in range(spec.k if spec.family == "euler" else 0):
-        if not (val := latin_report(spec.n, mat.rows[:, r:r + 1] - r * spec.n, r)).ok:
-            raise EulerCSError(f"euler square validation: {val.message}")
+    _check_square(mat, spec)
+
+
+def _canonical_rebuild(path):
+    """(matrix, spec) of a file that is byte for byte what save_esm writes
+    for the matrix its provenance builds, or None.
+
+    Only the header and provenance lines are read before the build, which
+    runs only for a deterministic family's line that fits the header, and
+    only where the file has at least 2 bytes for each of the header's
+    cols*k support tokens.  The file is then compared with the rebuild's
+    rendering one block at a time (construct.esm_matches), so it is never
+    parsed and no second matrix is held.  A file that does not match, or
+    a failure on the way, gives None: load_esm then finds the file's
+    first fault, in line order, as it would have without this path.
+    """
+    try:
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode):
+            return None     # a pipe's lines, once read here, are gone for load_esm
+        with open(path, "rb") as f:
+            header, provenance = f.readline().decode(), f.readline().decode()
+        m, cols, k, _ = construct.header_counts(header)
+        provenance = provenance.removesuffix("\n")
+        spec = experiments.MatrixSpec.from_provenance(provenance)
+        if spec is None or st.st_size < 2 * cols * k:
+            return None
+        mat = _rebuild(spec, provenance, m, cols, k)
+        return (mat, spec) if construct.esm_matches(path, mat) else None
+    except (EulerCSError, OSError, ValueError, MemoryError):
+        # undecodable lines, a bad header or provenance line, a failed build
+        return None
 
 
 def cmd_verify(args):
     """Print the exhaustive coherence report, then check the provenance.
 
     Provenance of the euler, rows, extended and ternary families (the
-    lines their constructions write) is parsed into a MatrixSpec, and a
-    malformed line of those families is a ParseError before anything is
-    printed.  After the report, the first failed check (_check_rebuild, then
-    column overlap <= 1, an euler square's orthogonality) raises
-    EulerCSError, printed as one `error:` line.  Other provenance is only reported.
+    lines their constructions write) is parsed into a MatrixSpec.  A file
+    that is byte for byte the rebuild of its provenance is that matrix:
+    the report and the square and overlap checks run on the rebuild, and
+    the file is neither parsed nor compared as an array.  Any other file
+    is read by load_esm, and a malformed provenance line of those families
+    is a ParseError before anything is printed.  After the report, the
+    first failed check (_check_rebuild, then column overlap <= 1, an euler
+    square's orthogonality) raises EulerCSError, printed as one `error:`
+    line.  Other provenance is only reported.
     """
-    mat = construct.load_esm(args.matrix)
-    spec = experiments.MatrixSpec.from_provenance(mat.provenance)
+    canonical = _canonical_rebuild(args.matrix)
+    if canonical is None:
+        mat = construct.load_esm(args.matrix)
+        spec = experiments.MatrixSpec.from_provenance(mat.provenance)
+        check = _check_rebuild
+    else:
+        mat, spec = canonical
+        check = _check_square
     report = props.coherence(mat)
     sys.stdout.write(report.to_text())
     if spec is not None:
-        _check_rebuild(mat, spec)
+        check(mat, spec)
         if report.max_overlap > 1:
             raise EulerCSError(f"max column overlap {report.max_overlap} exceeds 1")
     print("verification passed", file=sys.stderr)

@@ -65,7 +65,8 @@ class SensingMatrix:
                           or (rows[:, 1:] <= rows[:, :-1]).any()):
             raise InvalidInput(f"each column's rows must strictly ascend "
                                f"within 0..{self.m - 1}")
-        if ((vals != 1) & (vals != (1 if binary else -1))).any():
+        # a binary matrix given no vals holds the broadcast of 1: nothing to check
+        if self.vals is not None and ((vals != 1) & (vals != (1 if binary else -1))).any():
             raise InvalidInput(f"every {self.alphabet} value must be "
                                f"{'1' if binary else '+-1'}")
         object.__setattr__(self, "rows", rows)
@@ -271,9 +272,12 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 # "%d\n", and "%d:" for a ternary row) is gathered from a table of
 # null-padded fixed-width bytes, built once per matrix, and a block of
 # about _BLOCK_VALUES numbers becomes text with one tobytes().  The
-# writer writes its blocks.  The reader, which every `verify` runs, reads
-# CRLF as LF, parses a body with one numpy call and keeps the numbers only
-# if rendering them gives back the body byte for byte: a text that renders
+# writer writes its blocks, and `verify` first compares a file with the
+# blocks of the matrix its provenance builds (esm_matches), one block at
+# a time: a file equal to them holds exactly that matrix, as the render
+# is injective.  Any other file goes to the reader.  It reads CRLF as LF,
+# parses a body with one numpy call and keeps the numbers only if
+# rendering them gives back the body byte for byte: a text that renders
 # back exactly is in the writer's form and holds exactly those numbers,
 # so the round trip is the whole validation.  Any other file is decoded
 # and read line by line from line 3, accepting what `str.split` and
@@ -282,10 +286,11 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 _BLOCK_VALUES = 1 << 16
 
 
-def _tokenizer(numbers, suffixes):
+def _tokenizer(numbers, suffixes, shift=0):
     """Function from a block of rows of the 2-D `numbers` to the null-padded
-    fixed-width bytes array of their decimal tokens: suffixes[-1] follows
-    a row's last number and suffixes[0] every other.
+    fixed-width bytes array of the decimal tokens of those numbers plus
+    `shift`: suffixes[-1] follows a row's last number and suffixes[0]
+    every other.
 
     The token table is built once.  It spans min..max where that is fewer
     values than `numbers` holds, and else only the values in use, so its
@@ -295,9 +300,9 @@ def _tokenizer(numbers, suffixes):
     if hi - lo < numbers.size:
         values, index = range(lo, hi + 1), lambda block: block - lo
     else:
-        values = np.unique(numbers)
-        index = lambda block: np.searchsorted(values, block)
-    digits = np.array(" ".join(map(str, values)).encode().split())
+        used = np.unique(numbers)
+        values, index = used.tolist(), lambda block: np.searchsorted(used, block)
+    digits = np.array(" ".join(str(v + shift) for v in values).encode().split())
     n, w, k = len(suffixes), digits.itemsize, numbers.shape[1]
     # a token is its digits, null padding, then its suffix
     table = np.zeros((digits.size, n, w + 1), dtype=np.uint8)
@@ -309,14 +314,14 @@ def _tokenizer(numbers, suffixes):
 
 
 def _column_text(rows, vals, ternary):
-    """Bytes blocks of the column lines of the (M, k) 1-based row numbers
-    `rows`, each ternary row followed by its value in `vals`; a block
-    holds about _BLOCK_VALUES numbers."""
+    """Bytes blocks of the column lines of the (M, k) 0-based row indices
+    `rows`, written 1-based, each ternary row followed by its value in
+    `vals`; a block holds about _BLOCK_VALUES numbers."""
     M, k = rows.shape
     if not M:
         return
     ends = (b" ", b"\n")
-    row_tokens = _tokenizer(rows, (b":",) if ternary else ends)
+    row_tokens = _tokenizer(rows, (b":",) if ternary else ends, shift=1)
     if ternary:
         val_tokens = _tokenizer(vals, ends)
     per_block = max(1, _BLOCK_VALUES // k)
@@ -327,15 +332,33 @@ def _column_text(rows, vals, ternary):
         yield tokens.tobytes().replace(b"\0", b"")
 
 
+def _esm_blocks(mat: SensingMatrix):
+    """The bytes of `mat`'s ESM v1 file: its two header lines, then its
+    column lines in blocks."""
+    yield (f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n"
+           f"{mat.provenance or 'unknown'}\n").encode()
+    yield from _column_text(mat.rows, mat.vals, mat.alphabet == "ternary")
+
+
 def save_esm(mat: SensingMatrix, path: str) -> None:
     """Write `mat` as an ESM v1 file, byte for byte the same on every platform."""
     with open(path, "wb") as f:
-        f.write(f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n"
-                f"{mat.provenance or 'unknown'}\n".encode())
-        f.writelines(_column_text(mat.rows + 1, mat.vals, mat.alphabet == "ternary"))
+        f.writelines(_esm_blocks(mat))
 
 
-def _header_counts(line: str) -> tuple:
+def esm_matches(path: str, mat: SensingMatrix) -> bool:
+    """Whether the file at `path` is byte for byte the one save_esm writes
+    for `mat`, read one rendered block at a time: LF line ends only and
+    nothing after the last column line.  Only the writer's form of `mat`
+    renders to those bytes, so a file that matches holds exactly `mat`."""
+    with open(path, "rb") as f:
+        for block in _esm_blocks(mat):
+            if f.read(len(block)) != block:
+                return False
+        return not f.read(1)
+
+
+def header_counts(line: str) -> tuple:
     """(m, M, k, alphabet) of an ESM v1 header line, or ParseError on line 1."""
     if not line.startswith("ESM v1 "):
         raise ParseError("missing 'ESM v1' header", line=1)
@@ -364,7 +387,7 @@ def _read_canonical(head: bytes, body: bytes):
         text = head.decode("utf-8")
         lines = text.splitlines()
         provenance = lines[1]
-        m, M, k, alphabet = _header_counts(lines[0])
+        m, M, k, alphabet = header_counts(lines[0])
     except (UnicodeDecodeError, IndexError, ParseError):
         return None       # the line reader reports a fault, in line order
     ternary = alphabet == "ternary"
@@ -382,15 +405,16 @@ def _read_canonical(head: bytes, body: bytes):
         return None
     numbers = numbers.reshape(M, k, -1)
     rows, vals = numbers[:, :, 0], (numbers[:, :, 1] if ternary else None)
+    # a row number of -2**63 wraps to 2**63 - 1, which renders back as
+    # 2**63, so the round trip refuses the row int64 cannot hold
+    rows -= 1
     at = 0
     for block in _column_text(rows, vals, ternary):
         if not body.startswith(block, at):
             return None
         at += len(block)
-    # a row number of -2**63 is one whose row int64 cannot hold
-    if at != len(body) or rows.min() == -INT64_MAX - 1:
+    if at != len(body):
         return None
-    rows -= 1
     return m, alphabet, provenance, rows, vals, None
 
 
@@ -416,7 +440,7 @@ def _read_lines(lines: list):
     that line's ParseError, or None when every line reads; vals is None
     for a binary file, whose values are all 1.
     """
-    m, M, k, alphabet = _header_counts(lines[0] if lines else "")
+    m, M, k, alphabet = header_counts(lines[0] if lines else "")
     if len(lines) < 2 + M:
         raise ParseError(f"expected {M} column lines", line=len(lines))
     if len(lines) > 2 + M:
@@ -457,7 +481,8 @@ def load_esm(path: str) -> SensingMatrix:
     with open(path, "rb") as f:
         head = f.readline() + f.readline()
         body = f.read()
-    read = _read_canonical(head.replace(b"\r\n", b"\n"), body.replace(b"\r\n", b"\n"))
+    read = _read_canonical(head.replace(b"\r\n", b"\n"),
+                           body.replace(b"\r\n", b"\n") if b"\r" in body else body)
     if read is None:
         read = _read_lines(decode_utf8(head + body).splitlines())
     m, alphabet, provenance, rows, vals, error = read

@@ -680,22 +680,31 @@ def test_non_utf8_byte_fails_closed(tmp_path, corpus, name, old, line):
     assert run(argv) == 1
 
 
-@pytest.mark.parametrize("gen, provenance", [
-    (["--index", "3,2"], "euler n=4099 k=2"),
-    (["--index", "3,2"], "euler n=3 k=4099"),
-    (["--index", "3,2"], "rows m=8198 via euler n=4099 k=2"),
-    (["--index", "3,2"], "rows m=99999999999999999999 via euler n=3 k=2"),
-    (["--index", "3,2"], "extended n=4100 k=3 stages=2"),
-    (["--ternary", "5,1,1"], "ternary p=4099 i=1 j=1 hadamard=4100"),
-    (["--ternary", "5,1,1"], "ternary p=2 i=1000000000 j=1 hadamard=4"),
+_NO_FIT = "does not fit the header"
+
+
+@pytest.mark.parametrize("gen, edits, message", [
+    (["--index", "3,2"], {1: "euler n=4099 k=2"}, _NO_FIT),
+    (["--index", "3,2"], {1: "euler n=3 k=4099"}, _NO_FIT),
+    (["--index", "3,2"], {1: "rows m=8198 via euler n=4099 k=2"}, _NO_FIT),
+    (["--index", "3,2"], {1: "rows m=99999999999999999999 via euler n=3 k=2"}, _NO_FIT),
+    (["--index", "3,2"], {1: "extended n=4100 k=3 stages=2"}, _NO_FIT),
+    (["--ternary", "5,1,1"], {1: "ternary p=4099 i=1 j=1 hadamard=4100"}, _NO_FIT),
+    (["--ternary", "5,1,1"], {1: "ternary p=2 i=1000000000 j=1 hadamard=4"}, _NO_FIT),
+    # the provenance fits a header that lies about the columns: the file
+    # is too small for the header, so nothing is built before it is read
+    (["--index", "3,2"], {0: "ESM v1 rows=32768 cols=1048576 alphabet=binary k=32",
+                          1: "euler n=1024 k=32"},
+     "expected 1048576 column lines (line 11)"),
 ], ids=["euler_order", "euler_degree", "rows_square", "rows_count", "extended",
-        "ternary_prime", "ternary_power"])
+        "ternary_prime", "ternary_power", "header_cols"])
 def test_verify_rejects_hostile_provenance_before_build(tmp_path, capsys, monkeypatch,
-                                                        gen, provenance):
+                                                        gen, edits, message):
     out = tmp_path / "m.esm"
     assert run(["gen", *gen, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    lines[1] = provenance
+    for line, text in edits.items():
+        lines[line] = text
     out.write_text("\n".join(lines) + "\n")
 
     def no_build(spec):
@@ -704,7 +713,82 @@ def test_verify_rejects_hostile_provenance_before_build(tmp_path, capsys, monkey
     monkeypatch.setattr("eulercs.experiments.make_matrix", no_build)
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert "does not fit the header" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def _verify_outcome(capsys, path):
+    """(exit code, stdout, stderr) of `eulercs verify path`."""
+    capsys.readouterr()
+    return run(["verify", str(path)]), *capsys.readouterr()
+
+
+@pytest.mark.parametrize("gen", [
+    ["--index", "11,5"], ["--rows", "60"], ["--extend", "12"], ["--ternary", "5,1,1"],
+], ids=["euler", "rows", "extended", "ternary"])
+def test_verify_of_a_written_file_reads_only_its_header(tmp_path, capsys, monkeypatch, gen):
+    # the file is byte for byte its rebuild's, so the rebuild is the matrix
+    # verify reports on: the file is never parsed
+    out = tmp_path / "m.esm"
+    assert run(["gen", *gen, "--out", str(out)]) == 0
+    expected = props.coherence(load_esm(str(out))).to_text()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_canonical_rebuild", lambda path: None)
+        assert _verify_outcome(capsys, out) == (0, expected, "verification passed\n")
+
+    def no_load(path):
+        raise AssertionError(f"verify parsed {path}")
+
+    monkeypatch.setattr("eulercs.construct.load_esm", no_load)
+    assert _verify_outcome(capsys, out) == (0, expected, "verification passed\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_verify_reads_a_pipe_once(tmp_path, capsys):
+    # only load_esm reads a pipe: lines read before it would be gone
+    out = tmp_path / "m.esm"
+    assert run(["gen", "--index", "3,2", "--out", str(out)]) == 0
+    expected = props.coherence(load_esm(str(out))).to_text()
+    r, w = os.pipe()
+    try:
+        os.write(w, out.read_bytes())
+        os.close(w)
+        assert _verify_outcome(capsys, f"/proc/self/fd/{r}") == (
+            0, expected, "verification passed\n")
+    finally:
+        os.close(r)
+
+
+def _edit_line(line, text):
+    def edit(data):
+        lines = data.split(b"\n")
+        lines[line] = text
+        return b"\n".join(lines)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.replace(b"\n", b"\r\n"),
+    _edit_line(3, b"2\t5"),
+    _edit_line(2, b"1 5"),
+    lambda data: data[:-2],
+    lambda data: data + b"1 4\n",
+    _edit_line(0, b"ESM v1 rows=6 cols=18 alphabet=binary k=2"),
+    _edit_line(0, b"ESM v1 rows=6 cols=9 alphabet=binary k=3"),
+    _edit_line(1, b"unknown"),
+    lambda data: data.replace(b"2 6", b"2 \xff"),
+], ids=["crlf", "tab_line", "tampered_support", "truncated_last_line", "extra_line",
+        "header_cols_doubled", "header_k", "unknown_provenance", "non_utf8"])
+def test_verify_of_any_other_file_is_the_reader_path(tmp_path, capsys, monkeypatch, edit):
+    # a file that is not its rebuild's bytes gets exactly the outcome of
+    # load_esm and the array compare: exit code, report and error line
+    out = tmp_path / "m.esm"
+    assert run(["gen", "--index", "3,2", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    out.write_bytes(edit(data))
+    assert out.read_bytes() != data
+    outcome = _verify_outcome(capsys, out)
+    monkeypatch.setattr(cli, "_canonical_rebuild", lambda path: None)
+    assert _verify_outcome(capsys, out) == outcome
 
 
 def test_cbir_index_mixed_image_sizes(tmp_path, capsys):

@@ -339,6 +339,7 @@ _PLUS_MINUS_ONE = "every ternary value must be +-1"
     (lambda: supports(55, [[2, 1], [1, 2]]), _rows_within(55)),
     (lambda: supports(55, [[0, 55], [1, 2]]), _rows_within(55)),
     (lambda: supports(3, [[0, 1], [1, 2]], [[1, -1], [1, 1]]), _ONLY_ONES),
+    (lambda: supports(3, [[0, 1], [1, 2]], [[1, 1], [2, 1]]), _ONLY_ONES),
     (lambda: supports(3, [[0, 1], [1, 2]], alphabet="quaternary"),
      "need a binary or ternary alphabet and k >= 1, got 'quaternary' and k=2"),
     (lambda: supports(3, np.zeros((2, 0))),
@@ -357,7 +358,7 @@ _PLUS_MINUS_ONE = "every ternary value must be +-1"
 ], ids=["degenerate_column", "value_2", "value_minus_3", "zero_value", "repeated_row",
         "descending", "row_5_of_4", "row_-1_of_4", "row_45_of_40", "row_-1_of_40",
         "repeated_row_of_55", "descending_of_55", "row_55_of_55", "binary_minus_one",
-        "unknown_alphabet", "k_0", "replace_descending", "rows_1d", "rows_3d",
+        "binary_two", "unknown_alphabet", "k_0", "replace_descending", "rows_1d", "rows_3d",
         "vals_fewer_columns", "vals_1d", "float_rows", "integral_float_rows",
         "float_value", "float_ternary_value", "complex_value", "object_rows"])
 def test_construction_refuses_a_bad_support(make, message):
@@ -592,6 +593,8 @@ def test_esm_byte_mutations_read_as_before(tmp_path, ternary, edits):
         else:
             del data[at]
     path.write_bytes(data)
+    # only the writer's own bytes for mat match mat
+    assert construct.esm_matches(str(path), mat) == (bytes(data) == _reference_save_esm(mat))
     try:
         expected = _reference_load_esm(bytes(data))
     except ParseError as exc:
@@ -633,6 +636,7 @@ def test_esm_writer_matches_the_reference_writer(tmp_path, monkeypatch, mat, blo
     path = tmp_path / "m.esm"
     save_esm(mat, str(path))
     assert path.read_bytes() == _reference_save_esm(mat)
+    assert construct.esm_matches(str(path), mat)
     if mat.M:       # what the writer writes never takes the line reader
         monkeypatch.setattr(construct, "_read_lines", lambda lines: pytest.fail("line reader"))
     back = load_esm(str(path))
