@@ -3,8 +3,10 @@
 Elements are encoded as integers 0..q-1: the code e represents the
 polynomial whose coefficient of x^t is the t-th base-p digit of e
 (least significant digit = constant term), modulo the smallest monic
-irreducible of degree r.  `build_field` fills row a of the add and mul
-tables from row a // p, by poly(a) = (a mod p) + x*poly(a // p).  Each
+irreducible of degree r.  `build_field` gathers the mul table from the
+powers of one primitive element, exp[log a + log b], and takes the add
+table for p = 2 as the XOR of codes; an odd p's add table is filled row
+a from row a // p, by poly(a) = (a mod p) + x*poly(a // p).  Each
 table is a dense q x q array of the narrowest unsigned type that holds
 q - 1: q^2 bytes up to q = 256 and 2*q^2 above, so 32 MiB at q = 4096 and
 8 GiB at the 2^16 cap, where memory bounds the largest usable field;
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Infeasible, InvalidInput
+from .errors import EulerCSError, Infeasible, InvalidInput
 
 DEFAULT_FIELD_CAP = 2 ** 16
 
@@ -152,37 +154,81 @@ class GaloisField:
 def build_field(p: int, r: int) -> GaloisField:
     """Construct GF(p^r) with dense add/mul tables.
 
-    Both tables are built row by row, row a from row a // p (a >= 1):
+    For p = 2 the sum is the digitwise XOR, one outer operation.  For odd
+    p the add table is built row by row, row a from row a // p (a >= 1):
         add[a, b] = (a + b) mod p  +  p * add[a // p, b // p]
-        mul[a, b] = scale[a mod p, b]  (+)  times_x[mul[a // p, b]]
-    with (+) the field sum.  scale[s, e] is s*e for the scalar s of GF(p);
-    times_x[e] is x*e: e shifted up one digit, the overflow digit t
-    cancelled by adding -t times the irreducible's low part.  Cost: 2q
-    numpy passes over rows of length q, and no q x q array beyond the two
-    tables, each of dtype np.min_scalar_type(q - 1).  Rows are computed
-    in int64 and stored narrow.
+    Every nonzero element is a power of the primitive element g, the
+    smallest code of multiplicative order q - 1, so the mul table is one
+    gather of its antilogarithms:
+        mul[a, b] = exp[log[a] + log[b]]    (a, b >= 1; row and column 0 are 0)
+    g is found, and exp and log are read, by walking the powers of
+    candidate codes; see `_powers`.  Cost: q row passes for an odd p's
+    add table, about log_p g rows and one walk over the powers per
+    candidate, then the mul table in blocks of about 2^16 entries.
+    Beyond the two tables, each of dtype np.min_scalar_type(q - 1), only
+    length-q vectors and one block's int64 indices are held.
 
     Results are cached: fields are immutable after construction, so the
     shared instance is safe for unrestricted concurrent reads.
     """
     irr = find_irreducible(p, r)       # refuses p, r and q = p**r first
     q = p ** r
+    dtype = np.min_scalar_type(q - 1)
+    codes = np.arange(q, dtype=np.int64)
+    if p == 2:
+        narrow = codes.astype(dtype)
+        add = np.bitwise_xor.outer(narrow, narrow)
+    else:
+        add = np.zeros((q, q), dtype=dtype)
+        add[0] = codes
+        shifted = codes // p
+        for a in range(1, q):
+            # upcast before p *: NumPy 2 keeps a narrow operand's type
+            add[a] = (a + codes) % p + p * add[a // p].take(shifted).astype(np.int64)
+    exp, log = _powers(p, r, irr, add)
+    exp = np.tile(exp, 2)              # log[a] + log[b] < 2(q - 1)
+    mul = np.zeros((q, q), dtype=dtype)
+    rows = max(1, 2 ** 16 // q)
+    for a in range(1, q, rows):
+        mul[a:a + rows, 1:] = exp.take(log[a:a + rows, None] + log[1:])
+    return GaloisField(p=p, r=r, q=q, irreducible=tuple(irr),
+                       add_table=add, mul_table=mul)
+
+
+def _powers(p, r, irr, add):
+    """(exp, log) of GF(p^r)'s smallest primitive element g.
+
+    exp[i] is g^i for i < q - 1, in add's dtype, and log[exp[i]] = i, an
+    int64 array whose log[0] is unused.
+    The multiplication row of a candidate code g comes from rows g // p,
+    g // p^2, ..., 0 by poly(a) = (a mod p) + x*poly(a // p):
+        mul[a, b] = scale[a mod p, b]  (+)  times_x[mul[a // p, b]]
+    with (+) the field sum.  scale[s, e] is s*e for the scalar s of GF(p);
+    times_x[e] is x*e: e shifted up one digit, the overflow digit t
+    cancelled by adding -t times the irreducible's low part.  Walking g's
+    powers from 1 proves its order: the walk returns to 1 first after
+    exactly q - 1 steps only if they are the q - 1 nonzero codes.
+    """
+    q = p ** r
     codes = np.arange(q, dtype=np.int64)
     s = np.arange(p, dtype=np.int64)[:, None]
     scale = sum(s * (codes // p ** t % p) % p * p ** t for t in range(r))
     top = p ** (r - 1)
     low = sum(c * p ** t for t, c in enumerate(irr[:r]))
-
-    dtype = np.min_scalar_type(q - 1)
-    add = np.zeros((q, q), dtype=dtype)
-    add[0] = codes
-    shifted = codes // p
-    for a in range(1, q):
-        # upcast before p *: NumPy 2 keeps a narrow operand's type
-        add[a] = (a + codes) % p + p * add[a // p].take(shifted).astype(np.int64)
     times_x = add[codes % top * p, scale[-(codes // top) % p, low]]
-    mul = np.zeros((q, q), dtype=dtype)
-    for a in range(1, q):
-        mul[a] = add[scale[a % p], times_x.take(mul[a // p])]
-    return GaloisField(p=p, r=r, q=q, irreducible=tuple(irr),
-                       add_table=add, mul_table=mul)
+    for g in range(1, q):
+        row = np.zeros(q, dtype=np.int64)
+        for t in reversed(range(r)):
+            if g >= p ** t:         # a leading zero digit keeps the zero row
+                row = add[scale[g // p ** t % p], times_x.take(row)]
+        row = row.tolist()
+        exp = [1]
+        e = row[1]
+        while e != 1 and len(exp) < q:
+            exp.append(e)
+            e = row[e]
+        if len(exp) == q - 1 and e == 1:
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            return np.array(exp, dtype=add.dtype), log
+    raise EulerCSError(f"no element of order {q - 1} modulo {irr}: not a field")

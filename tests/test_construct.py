@@ -585,18 +585,34 @@ def test_esm_byte_mutations_read_as_before(tmp_path, ternary, edits):
     save_esm(mat, str(path))
     data = bytearray(path.read_bytes())
     for op, where, byte in edits:
-        at = int(where * len(data))
         if op == "set":
-            data[at] = byte
-        elif op == "insert":
-            data.insert(at, byte)
+            data[int(where * len(data))] = byte
+        elif op == "insert":        # at len(data) too: after the last byte
+            data.insert(int(where * (len(data) + 1)), byte)
         else:
-            del data[at]
+            del data[int(where * len(data))]
+    _assert_reads_as_before(path, mat, bytes(data))
+
+
+@pytest.mark.parametrize("ternary", [False, True], ids=["binary", "ternary"])
+@pytest.mark.parametrize("byte", [b"7", b"\n", b" "], ids=["digit", "newline", "space"])
+def test_esm_with_a_byte_after_the_last_column_reads_as_before(tmp_path, ternary, byte):
+    mat = build_ternary(5, 1, 1) if ternary else build_binary_matrix(euler_square(3, 2))
+    path = tmp_path / "appended.esm"
+    save_esm(mat, str(path))
+    _assert_reads_as_before(path, mat, path.read_bytes() + byte)
+    assert not construct.esm_matches(str(path), mat)
+
+
+def _assert_reads_as_before(path, mat, data: bytes):
+    """Write `data` to `path`: esm_matches holds for mat exactly when data
+    is the reference writer's, and load_esm reads data, or names its
+    fault, as the reference reader does."""
     path.write_bytes(data)
     # only the writer's own bytes for mat match mat
-    assert construct.esm_matches(str(path), mat) == (bytes(data) == _reference_save_esm(mat))
+    assert construct.esm_matches(str(path), mat) == (data == _reference_save_esm(mat))
     try:
-        expected = _reference_load_esm(bytes(data))
+        expected = _reference_load_esm(data)
     except ParseError as exc:
         with warnings.catch_warnings(), pytest.raises(ParseError) as got:
             warnings.simplefilter("error")      # no numpy parse warning leaks

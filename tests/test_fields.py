@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eulercs import fields
-from eulercs.errors import Infeasible, InvalidInput
+from eulercs.errors import EulerCSError, Infeasible, InvalidInput
 from eulercs.fields import (_code_to_poly, _poly_mod, build_field, factorize,
                             find_irreducible, is_prime)
 
@@ -164,6 +164,67 @@ def test_table_bytes_pinned(p, r):
     digests = tuple(hashlib.sha256(t.astype(np.int64).tobytes()).hexdigest()
                     for t in (F.add_table, F.mul_table))
     assert digests == TABLE_SHA256[(p, r)]
+
+
+def _recurrence_tables(p, r):
+    """(add, mul) as build_field made them row by row before the mul table
+    was gathered from powers: row a from row a // p, a reference kept for
+    the test below."""
+    irr = find_irreducible(p, r)
+    q = p ** r
+    codes = np.arange(q, dtype=np.int64)
+    s = np.arange(p, dtype=np.int64)[:, None]
+    scale = sum(s * (codes // p ** t % p) % p * p ** t for t in range(r))
+    top = p ** (r - 1)
+    low = sum(c * p ** t for t, c in enumerate(irr[:r]))
+
+    dtype = np.min_scalar_type(q - 1)
+    add = np.zeros((q, q), dtype=dtype)
+    add[0] = codes
+    shifted = codes // p
+    for a in range(1, q):
+        add[a] = (a + codes) % p + p * add[a // p].take(shifted).astype(np.int64)
+    times_x = add[codes % top * p, scale[-(codes // top) % p, low]]
+    mul = np.zeros((q, q), dtype=dtype)
+    for a in range(1, q):
+        mul[a] = add[scale[a % p], times_x.take(mul[a // p])]
+    return add, mul
+
+
+# x is not primitive modulo the smallest irreducible of GF(2^8), 2^9,
+# 2^12, 3^2, 3^7, 5^2, 5^3, 5^4, 7^2, 7^3, 11^2, 13^2, 17^2 and 19^2, so
+# their mul tables come from the powers of a larger code
+RECURRENCE_FIELDS = ([(p, r) for p in range(2, 513) if is_prime(p)
+                      for r in range(1, 10) if p ** r <= 512] +
+                     [(2, 10), (2, 11), (2, 12), (3, 6), (3, 7), (5, 4)])
+
+
+@pytest.mark.parametrize("p,r", RECURRENCE_FIELDS)
+def test_tables_match_the_row_recurrence(p, r):
+    F = build_field(p, r)
+    for got, want in zip((F.add_table, F.mul_table), _recurrence_tables(p, r)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_build_field_holds_little_beyond_its_tables():
+    tracemalloc.start()
+    try:
+        F = build_field.__wrapped__(2, 12)      # uncached: the build is traced
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= F.add_table.nbytes + F.mul_table.nbytes + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("p, irr", [(2, [1, 0, 1]), (3, [2, 0, 1])],
+                         ids=["x2+1=(x+1)^2", "x2-1=(x-1)(x+1)"])
+def test_a_reducible_modulus_has_no_primitive_element(p, irr):
+    # the walk over each candidate's powers is the proof of its order
+    add = build_field(p, 2).add_table
+    with pytest.raises(EulerCSError,
+                       match=rf"^no element of order {p * p - 1} modulo .*: not a field$"):
+        fields._powers(p, 2, irr, add)
 
 
 def test_factorize_exact_below_the_cap_squared():
