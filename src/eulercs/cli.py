@@ -151,9 +151,11 @@ def _check_square(mat, spec):
     from `mat`: coordinate r is rows[:, r] - r*n.  Orthogonality is
     cmd_verify's overlap check, as two columns of a file equal to its
     rebuild share two rows only where two coordinates repeat a value pair."""
-    for r in range(spec.k if spec.family == "euler" else 0):
-        if not (val := latin_report(spec.n, mat.rows[:, r:r + 1] - r * spec.n, r)).ok:
-            raise EulerCSError(f"euler square validation: {val.message}")
+    if spec.family != "euler":
+        return
+    coordinates = (mat.rows[:, r] - r * spec.n for r in range(spec.k))
+    if not (val := latin_report(spec.n, coordinates)).ok:
+        raise EulerCSError(f"euler square validation: {val.message}")
 
 
 def _check_rebuild(mat, spec):

@@ -104,13 +104,16 @@ def build_binary_matrix(E: EulerSquare) -> SensingMatrix:
     """nk x n^2 binary matrix: one column per k-ad, in row-major cell order.
 
     Column c (0-based) comes from cell (c // n, c % n); its ones sit at
-    rows l*n + a_l for l = 0..k-1 where a is the cell's k-tuple.
+    rows l*n + a_l for l = 0..k-1 where a is the cell's k-tuple.  The
+    int64 rows are one C-ordered pass over the cells, whatever their
+    integer type and layout: a built square's transposed layers are read
+    once and the offsets added on the way.
     """
     n, k = E.n, E.k
     if k < 2 or n < 3:
         raise Infeasible(f"need k >= 2 and n >= 3, got ({n},{k})")
     ads = E.cells.reshape(n * n, k)
-    rows = np.arange(k)[None, :] * n + ads
+    rows = np.add(ads, np.arange(k) * n, dtype=np.int64, order="C")
     return SensingMatrix(m=n * k, alphabet="binary", rows=rows, provenance=E.provenance)
 
 

@@ -7,7 +7,13 @@ coordinates yields all n^2 ordered pairs exactly once.
 
 Construction follows the classical direct-product recipe: prime-power
 component squares from finite-field arithmetic, each built at the
-requested degree, and products in increasing-prime order.
+requested degree, and products in increasing-prime order.  A built
+square is stored as k coordinate layers, a C-ordered (k, n, n) stack in
+the narrowest signed integer type that holds -n (int8 up to n = 128,
+int16 up to 32 768), and `EulerSquare.cells` is its (n, n, k) transposed
+view: a prime-power square's layer t is rows of the field's add table,
+gathered once, and every step that can outgrow the narrow type upcasts
+first.
 """
 
 from dataclasses import dataclass
@@ -20,20 +26,27 @@ from .fields import GaloisField, build_field, factorize
 
 @dataclass(eq=False)
 class EulerSquare:
+    """An order-n square of k-tuples: cells[i, j, r] is coordinate r of cell (i, j).
+
+    The cells keep the integer dtype and memory layout they are given; a
+    built square's are the transposed view of its (k, n, n) layers.
+    Float, complex and object arrays are refused, not truncated.
+    """
     cells: np.ndarray  # shape (n, n, k), values 0..n-1
     provenance: str = ""
 
     n = property(lambda self: self.cells.shape[0], doc="order")
     k = property(lambda self: self.cells.shape[2], doc="degree")
+    layers = property(lambda self: self.cells.transpose(2, 0, 1),
+                      doc="(k, n, n) view: layers[r] is coordinate r")
 
     def __post_init__(self):
         cells = np.asarray(self.cells)
         if cells.ndim != 3 or cells.shape[0] != cells.shape[1]:
             raise InvalidInput(f"cells shape {cells.shape} is not (n, n, k)")
-        try:
-            self.cells = cells.astype(np.int64, casting="same_kind", copy=False)
-        except TypeError:
-            raise InvalidInput(f"cells must hold integers, not {cells.dtype}") from None
+        if not np.can_cast(cells.dtype, np.int64, "same_kind"):
+            raise InvalidInput(f"cells must hold integers, not {cells.dtype}")
+        self.cells = cells
 
 
 @dataclass(frozen=True)
@@ -47,29 +60,35 @@ def mols_prime_power(F: GaloisField, k: int) -> EulerSquare:
     """Euler square of index (q, k) from GF(q).
 
     Cell (x, y) coordinate t is code(alpha_t * x + y) where alpha_t is
-    the field element with code t; t runs over 1..k in code order.
+    the field element with code t; t runs over 1..k in code order.  So
+    row x of layer t is row mul[alpha_t, x] of the add table, and the k
+    layers are one gather of add-table rows: a (k, q, q) stack in
+    np.min_scalar_type(-q), whose (q, q, k) transposed view is the cells.
     """
     q = F.q
     if not 1 <= k <= q - 1:
         raise InvalidInput(f"degree k={k} must satisfy 1 <= k <= q-1={q - 1}")
-    cells = np.empty((q, q, k), dtype=np.int64)
-    ys = np.arange(q)
-    for t in range(1, k + 1):
-        cells[:, :, t - 1] = F.add_table[F.mul_table[t, :][:, None], ys[None, :]]
-    return EulerSquare(cells, provenance=f"prime-power p={F.p} r={F.r}")
+    add = F.add_table.astype(np.min_scalar_type(-q), copy=False)
+    layers = add.take(F.mul_table[1:k + 1], axis=0)
+    return EulerSquare(layers.transpose(1, 2, 0), provenance=f"prime-power p={F.p} r={F.r}")
 
 
 def macneish_product(A: EulerSquare, B: EulerSquare) -> EulerSquare:
     """Direct product: index (n1*n2, k) from indices (n1, k) and (n2, k).
 
     Row (i1, i2) flattens to i1*n2 + i2 (0-based), likewise for columns;
-    coordinate r value is A_r(i1, j1)*n2 + B_r(i2, j2).
+    coordinate r value is A_r(i1, j1)*n2 + B_r(i2, j2).  The product's
+    layers are one (k, n1*n2, n1*n2) stack in np.min_scalar_type(-n1*n2);
+    A's layers are cast to that type before the * n2.
     """
     if A.k != B.k:
         raise InvalidInput(f"degrees differ: {A.k} vs {B.k}")
-    n1, n2, k = A.n, B.n, A.k
-    prod = (A.cells[:, None, :, None, :] * n2 + B.cells[None, :, None, :, :])
-    return EulerSquare(prod.reshape(n1 * n2, n1 * n2, k),
+    n2, k, n = B.n, A.k, A.n * B.n
+    dtype = np.min_scalar_type(-n)
+    # upcast first: NumPy 2 keeps a narrow operand's type, and int8 * 16 wraps
+    high = A.layers.astype(dtype)[:, :, None, :, None] * n2
+    layers = np.add(high, B.layers[:, None, :, None, :], dtype=dtype)
+    return EulerSquare(layers.reshape(k, n, n).transpose(1, 2, 0),
                        provenance=f"product({A.provenance} x {B.provenance})")
 
 
@@ -101,22 +120,35 @@ def euler_square(n: int, k: int) -> EulerSquare:
 
 def first_repeat(a, b, span: int):
     """Index of the second occurrence of the smallest pair (a[i], b[i]) that
-    repeats, or None: one bincount of span**2 codes, a and b in 0..span-1."""
-    codes = a * span + b
+    repeats, or None: one bincount of span**2 codes, a and b in 0..span-1,
+    formed in int64 whatever the integer types of a and b."""
+    codes = np.multiply(a, span, dtype=np.int64)
+    np.add(codes, b, out=codes, casting="unsafe")     # b's type may be uint64
     if np.bincount(codes).max() <= 1:
         return None
     order = np.argsort(codes, kind="stable")
     return int(order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1])
 
 
-def latin_report(n: int, values, first: int = 0) -> ValidationReport:
-    """validate_euler_square's range check and (row, r), (column, r) counts on coordinates
-    first, first + 1, ... of an order-n square, as (n*n, c) values in row-major cell order."""
-    if (bad := (values < 0) | (values >= n)).any():
-        cell, r = divmod(int(np.argmax(bad)), bad.shape[1])
-        return ValidationReport(False, "cell value out of range", (*divmod(cell, n), first + r))
+def _range_report(n: int, layers, first: int = 0) -> ValidationReport:
+    """validate_euler_square's range check on coordinates first, first + 1,
+    ... of an order-n square, as (c, n*n) layers in row-major cell order:
+    the first value outside 0..n-1 in (cell, coordinate) order."""
+    if (bad := (layers < 0) | (layers >= n)).any():
+        cell = int(np.argmax(bad.any(axis=0)))
+        r = first + int(np.argmax(bad[:, cell]))
+        return ValidationReport(False, "cell value out of range", (*divmod(cell, n), r))
+    return ValidationReport(True)
+
+
+def latin_report(n: int, coordinates) -> ValidationReport:
+    """validate_euler_square's (row, r) and (column, r) counts on coordinates
+    r = 0, 1, ... of an order-n square, each n*n values in row-major cell
+    order, taken one at a time and range-checked just before its counts."""
     row, col = np.divmod(np.arange(n * n), n)
-    for r, coordinate in enumerate(values.T, first):
+    for r, coordinate in enumerate(coordinates):
+        if not (report := _range_report(n, coordinate[None], r)).ok:
+            return report
         for kind, factor in (("row", row), ("column", col)):
             if (dup := first_repeat(factor, coordinate, n)) is not None:
                 i, j = divmod(dup, n)
@@ -138,8 +170,10 @@ def validate_euler_square(E: EulerSquare) -> ValidationReport:
     row holding a repeat, a column-Latin fault the first column.
     """
     n, k = E.n, E.k
-    layers = np.ascontiguousarray(E.cells.reshape(n * n, k).T)   # (k, n^2)
-    if not (report := latin_report(n, layers.T)).ok:
+    layers = E.layers.reshape(k, n * n)     # a view of a built square's layers
+    if not (report := _range_report(n, layers)).ok:
+        return report
+    if not (report := latin_report(n, layers)).ok:
         return report
     for r, s in ((r, s) for r in range(k) for s in range(r + 1, k)):
         if (dup := first_repeat(layers[r], layers[s], n)) is not None:

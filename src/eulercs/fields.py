@@ -5,8 +5,8 @@ polynomial whose coefficient of x^t is the t-th base-p digit of e
 (least significant digit = constant term), modulo the smallest monic
 irreducible of degree r.  `build_field` gathers the mul table from the
 powers of one primitive element, exp[log a + log b], and takes the add
-table for p = 2 as the XOR of codes; an odd p's add table is filled row
-a from row a // p, by poly(a) = (a mod p) + x*poly(a // p).  Each
+table for p = 2 as the XOR of codes; an odd p's add table is built one
+base-p digit at a time, the digitwise sum of codes mod p.  Each
 table is a dense q x q array of the narrowest unsigned type that holds
 q - 1: q^2 bytes up to q = 256 and 2*q^2 above, so 32 MiB at q = 4096 and
 8 GiB at the 2^16 cap, where memory bounds the largest usable field;
@@ -155,18 +155,20 @@ def build_field(p: int, r: int) -> GaloisField:
     """Construct GF(p^r) with dense add/mul tables.
 
     For p = 2 the sum is the digitwise XOR, one outer operation.  For odd
-    p the add table is built row by row, row a from row a // p (a >= 1):
-        add[a, b] = (a + b) mod p  +  p * add[a // p, b // p]
+    p the add table grows one top digit at a time, GF(p^(j+1))'s from
+    GF(p^j)'s table add' in one broadcast whose inner rows are add' rows:
+        add[s*p^j + a, t*p^j + b] = ((s + t) mod p) * p^j  +  add'[a, b]
     Every nonzero element is a power of the primitive element g, the
     smallest code of multiplicative order q - 1, so the mul table is one
     gather of its antilogarithms:
         mul[a, b] = exp[log[a] + log[b]]    (a, b >= 1; row and column 0 are 0)
     g is found, and exp and log are read, by walking the powers of
-    candidate codes; see `_powers`.  Cost: q row passes for an odd p's
+    candidate codes; see `_powers`.  Cost: r broadcasts for an odd p's
     add table, about log_p g rows and one walk over the powers per
     candidate, then the mul table in blocks of about 2^16 entries.
     Beyond the two tables, each of dtype np.min_scalar_type(q - 1), only
-    length-q vectors and one block's int64 indices are held.
+    length-q vectors, one block's int64 indices and, for an odd p, the
+    previous digit's add table (1/p^2 of the last) are held.
 
     Results are cached: fields are immutable after construction, so the
     shared instance is safe for unrestricted concurrent reads.
@@ -179,12 +181,11 @@ def build_field(p: int, r: int) -> GaloisField:
         narrow = codes.astype(dtype)
         add = np.bitwise_xor.outer(narrow, narrow)
     else:
-        add = np.zeros((q, q), dtype=dtype)
-        add[0] = codes
-        shifted = codes // p
-        for a in range(1, q):
-            # upcast before p *: NumPy 2 keeps a narrow operand's type
-            add[a] = (a + codes) % p + p * add[a // p].take(shifted).astype(np.int64)
+        low = (np.add.outer(codes[:p], codes[:p]) % p).astype(dtype)
+        add = np.zeros((1, 1), dtype=dtype)
+        for _ in range(r):      # low * size + add stays below q: no upcast needed
+            size = add.shape[0]
+            add = ((low * size)[:, None, :, None] + add[:, None, :]).reshape(size * p, size * p)
     exp, log = _powers(p, r, irr, add)
     exp = np.tile(exp, 2)              # log[a] + log[b] < 2(q - 1)
     mul = np.zeros((q, q), dtype=dtype)

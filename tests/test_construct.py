@@ -755,6 +755,20 @@ def test_esm_faults_reported_in_line_order(tmp_path):
     assert (exc.value.line, str(exc.value)) == (7, "bad support token 'x'")
 
 
+def test_square_and_matrix_hold_little_beyond_the_rows():
+    # the int16 cells of (256,16) take a quarter of the int64 rows, and the
+    # rows are formed in one pass over them, not from an int64 copy
+    euler_square(256, 16)                       # the field tables are cached
+    tracemalloc.start()
+    try:
+        mat = build_binary_matrix(euler_square(256, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.rows.dtype == np.int64 and mat.rows.flags.c_contiguous
+    assert peak <= 1.5 * mat.rows.nbytes
+
+
 def test_esm_bytes_and_round_trip_at_scale(tmp_path):
     # more columns than one write block, on both alphabets
     for mat in (build_binary_matrix(euler_square(101, 7)), build_ternary(9, 1, 1)):

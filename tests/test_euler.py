@@ -9,7 +9,7 @@ from eulercs.errors import Infeasible, InvalidInput
 from eulercs.euler import (EulerSquare, ValidationReport, euler_square,
                            factorize, macneish_product, mols_prime_power,
                            validate_euler_square)
-from eulercs.fields import build_field
+from eulercs.fields import build_field, is_prime
 
 # the printed index-(3,2) square, cell tuples row by row
 SQUARE_3_2 = [
@@ -127,8 +127,10 @@ def test_square_shape_follows_its_cells():
     assert (E.n, E.k, E.cells.shape) == (12, 2, (12, 12, 2))
     E.cells = E.cells[:, :, :1]
     assert (E.n, E.k) == (12, 1)
-    square = EulerSquare(np.zeros((4, 4, 3), dtype=np.int8))
-    assert (square.n, square.k, square.cells.dtype) == (4, 3, np.int64)
+    # an integer array keeps its dtype: a narrow one is not widened
+    for dtype in (np.int8, np.uint8):
+        square = EulerSquare(np.zeros((4, 4, 3), dtype=dtype))
+        assert (square.n, square.k, square.cells.dtype) == (4, 3, dtype)
 
 
 @pytest.mark.parametrize("cells, message", [
@@ -266,3 +268,61 @@ def test_validator_matches_a_cell_by_cell_oracle(index, data):
             cells[[i, i2], j, r] = cells[[i2, i], j, r]
     report = validate_euler_square(EulerSquare(cells))
     assert report == _scan_oracle(n, k, cells.tolist())
+
+
+def _formula_layer(F, t):
+    """(q, q) int64 coordinate t of GF(q)'s square as mols_prime_power filled
+    it before it gathered add-table rows: a reference kept for the tests
+    below."""
+    return F.add_table[F.mul_table[t][:, None], np.arange(F.q)[None, :]].astype(np.int64)
+
+
+def _formula_square(n, k):
+    """euler_square(n, k)'s cells in int64, from _formula_layer and the
+    product's formula A_r(i1, j1)*n2 + B_r(i2, j2)."""
+    cells = None
+    for p, r, q in factorize(n).components:
+        F = build_field(p, r)
+        comp = np.stack([_formula_layer(F, t) for t in range(1, k + 1)], axis=-1)
+        cells = comp if cells is None else (
+            cells[:, None, :, None, :] * q + comp[None, :, None, :, :]).reshape(
+                cells.shape[0] * q, cells.shape[0] * q, k)
+    return cells
+
+
+PRIME_POWERS = [p ** r for p in range(2, 257) if is_prime(p)
+                for r in range(1, 9) if p ** r <= 256]
+
+
+@pytest.mark.parametrize("q", sorted(PRIME_POWERS))
+def test_layers_match_the_cell_formula(q):
+    # each coordinate against the formula at full degree; the degree only
+    # takes the first k multiplier rows, so every k is built up to q = 128
+    # and a spread of k above
+    F = build_field(*factorize(q).components[0][:2])
+    full = mols_prime_power(F, q - 1)
+    assert full.cells.dtype == np.min_scalar_type(-q)
+    assert full.cells.base is not None and full.layers.flags.c_contiguous
+    for t in range(1, q):
+        assert np.array_equal(full.layers[t - 1], _formula_layer(F, t)), t
+    for k in range(1, q) if q <= 128 else sorted({1, 2, q // 2, q - 2, q - 1}):
+        E = mols_prime_power(F, k)
+        assert E.cells.dtype == full.cells.dtype
+        assert np.array_equal(E.cells, full.cells[:, :, :k]), k
+
+
+@pytest.mark.parametrize("n, k, dtype", [
+    (127, 16, np.int8), (128, 16, np.int8),
+    # GF(256)'s uint8 table holds 255, which int8 does not
+    (256, 16, np.int16),
+    # components of order 16 and 9 are int8, and 15 * 9 + 8 is not
+    (144, 8, np.int16),
+], ids=["127", "128", "256", "9x16"])
+def test_narrow_layers_at_type_boundaries(n, k, dtype):
+    E = euler_square(n, k)
+    assert E.cells.dtype == dtype and E.cells.shape == (n, n, k)
+    assert np.array_equal(E.cells, _formula_square(n, k))
+    assert E.cells.max() == n - 1
+    assert validate_euler_square(E).ok
+    for p, r, q in factorize(n).components:
+        assert mols_prime_power(build_field(p, r), k).cells.dtype == np.min_scalar_type(-q)
