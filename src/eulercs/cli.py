@@ -178,29 +178,28 @@ def _canonical_rebuild(path):
     for the matrix its provenance builds, or None.
 
     Only the header and provenance lines are read before the build, which
-    runs only for a deterministic family's line that fits the header, and
-    only where the file has at least 2 bytes for each of the header's
-    cols*k support tokens.  The file is then compared with the rebuild's
-    rendering one block at a time (construct.esm_matches), so it is never
-    parsed and no second matrix is held.  A file that does not match, or
-    a failure on the way, gives None: load_esm then finds the file's
-    first fault, in line order, as it would have without this path.
+    runs only for a head in the writer's form (construct.esm_head) whose
+    deterministic family's line fits the header, and only where the file
+    has at least 2 bytes for each of the header's cols*k support tokens.
+    The file is then compared with the rebuild's rendering one block at a
+    time (construct.esm_matches), so it is never parsed and no second
+    matrix is held.  A file that does not match, or a failure on the way,
+    gives None: load_esm then finds the file's first fault, in line
+    order, as it would have without this path.
     """
     try:
         st = os.stat(path)
         if not stat.S_ISREG(st.st_mode):
             return None     # a pipe's lines, once read here, are gone for load_esm
         with open(path, "rb") as f:
-            header, provenance = f.readline().decode(), f.readline().decode()
-        m, cols, k, _ = construct.header_counts(header)
-        provenance = provenance.removesuffix("\n")
+            m, cols, k, _, provenance = construct.esm_head(f.readline() + f.readline())
         spec = experiments.MatrixSpec.from_provenance(provenance)
         if spec is None or st.st_size < 2 * cols * k:
             return None
         mat = _rebuild(spec, provenance, m, cols, k)
         return (mat, spec) if construct.esm_matches(path, mat) else None
     except (EulerCSError, OSError, ValueError, MemoryError):
-        # undecodable lines, a bad header or provenance line, a failed build
+        # a head not in the writer's form, a bad provenance line, a failed build
         return None
 
 

@@ -10,6 +10,7 @@ nonzeros and their values (+-1 for ternary; a binary matrix's values are
 a read-only broadcast of 1 that stores nothing).
 """
 
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -274,17 +275,17 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 # One renderer makes the column lines.  Each number's token ("%d " or
 # "%d\n", and "%d:" for a ternary row) is gathered from a table of
 # null-padded fixed-width bytes, built once per matrix, and a block of
-# about _BLOCK_VALUES numbers becomes text with one tobytes().  The
-# writer writes its blocks, and `verify` first compares a file with the
-# blocks of the matrix its provenance builds (esm_matches), one block at
-# a time: a file equal to them holds exactly that matrix, as the render
-# is injective.  Any other file goes to the reader.  It reads CRLF as LF,
-# parses a body with one numpy call and keeps the numbers only if
-# rendering them gives back the body byte for byte: a text that renders
-# back exactly is in the writer's form and holds exactly those numbers,
-# so the round trip is the whole validation.  Any other file is decoded
-# and read line by line from line 3, accepting what `str.split` and
-# `int` accept and naming the first bad line.
+# about _BLOCK_VALUES numbers becomes text with one tobytes().  One
+# comparator reads bytes back against those blocks, one at a time: bytes
+# equal to them hold exactly that matrix, as the render is injective.
+# `verify` runs it on a file and the matrix its provenance builds
+# (esm_matches).  The reader reads CRLF as LF, parses a body with one
+# numpy call into a SensingMatrix, whose construction checks it, and keeps
+# it only if the comparator finds the file is its rendering: the round
+# trip is the whole validation.  Any other file is decoded and read line
+# by line from line 3, accepting what `str.split` and `int` accept and
+# naming the first bad line.  Both readers parse the head alike (_head);
+# esm_head passes only the writer's head, to the array reader and `verify`.
 
 _BLOCK_VALUES = 1 << 16
 
@@ -335,11 +336,16 @@ def _column_text(rows, vals, ternary):
         yield tokens.tobytes().replace(b"\0", b"")
 
 
+def _head_text(m, M, k, alphabet, provenance) -> bytes:
+    """The header and provenance lines of an ESM v1 file of these fields."""
+    return (f"ESM v1 rows={m} cols={M} alphabet={alphabet} k={k}\n"
+            f"{provenance or 'unknown'}\n").encode()
+
+
 def _esm_blocks(mat: SensingMatrix):
-    """The bytes of `mat`'s ESM v1 file: its two header lines, then its
+    """The bytes of `mat`'s ESM v1 file: its two head lines, then its
     column lines in blocks."""
-    yield (f"ESM v1 rows={mat.m} cols={mat.M} alphabet={mat.alphabet} k={mat.k}\n"
-           f"{mat.provenance or 'unknown'}\n").encode()
+    yield _head_text(mat.m, mat.M, mat.k, mat.alphabet, mat.provenance)
     yield from _column_text(mat.rows, mat.vals, mat.alphabet == "ternary")
 
 
@@ -349,24 +355,28 @@ def save_esm(mat: SensingMatrix, path: str) -> None:
         f.writelines(_esm_blocks(mat))
 
 
+def _reads_back(blocks, stream) -> bool:
+    """Whether `stream`, read one block's length at a time, gives back
+    each of the bytes `blocks` in turn and then nothing."""
+    return all(stream.read(len(block)) == block for block in blocks) and not stream.read(1)
+
+
 def esm_matches(path: str, mat: SensingMatrix) -> bool:
     """Whether the file at `path` is byte for byte the one save_esm writes
-    for `mat`, read one rendered block at a time: LF line ends only and
-    nothing after the last column line.  Only the writer's form of `mat`
-    renders to those bytes, so a file that matches holds exactly `mat`."""
+    for `mat`, read one rendered block at a time through the comparator the
+    array reader uses: LF line ends only and nothing after the last column
+    line.  Only `mat` renders to those bytes, so a match holds exactly it."""
     with open(path, "rb") as f:
-        for block in _esm_blocks(mat):
-            if f.read(len(block)) != block:
-                return False
-        return not f.read(1)
+        return _reads_back(_esm_blocks(mat), f)
 
 
-def header_counts(line: str) -> tuple:
-    """(m, M, k, alphabet) of an ESM v1 header line, or ParseError on line 1."""
-    if not line.startswith("ESM v1 "):
+def _head(lines: list) -> tuple:
+    """(m, M, k, alphabet, provenance) of a file's lines: the header's
+    fields, ParseError on line 1 if bad, and the next line ('' if none)."""
+    if not lines or not lines[0].startswith("ESM v1 "):
         raise ParseError("missing 'ESM v1' header", line=1)
     try:
-        fields = dict(tok.split("=") for tok in line.split()[2:])
+        fields = dict(tok.split("=") for tok in lines[0].split()[2:])
         m, M, k = int(fields["rows"]), int(fields["cols"]), int(fields["k"])
         alphabet = fields["alphabet"]
     except (KeyError, ValueError):
@@ -375,50 +385,43 @@ def header_counts(line: str) -> tuple:
         raise ParseError(f"unknown alphabet {alphabet!r}", line=1)
     if k < 1 or m < 1 or M < 0 or max(m, M, k) > INT64_MAX:
         raise ParseError(f"counts rows={m} cols={M} k={k} out of range", line=1)
-    return m, M, k, alphabet
+    return m, M, k, alphabet, (lines[1] if len(lines) > 1 else "")
 
 
-def _read_canonical(head: bytes, body: bytes):
-    """(m, alphabet, provenance, rows, vals, None) of a file whose column
-    lines are those save_esm writes for their numbers, or None.
+def esm_head(head: bytes) -> tuple:
+    """(m, M, k, alphabet, provenance) of `head`, an ESM v1 file's first two
+    lines, if save_esm writes those bytes for them; else ParseError.  It
+    is decoded and split as the line reader splits (str.splitlines), so a
+    head that passes reads the same on either reader."""
+    fields = _head(decode_utf8(head).splitlines())
+    if _head_text(*fields) != head:
+        raise ParseError("head not in the writer's form", line=1)
+    return fields
 
-    `head` is the file's first two lines and `body` the rest.  The body
-    is parsed with one numpy call and kept only if it holds M*k numbers
-    (2*M*k when ternary) whose rendering is the body, byte for byte.
-    """
+
+def _read_written(head: bytes, body: bytes):
+    """The SensingMatrix whose file save_esm writes as `head`, then `body`,
+    or None.  After esm_head, the body is parsed with one numpy call into
+    a SensingMatrix, whose construction checks range, ascent and values,
+    and its column blocks must read back from `body` as in esm_matches."""
     try:
-        text = head.decode("utf-8")
-        lines = text.splitlines()
-        provenance = lines[1]
-        m, M, k, alphabet = header_counts(lines[0])
-    except (UnicodeDecodeError, IndexError, ParseError):
-        return None       # the line reader reports a fault, in line order
-    ternary = alphabet == "ternary"
-    if text != f"{lines[0]}\n{provenance}\n" or not M:
-        return None
-    try:
+        m, M, k, alphabet, provenance = esm_head(head)
+        if not M:
+            return None     # the line reader holds the rules for no columns
+        ternary = alphabet == "ternary"
         with warnings.catch_warnings():
             # numpy warns, or raises, on text it cannot read to its end
             warnings.simplefilter("error")
             numbers = np.fromstring(body.replace(b":", b" ") if ternary else body,
-                                    dtype=np.int64, sep=" ")
-    except (ValueError, Warning):
-        return None
-    if numbers.size != M * k * (2 if ternary else 1):
-        return None
-    numbers = numbers.reshape(M, k, -1)
-    rows, vals = numbers[:, :, 0], (numbers[:, :, 1] if ternary else None)
-    # a row number of -2**63 wraps to 2**63 - 1, which renders back as
-    # 2**63, so the round trip refuses the row int64 cannot hold
-    rows -= 1
-    at = 0
-    for block in _column_text(rows, vals, ternary):
-        if not body.startswith(block, at):
-            return None
-        at += len(block)
-    if at != len(body):
-        return None
-    return m, alphabet, provenance, rows, vals, None
+                                    dtype=np.int64, sep=" ").reshape(M, k, 1 + ternary)
+        numbers[:, :, 0] -= 1       # -2**63 wraps to 2**63 - 1, which no matrix holds
+        mat = SensingMatrix(m=m, alphabet=alphabet, rows=numbers[:, :, 0],
+                            vals=numbers[:, :, 1] if ternary else None,
+                            provenance=provenance)
+    except (ParseError, InvalidInput, ValueError, Warning):
+        return None       # the line reader reports a fault, in line order
+    columns = _column_text(mat.rows, mat.vals, ternary)
+    return mat if _reads_back(columns, io.BytesIO(body)) else None
 
 
 def _support_token(tok: str, ternary: bool, line: int) -> tuple:
@@ -433,17 +436,18 @@ def _support_token(tok: str, ternary: bool, line: int) -> tuple:
     return entry
 
 
-def _read_lines(lines: list):
-    """(m, alphabet, provenance, rows, vals, error) of a file's lines.
+def _read_lines(lines: list) -> SensingMatrix:
+    """The SensingMatrix of a file's lines, read one by one; a malformed
+    file raises ParseError with its first bad line.
 
     The header and line count are checked first.  Then each column line
-    is split on whitespace and its tokens are read with int(); rows and
-    vals hold the lines before the first malformed one, which has a
-    token count other than k or a token that does not read.  `error` is
-    that line's ParseError, or None when every line reads; vals is None
-    for a binary file, whose values are all 1.
+    is split on whitespace and its tokens are read with int(), up to the
+    first line with a token count other than k or a token that does not
+    read.  The lines before it are checked for row range, then ascent;
+    then that line is reported, and ternary values other than +-1 only
+    once every line reads.
     """
-    m, M, k, alphabet = header_counts(lines[0] if lines else "")
+    m, M, k, alphabet, provenance = _head(lines)
     if len(lines) < 2 + M:
         raise ParseError(f"expected {M} column lines", line=len(lines))
     if len(lines) > 2 + M:
@@ -466,29 +470,7 @@ def _read_lines(lines: list):
             raise       # nothing read before it, so k need not fit an array shape
         error = exc
     support = np.array(read, dtype=np.int64).reshape(len(read), k, 2)
-    return m, alphabet, lines[1], support[:, :, 0], (support[:, :, 1] if ternary else None), error
-
-
-def load_esm(path: str) -> SensingMatrix:
-    """Read an ESM v1 file; a malformed one raises ParseError with its line.
-
-    A file in the writer's form, its line ends LF or CRLF, is read as one
-    array: its body is parsed with one numpy call and accepted only if
-    rendering the numbers gives back the LF body byte for byte.  Any other
-    file is decoded and read line by line.  Where a file has several
-    faults, the one reported is the first in line order: a byte that is
-    not UTF-8 anywhere in the file, then the header, then per column
-    line, token count, then each token, then row range, then ascent;
-    ternary values other than +-1 only after every column line is sound.
-    """
-    with open(path, "rb") as f:
-        head = f.readline() + f.readline()
-        body = f.read()
-    read = _read_canonical(head.replace(b"\r\n", b"\n"),
-                           body.replace(b"\r\n", b"\n") if b"\r" in body else body)
-    if read is None:
-        read = _read_lines(decode_utf8(head + body).splitlines())
-    m, alphabet, provenance, rows, vals, error = read
+    rows, vals = support[:, :, 0], support[:, :, 1]     # a binary value reads as 1
     out_of_range = (rows.min(axis=1) < 0) | (rows.max(axis=1) >= m)
     bad = np.flatnonzero(out_of_range | (rows[:, 1:] <= rows[:, :-1]).any(axis=1))
     if bad.size:
@@ -497,10 +479,27 @@ def load_esm(path: str) -> SensingMatrix:
         raise ParseError(f"{what} in column {c + 1}", line=3 + c)
     if error is not None:
         raise error
-    if vals is not None:
-        bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
-        if bad.size:
-            raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
-                             line=3 + int(bad[0]))
-    return SensingMatrix(m=m, alphabet=alphabet, rows=rows, vals=vals,
-                         provenance=provenance)
+    bad = np.flatnonzero((np.abs(vals) != 1).any(axis=1))
+    if bad.size:
+        raise ParseError(f"ternary value other than +-1 in column {bad[0] + 1}",
+                         line=3 + int(bad[0]))
+    return SensingMatrix(m=m, alphabet=alphabet, rows=rows,
+                         vals=vals if ternary else None, provenance=provenance)
+
+
+def load_esm(path: str) -> SensingMatrix:
+    """Read an ESM v1 file; a malformed one raises ParseError with its line.
+
+    A file in the writer's form, its line ends LF or CRLF, is read as one
+    array (_read_written); any other is read line by line (_read_lines),
+    which reports the first fault in line order: a byte that is not UTF-8
+    anywhere in the file, then the header, then per column line, token
+    count, each token, row range, ascent; ternary values other than +-1
+    only after every column line is sound.
+    """
+    with open(path, "rb") as f:
+        head = f.readline() + f.readline()
+        body = f.read()
+    return (_read_written(head.replace(b"\r\n", b"\n"),
+                          body.replace(b"\r\n", b"\n") if b"\r" in body else body)
+            or _read_lines(decode_utf8(head + body).splitlines()))

@@ -246,6 +246,15 @@ def test_verify_unshapeable_empty_matrix_exits_1(tmp_path, capsys):
         "out of range (line 1)\n")
 
 
+@pytest.mark.parametrize("cols, body", [(0, ""), (1, "1 4\n")],
+                         ids=["zero_columns", "one_column"])
+def test_verify_of_fewer_than_two_columns_exits_2(tmp_path, capsys, cols, body):
+    path = tmp_path / "few.esm"
+    path.write_text(f"ESM v1 rows=6 cols={cols} alphabet=binary k=2\nx\n{body}")
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: need at least 2 columns\n")
+
+
 def _bad_support_esm(tmp_path):
     """m.esm, and bad.esm: its copy whose column 2 (line 4) reads '1 x'."""
     run(["gen", "--index", "3,2", "--out", str(tmp_path / "m.esm")])
@@ -351,6 +360,7 @@ def test_bench_recon(tmp_path):
     (["bench", "sweep", "--index", "11,5", "--family", "gaussian", "--m", "55",
       "--M", "121"], 2),
     (["bench", "sweep", "--rows", "60", "--m", "3"], 2),
+    (["bench", "sweep", "--family", "gaussian", "--m", "55"], 2),
     (["bench", "phase", "--M", "120", "--rows", "22"], 3),
     (["bench", "phase", "--M", "121", "--rows", "23"], 3),
     (["bench", "recon", "--image", "{tmp}/in.pgm", "--rows", "33", "--patch", "8"], 3),
@@ -359,8 +369,8 @@ def test_bench_recon(tmp_path):
         "cbir_index_patch_0", "cbir_index_patch_negative",
         "recon_gaussian_rows_negative", "sweep_gaussian_m_negative",
         "sweep_gaussian_M_negative", "sweep_index_and_rows",
-        "sweep_index_and_gaussian", "sweep_m_without_family", "phase_M_not_square",
-        "phase_rows_not_multiple", "recon_rows_not_multiple"])
+        "sweep_index_and_gaussian", "sweep_m_without_family", "sweep_gaussian_without_M",
+        "phase_M_not_square", "phase_rows_not_multiple", "recon_rows_not_multiple"])
 def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
     tmp = str(tmp_path)
     write_pgm(np.zeros((16, 16)), f"{tmp}/in.pgm")
@@ -393,11 +403,14 @@ def test_matrix_shape_fails_closed(tmp_path, capsys, argv, code):
       "--family", "gaussian", "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
     (["bench", "recon", "--image", "{tmp}/in16.pgm", "--rows", "32", "--patch", "8",
       "--family", "bernoulli", "--seed", "-1"], 2, "error: seed -1 must be >= 0\n"),
+    (["bench", "sweep", "--index", "11,5", "--trials", "0"], 2,
+     "error: trials must be >= 1\n"),
 ], ids=["recon_patch_not_power_of_two",
         "sweep_level_above_M", "phase_rows_above_M", "recon_zero_image",
         "sweep_euler_negative_seed", "sweep_gaussian_negative_seed",
         "phase_euler_negative_seed", "phase_gaussian_negative_seed",
-        "recon_gaussian_negative_seed", "recon_bernoulli_negative_seed"])
+        "recon_gaussian_negative_seed", "recon_bernoulli_negative_seed",
+        "sweep_trials_0"])
 def test_bench_limits_exit_code_and_stderr(tmp_path, capsys, monkeypatch, argv,
                                            code, err):
     tmp = str(tmp_path)
@@ -789,6 +802,21 @@ def test_verify_of_any_other_file_is_the_reader_path(tmp_path, capsys, monkeypat
     outcome = _verify_outcome(capsys, out)
     monkeypatch.setattr(cli, "_canonical_rebuild", lambda path: None)
     assert _verify_outcome(capsys, out) == outcome
+
+
+def test_cbir_without_images_exits_2(tmp_path, corpus, capsys):
+    imgdir, _ = corpus
+    empty, db = tmp_path / "empty", tmp_path / "db"
+    empty.mkdir()
+    assert run(["cbir", "index", "--images", str(imgdir), "--rows", "32",
+                "--patch", "8", "--out", str(db)]) == 0
+    capsys.readouterr()
+    assert run(["cbir", "score", "--db", str(db), "--queries", str(empty)]) == 2
+    assert capsys.readouterr() == ("", f"error: no .pgm query images found in {empty}\n")
+    assert run(["cbir", "index", "--images", str(empty), "--rows", "32",
+                "--patch", "8", "--out", str(tmp_path / "db2")]) == 2
+    assert capsys.readouterr() == ("", f"error: no .pgm images found in {empty}\n")
+    assert not (tmp_path / "db2").exists()
 
 
 def test_cbir_index_mixed_image_sizes(tmp_path, capsys):

@@ -490,11 +490,17 @@ def _esm_variant(tmp_path, ternary, index, text, newline="\n"):
     (True, 2, "1:+1 6:1 11:1 16:1", "\n", None),
     (False, 2, "1 -9223372036854775808", "\n", (3, "bad support token '-9223372036854775808'")),
     (False, 1, "euler n=3\x0bk=2", "\n", (12, "unexpected line after the 9 column lines")),
+    # heads outside the writer's form: the line reader reads them
+    (False, 0, "ESM v1 cols=9 rows=6 k=2 alphabet=binary", "\n", None),
+    (False, 0, "ESM v1 rows=06 cols=9 alphabet=binary k=2", "\n", None),
+    (False, 0, "ESM v1 rows=6 cols=9 alphabet=binary k=2 note=x", "\n", None),
+    (False, 1, "", "\n", None),
 ], ids=["blank_line", "hash_token", "hash_comment", "float", "plus_sign",
         "non_ascii_digit", "crlf", "tab", "extra_spaces", "short_line", "long_line",
         "underscore", "descending", "ternary_space", "leading_zeros", "negative_row",
         "no_final_newline", "ternary_plus_sign", "row_below_int64",
-        "provenance_line_break"])
+        "provenance_line_break", "header_fields_reordered", "header_leading_zero",
+        "header_extra_field", "empty_provenance"])
 def test_esm_defect_corpus(tmp_path, ternary, index, text, newline, expected):
     path, mat = _esm_variant(tmp_path, ternary, index, text, newline)
     if expected is None:
@@ -626,6 +632,26 @@ def _assert_reads_as_before(path, mat, data: bytes):
     assert np.array_equal(back.rows, expected[4])
     assert np.array_equal(back.vals, expected[5])
     assert back.provenance == expected[6]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.replace(b"rows=6 cols=9 alphabet=binary k=2",
+                              b"cols=9 rows=6 k=2 alphabet=binary"),
+    lambda data: data.replace(b"rows=6", b"rows=06"),
+    lambda data: data.replace(b"k=2\n", b"k=2 note=x\n", 1),
+    lambda data: data.replace(b"euler n=3 k=2\n", b"\n"),
+    lambda data: data.replace(b"cols=9", b"cols=0").split(b"\n")[0] + b"\n",
+    lambda data: data.split(b"\n")[0],
+], ids=["fields_reordered", "leading_zero", "extra_field", "empty_provenance",
+        "header_alone", "header_without_line_end"])
+def test_esm_heads_outside_the_writers_form_read_as_before(tmp_path, edit):
+    # only the writer's own head takes the array reader; the line reader
+    # reads any other as before: an empty provenance line as '', and a
+    # file without one refused at line 1
+    mat = build_binary_matrix(euler_square(3, 2))
+    path = tmp_path / "m.esm"
+    save_esm(mat, str(path))
+    _assert_reads_as_before(path, mat, edit(path.read_bytes()))
 
 
 @st.composite

@@ -12,9 +12,9 @@ from eulercs.construct import (SensingMatrix, build_binary_matrix, build_extende
                                build_for_row_size, build_ternary)
 from eulercs.errors import EulerCSError, Infeasible, InvalidInput, ParseError
 from eulercs.euler import euler_square
-from eulercs.experiments import (MatrixSpec, SweepConfig, _level_reaches_fraction,
-                                 _trial_outcomes, make_matrix,
-                                 run_patch_reconstruction,
+from eulercs.experiments import (ExperimentReport, MatrixSpec, SweepConfig,
+                                 _level_reaches_fraction, _trial_outcomes,
+                                 make_matrix, run_patch_reconstruction,
                                  run_phase_transition, run_sweep)
 from eulercs.imaging import (PatchGrid, haar_forward, haar_inverse, patchify,
                              unpatchify)
@@ -213,11 +213,11 @@ def _sequential_decision(A, k, fraction, seeds):
     return successes >= need
 
 
-# reached early, failed early, decided by the last trial, and the
-# one-trial chunks of fractions 0 and 1
+# reached early, failed early, decided by the last trial, the one-trial
+# chunks of fractions 0 and 1, and fraction 0 where every trial fails
 @pytest.mark.parametrize("k, fraction", [
     (2, 0.9), (18, 0.9), (21, 0.5), (22, 0.5), (24, 0.5), (27, 0.0), (5, 1.0),
-    (30, 1.0),
+    (30, 1.0), (40, 0.0),
 ])
 def test_chunked_early_exit_runs_the_sequential_trials(monkeypatch, k, fraction):
     A = make_matrix(MatrixSpec(family="euler", n=11, k=5))
@@ -231,6 +231,16 @@ def test_chunked_early_exit_runs_the_sequential_trials(monkeypatch, k, fraction)
     drawn.clear()
     assert decision == _sequential_decision(A, k, fraction, seeds)
     assert chunked == drawn
+
+
+def test_phase_transition_of_fraction_zero_reaches_every_level():
+    # no trial need succeed, so the scan runs to the row count
+    report = run_phase_transition(9, [6], fraction=0.0, trials=3)
+    assert report.rows == [{"m": 6, "delta": 6 / 9, "k_star": 6, "k_frac": 6 / 9}]
+
+
+def test_report_without_rows_has_an_empty_csv():
+    assert ExperimentReport(kind="sweep", config={}, rows=[]).to_csv() == ""
 
 
 def test_phase_transition_deterministic():

@@ -33,6 +33,11 @@ def test_find_irreducible_rejects_composite():
         find_irreducible(4, 2)
 
 
+def test_find_irreducible_rejects_degree_below_one():
+    with pytest.raises(InvalidInput, match="^degree r=0 must be >= 1$"):
+        find_irreducible(2, 0)
+
+
 def test_gf2_is_xor_and():
     F = build_field(2, 1)
     for a in range(2):

@@ -121,6 +121,18 @@ def test_haar_inverse_rejects_non_square_length():
         haar_inverse(np.zeros((3, 8)))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: patchify(np.zeros((4, 4, 4)), 2), EulerCSError,
+     "expected a 2-D image, got shape (4, 4, 4)"),
+    (lambda: haar_inverse(np.float64(1.0)), InvalidInput,
+     "coefficients need at least one axis"),
+], ids=["patchify_3d", "haar_inverse_0d"])
+def test_arrays_of_another_rank_are_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_patchify_256():
     grid, patches = patchify(np.zeros((256, 256)), 32)
     assert grid.num_patches == 64
@@ -237,6 +249,14 @@ def test_retrieve_zero_variance_flagged_zero():
     assert sims["img0"] == 0.0
 
 
+def test_retrieve_rejects_a_feature_of_another_length():
+    db = make_db([[1.0, 2, 3, 4], [4, 3, 2, 1]])
+    with pytest.raises(EulerCSError) as exc:
+        retrieve(np.array([1.0, 2, 3]), db)
+    assert type(exc.value) is EulerCSError
+    assert str(exc.value) == "feature length 3 != database 4"
+
+
 @pytest.mark.parametrize("topn", [0, -1, 1.5])
 def test_retrieve_rejects_bad_topn(topn):
     db = make_db([[1.0, 2, 3, 4], [4, 3, 2, 1], [1, 3, 2, 4]])
@@ -297,8 +317,9 @@ def test_feature_db_round_trip(tmp_path):
     lambda data: data.replace(b"count=5 ", b"count=1000000000000 ", 1),
     # the same length, so only the header's hash tells
     lambda data: data.replace(b"euler n=8 k=4\n", b"euler n=8 k=5\n", 1),
+    lambda data: data.replace(b"count=5 ", b"count=-1 ", 1),
 ], ids=["truncated_blob", "token_without_equals", "missing_key",
-        "overstated_count", "provenance_edited"])
+        "overstated_count", "provenance_edited", "negative_count"])
 def test_feature_db_corruption_fails_closed(tmp_path, corrupt):
     db = make_db(np.random.default_rng(7).standard_normal((5, 9)))
     save_feature_db(db, str(tmp_path / "db"))

@@ -91,6 +91,11 @@ def test_welch_bound_undefined():
         welch_bound(9, 9)
 
 
+def test_welch_bound_refuses_no_rows():
+    with pytest.raises(InvalidInput, match="^m=0 must be >= 1$"):
+        welch_bound(0, 5)
+
+
 def test_welch_is_a_lower_bound_on_measured_coherence():
     for n, k in [(3, 2), (11, 5), (23, 10), (8, 3)]:
         mat = euler_matrix(n, k)
@@ -120,6 +125,11 @@ def test_rip_delta():
     assert rip_delta(0.7, 1) == 0.0
     for k, kp in [(5, 3), (10, 7)]:
         assert rip_delta(1 / k, kp) == pytest.approx((kp - 1) / k)
+
+
+def test_rip_delta_refuses_k_prime_below_one():
+    with pytest.raises(InvalidInput, match="^k'=0 must be >= 1$"):
+        rip_delta(0.2, 0)
 
 
 def test_sparsity_guarantee():
