@@ -148,12 +148,14 @@ def _rebuild(spec, provenance, m, cols, k):
 
 def _check_square(mat, spec):
     """Raise EulerCSError at an euler square out of range or not Latin, read
-    from `mat`: coordinate r is rows[:, r] - r*n.  Orthogonality is
+    from `mat`: coordinate r is rows[:, r] - r*n, formed in intp, as the
+    narrow unsigned rows would wrap below r*n.  Orthogonality is
     cmd_verify's overlap check, as two columns of a file equal to its
     rebuild share two rows only where two coordinates repeat a value pair."""
     if spec.family != "euler":
         return
-    coordinates = (mat.rows[:, r] - r * spec.n for r in range(spec.k))
+    coordinates = (np.subtract(mat.rows[:, r], r * spec.n, dtype=np.intp)
+                   for r in range(spec.k))
     if not (val := latin_report(spec.n, coordinates)).ok:
         raise EulerCSError(f"euler square validation: {val.message}")
 

@@ -23,6 +23,12 @@ from .fields import DEFAULT_FIELD_CAP, factorize, is_prime
 INT64_MAX = np.iinfo(np.int64).max
 
 
+def row_dtype(m: int) -> np.dtype:
+    """The narrowest unsigned type that holds m - 1, the largest row index
+    of an m-row matrix: uint8 up to m = 256, uint16 up to 65 536."""
+    return np.min_scalar_type(min(max(m, 1), 2 ** 64) - 1)
+
+
 @dataclass(eq=False, frozen=True)
 class SensingMatrix:
     """An m x M matrix with k >= 1 nonzeros per column, stored by its supports.
@@ -33,6 +39,13 @@ class SensingMatrix:
     strictly ascend within 0..m-1 and its values are +-1 (1 when binary),
     so every column has squared norm k.  No field can be reassigned, and a
     binary matrix's `vals` is the read-only broadcast of 1.
+
+    `rows` is stored in row_dtype(m), the narrowest unsigned type that
+    holds m - 1 (uint8 up to m = 256, uint16 up to 65 536, then uint32),
+    and `vals` in int64.  Arithmetic on the rows that can leave 0..m-1
+    upcasts where it is done: the extension offsets, verify's coordinates
+    rows[:, r] - r*n, coherence's codes r_a*m + r_b, and the ESM writer's
+    token index.
     """
     m: int
     alphabet: str        # "binary" or "ternary"
@@ -54,16 +67,16 @@ class SensingMatrix:
         if self.alphabet not in ("binary", "ternary") or rows.shape[1] < 1:
             raise InvalidInput(f"need a binary or ternary alphabet and k >= 1, "
                                f"got {self.alphabet!r} and k={rows.shape[1]}")
-        try:
-            # read-only views: to_dense() caches the operator these supports give
-            rows, vals = (a.astype(np.int64, casting="same_kind", copy=False).view()
-                          for a in (rows, vals))
-        except TypeError:
-            raise InvalidInput("support arrays must hold integers") from None
+        if not all(np.can_cast(a.dtype, np.int64, "same_kind") for a in (rows, vals)):
+            raise InvalidInput("support arrays must hold integers")
+        # the range is checked in the given type, before the narrowing cast
+        in_range = not rows.size or (rows.min() >= 0 and rows.max() < self.m)
+        # read-only views: to_dense() caches the operator these supports give
+        rows = rows.astype(row_dtype(self.m), copy=False).view()
+        vals = vals.astype(np.int64, copy=False).view()
         rows.flags.writeable = vals.flags.writeable = False
         binary = self.alphabet == "binary"
-        if rows.size and (rows.min() < 0 or rows.max() >= self.m
-                          or (rows[:, 1:] <= rows[:, :-1]).any()):
+        if not in_range or (rows[:, 1:] <= rows[:, :-1]).any():
             raise InvalidInput(f"each column's rows must strictly ascend "
                                f"within 0..{self.m - 1}")
         # a binary matrix given no vals holds the broadcast of 1: nothing to check
@@ -106,15 +119,21 @@ def build_binary_matrix(E: EulerSquare) -> SensingMatrix:
 
     Column c (0-based) comes from cell (c // n, c % n); its ones sit at
     rows l*n + a_l for l = 0..k-1 where a is the cell's k-tuple.  The
-    int64 rows are one C-ordered pass over the cells, whatever their
-    integer type and layout: a built square's transposed layers are read
-    once and the offsets added on the way.
+    rows, in row_dtype(nk), are one C-ordered pass over the cells,
+    whatever their integer type and layout: a built square's transposed
+    layers are read once and the offsets added on the way, with no int64
+    copy.  A row outside 0..nk-1 would wrap in that type, so each
+    position's least and greatest row is checked first, in Python ints.
     """
     n, k = E.n, E.k
     if k < 2 or n < 3:
         raise Infeasible(f"need k >= 2 and n >= 3, got ({n},{k})")
     ads = E.cells.reshape(n * n, k)
-    rows = np.add(ads, np.arange(k) * n, dtype=np.int64, order="C")
+    ranges = zip(ads.min(axis=0).tolist(), ads.max(axis=0).tolist())
+    if any(lo + l * n < 0 or hi + l * n >= n * k for l, (lo, hi) in enumerate(ranges)):
+        raise InvalidInput(f"each column's rows must strictly ascend within 0..{n * k - 1}")
+    rows = np.add(ads, np.arange(k) * n, dtype=row_dtype(n * k), order="C",
+                  casting="unsafe")
     return SensingMatrix(m=n * k, alphabet="binary", rows=rows, provenance=E.provenance)
 
 
@@ -171,7 +190,7 @@ def build_extended(n: int):
     if k < 2:
         raise Infeasible(f"n={n} gives degree k={k} < 2")
     base = build_binary_matrix(euler_square(n, k))
-    all_rows = [base.rows]
+    all_rows = [base.rows]      # in row_dtype(n*k), which every offset copy fits
 
     stages = []
     remaining = sorted(fac.values)   # peel from the largest end
@@ -183,7 +202,7 @@ def build_extended(n: int):
         phi_t = build_binary_matrix(euler_square(n_t, k))
         offsets = [o + s * n_prev for o in offsets for s in range(k)]
         for o in offsets:
-            all_rows.append(phi_t.rows + o)
+            all_rows.append(np.add(phi_t.rows, o, dtype=base.rows.dtype))
         stages.append(ExtensionStage(k_t=k_t, n_t=n_t, offsets=tuple(offsets)))
         n_prev = n_t
 
@@ -262,7 +281,8 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
     except Infeasible:
         H = build_hadamard(k + 1)[:k, :k]
         h_used = k + 1
-    # column order: all k spawned columns of phi column 0, then column 1, ...
+    # column order: all k spawned columns of phi column 0, then column 1,
+    # ...; the rows keep phi's type, as the two matrices share m
     rows = np.repeat(phi.rows, k, axis=0)
     vals = np.tile(H.T, (phi.M, 1))
     return SensingMatrix(m=phi.m, alphabet="ternary", rows=rows, vals=vals,
@@ -302,7 +322,9 @@ def _tokenizer(numbers, suffixes, shift=0):
     """
     lo, hi = int(numbers.min()), int(numbers.max())
     if hi - lo < numbers.size:
-        values, index = range(lo, hi + 1), lambda block: block - lo
+        # in intp: a narrow block's * n would wrap (uint16 at 65 536 rows)
+        values, index = (range(lo, hi + 1),
+                         lambda block: np.subtract(block, lo, dtype=np.intp))
     else:
         used = np.unique(numbers)
         values, index = used.tolist(), lambda block: np.searchsorted(used, block)
@@ -403,7 +425,11 @@ def _read_written(head: bytes, body: bytes):
     """The SensingMatrix whose file save_esm writes as `head`, then `body`,
     or None.  After esm_head, the body is parsed with one numpy call into
     a SensingMatrix, whose construction checks range, ascent and values,
-    and its column blocks must read back from `body` as in esm_matches."""
+    and its column blocks must read back from `body` as in esm_matches.
+    A binary body is parsed in the narrowest unsigned type that holds m,
+    so no int64 copy of its rows is made; a token that type cannot hold
+    is parsed to another number, whose blocks do not read back.  Ternary
+    values are signed, so a ternary body is parsed in int64."""
     try:
         m, M, k, alphabet, provenance = esm_head(head)
         if not M:
@@ -413,8 +439,11 @@ def _read_written(head: bytes, body: bytes):
             # numpy warns, or raises, on text it cannot read to its end
             warnings.simplefilter("error")
             numbers = np.fromstring(body.replace(b":", b" ") if ternary else body,
-                                    dtype=np.int64, sep=" ").reshape(M, k, 1 + ternary)
-        numbers[:, :, 0] -= 1       # -2**63 wraps to 2**63 - 1, which no matrix holds
+                                    dtype=np.int64 if ternary else np.min_scalar_type(m),
+                                    sep=" ").reshape(M, k, 1 + ternary)
+        # a row token 0 wraps to the type's largest value, and -2**63 to
+        # 2**63 - 1: either is at least m, so out of range
+        numbers[:, :, 0] -= 1
         mat = SensingMatrix(m=m, alphabet=alphabet, rows=numbers[:, :, 0],
                             vals=numbers[:, :, 1] if ternary else None,
                             provenance=provenance)
@@ -487,6 +516,18 @@ def _read_lines(lines: list) -> SensingMatrix:
                          vals=vals if ternary else None, provenance=provenance)
 
 
+def _lf(data: bytes) -> bytes:
+    """`data` with each CRLF read as LF if every CR in it ends a CRLF, else
+    `data` unchanged (a lone CR could then meet an LF and join two line
+    ends into one).  str.splitlines splits CRLF and LF alike, so both
+    readers read the LF bytes, and the CRLF copy is dropped before either
+    runs."""
+    if b"\r" not in data:
+        return data
+    lf = data.replace(b"\r\n", b"\n")
+    return data if b"\r" in lf else lf
+
+
 def load_esm(path: str) -> SensingMatrix:
     """Read an ESM v1 file; a malformed one raises ParseError with its line.
 
@@ -498,8 +539,6 @@ def load_esm(path: str) -> SensingMatrix:
     only after every column line is sound.
     """
     with open(path, "rb") as f:
-        head = f.readline() + f.readline()
-        body = f.read()
-    return (_read_written(head.replace(b"\r\n", b"\n"),
-                          body.replace(b"\r\n", b"\n") if b"\r" in body else body)
-            or _read_lines(decode_utf8(head + body).splitlines()))
+        head = _lf(f.readline() + f.readline())
+        body = _lf(f.read())
+    return _read_written(head, body) or _read_lines(decode_utf8(head + body).splitlines())

@@ -74,7 +74,9 @@ def _gram_scan(mat: SensingMatrix):
     smallest (i, j), i < j, attaining the max; (0, 1) when every
     off-diagonal entry is 0.  The supports are as SensingMatrix
     guarantees.  Positions and columns are held in the narrowest signed
-    type that holds M*k and values in int8, so memory is O(M k + m).
+    type that holds M*k and values in int8, so memory is O(M k + m); the
+    row ends come from _degrees and are gathered one position at a time,
+    so no intp copy of the rows is made for them.
     """
     rows, M, k = mat.rows, mat.M, mat.k
     index = np.min_scalar_type(-rows.size)
@@ -84,8 +86,9 @@ def _gram_scan(mat: SensingMatrix):
     after[order] = np.arange(1, rows.size + 1, dtype=index)   # one past each entry
     after = after.reshape(M, k)
     col_of = np.floor_divide(order, k, out=order)   # the column of each sorted entry
-    ends = np.cumsum(np.bincount(rows.ravel(), minlength=mat.m), dtype=index)
-    counts = ends[rows] - after                     # later entries per row
+    ends = np.cumsum(_degrees(rows, mat.m), dtype=index)
+    counts = np.stack([ends[position] for position in rows.T], axis=1)
+    counts -= after                                 # later entries per row
     totals = counts.sum(axis=1)
     starts = after - np.cumsum(counts, axis=1, dtype=index) + counts
     ramp = np.arange(int(totals.max()))             # intp: `at` indexes uncast
@@ -101,15 +104,33 @@ def _gram_scan(mat: SensingMatrix):
     return best, pair
 
 
+def _degrees(rows, m: int) -> np.ndarray:
+    """The count of entries in each row 0..m-1 of the supports `rows`, one
+    bincount per position: np.bincount takes a full intp copy of any input
+    that is read only or not intp, so one position is copied at a time,
+    never the whole rows."""
+    return sum(np.bincount(position, minlength=m) for position in rows.T)
+
+
+def _columns_meeting(table, rows) -> np.ndarray:
+    """Whether each column of the supports `rows` holds a row where the
+    bool array `table` is True, gathered one position at a time."""
+    meets = table[rows[:, 0]]
+    for position in rows.T[1:]:
+        meets |= table[position]
+    return meets
+
+
 def _shares_a_row_pair(rows, m: int) -> bool:
     """Whether two columns of the supports `rows`, rows below m, share two
     rows: by `first_repeat` per position pair where positions hold disjoint
     ascending row ranges (hi[t] < lo[t+1]) and span**2 <= M, else by sorting
     the codes r_a*m + r_b, a < b, in the narrowest unsigned type that holds
-    m*m - 1.  Above 2**32 rows a uint64 code can wrap; that can only merge
-    two distinct pairs into a false repeat, left to the Gram scan."""
+    m*m - 1, each r_a*m formed in that type.  Above 2**32 rows a uint64
+    code can wrap; that can only merge two distinct pairs into a false
+    repeat, left to the Gram scan."""
     M, k = rows.shape
-    by_position = rows.T.copy()     # contiguous per position: fast reductions
+    by_position = rows.T.copy()     # contiguous per position, in the rows' type
     lo, hi = by_position.min(axis=1), by_position.max(axis=1)
     span = int((hi - lo).max()) + 1
     if (hi[:-1] < lo[1:]).all() and span * span <= M:
@@ -117,12 +138,12 @@ def _shares_a_row_pair(rows, m: int) -> bool:
         return any(first_repeat(by_position[a], by_position[b], span) is not None
                    for a in range(k) for b in range(a + 1, k))
     dtype = np.min_scalar_type(min(m * m - 1, 2 ** 64 - 1))
-    by_position = by_position.astype(dtype)
     codes = np.empty((k * (k - 1) // 2, M), dtype=dtype)
     start = 0
     for a in range(k - 1):
         stop = start + k - 1 - a
-        np.add(by_position[a + 1:], by_position[a] * m, out=codes[start:stop])
+        np.add(by_position[a + 1:], np.multiply(by_position[a], m, dtype=dtype),
+               out=codes[start:stop])
         start = stop
     codes = codes.ravel()
     codes.sort()
@@ -132,22 +153,22 @@ def _shares_a_row_pair(rows, m: int) -> bool:
 def _row_pair_extrema(mat: SensingMatrix):
     """(max overlap, argmax pair) of a +-1 matrix from its row pairs, or
     None when a row pair repeats (overlap may reach 2, left to the Gram
-    scan).  The supports are as SensingMatrix guarantees."""
+    scan).  The supports are as SensingMatrix guarantees; the degrees
+    are read through bool tables of length m, one position at a time."""
     rows, m = mat.rows, mat.m
     if _shares_a_row_pair(rows, m):
         return None
     # no pair repeats, so two columns overlap in at most one row; i is
     # the first column holding a row of degree > 1, and j the first
     # other column holding one of i's rows (j > i, or j would itself be
-    # a sharing column before i).  Setting i's rows to degree 0 marks
-    # them, since every row a column holds has degree >= 1.
-    degree = np.bincount(rows.ravel(), minlength=m)
-    sharing = (degree[rows] > 1).any(axis=1)
+    # a sharing column before i)
+    sharing = _columns_meeting(_degrees(rows, m) > 1, rows)
     if not sharing.any():
         return 0.0, (0, 1)
     i = int(np.argmax(sharing))
-    degree[rows[i]] = 0
-    holds = (degree[rows] == 0).any(axis=1)
+    of_i = np.zeros(m, dtype=bool)
+    of_i[rows[i]] = True
+    holds = _columns_meeting(of_i, rows)
     holds[i] = False
     return 1.0, (i, int(np.argmax(holds)))
 

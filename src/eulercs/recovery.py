@@ -169,8 +169,9 @@ def _support_scorer(mat: SensingMatrix):
     the supports: row t of the product sums R[t] at each column's rows,
     times its values unless all are 1, in ascending row order.  Every
     column's values are +-1, as SensingMatrix guarantees, so every
-    squared norm is k."""
-    at = mat.rows.T.ravel()
+    squared norm is k.  The gather index is cast to intp once here, not
+    by each take."""
+    at = mat.rows.T.astype(np.intp, order="C").ravel()
     vals = mat.vals.T.reshape(-1, 1).astype(np.float64)
     weights = None if (vals == 1).all() else vals
 

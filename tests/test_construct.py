@@ -3,6 +3,7 @@ import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from eulercs.construct import (SensingMatrix, build_binary_matrix,
                                save_esm)
 from eulercs.errors import Infeasible, InvalidInput, ParseError, decode_utf8
 from eulercs.euler import euler_square
+from eulercs.props import coherence
 
 REFERENCE_6x9 = np.array([
     [1, 0, 0, 0, 0, 1, 0, 1, 0],
@@ -380,7 +382,7 @@ def test_left_out_vals_are_all_ones(alphabet):
 def test_integer_and_bool_supports_are_accepted():
     mat = SensingMatrix(m=3, alphabet="ternary", rows=np.array([[0, 1], [1, 2]], np.uint8),
                         vals=np.array([[1, -1], [1, 1]], np.int8))
-    assert mat.rows.dtype == mat.vals.dtype == np.int64
+    assert (mat.rows.dtype, mat.vals.dtype) == (np.uint8, np.int64)
     assert np.array_equal(mat.rows, [[0, 1], [1, 2]])
     assert np.array_equal(mat.vals, [[1, -1], [1, 1]])
     assert np.array_equal(supports(2, [[0, 1]], [[True, True]]).rows, [[0, 1]])
@@ -564,7 +566,7 @@ def _reference_load_esm(data: bytes):
 def _reference_save_esm(mat) -> bytes:
     """The bytes the %-format ESM writer save_esm replaced wrote for mat."""
     ternary = mat.alphabet == "ternary"
-    support = mat.rows + 1
+    support = mat.rows.astype(np.int64) + 1     # the narrow rows' + 1 may wrap
     if ternary:
         support = np.stack([support, mat.vals], axis=-1).reshape(mat.M, 2 * mat.k)
     line = " ".join(["%d:%d" if ternary else "%d"] * mat.k) + "\n"
@@ -782,8 +784,9 @@ def test_esm_faults_reported_in_line_order(tmp_path):
 
 
 def test_square_and_matrix_hold_little_beyond_the_rows():
-    # the int16 cells of (256,16) take a quarter of the int64 rows, and the
-    # rows are formed in one pass over them, not from an int64 copy
+    # the int16 cells of (256,16) take as much as the uint16 rows, and the
+    # rows are formed in one pass over them, not from an int64 copy: the
+    # peak (5.2 MB) stays below 1.5 int64 arrays of the rows' shape
     euler_square(256, 16)                       # the field tables are cached
     tracemalloc.start()
     try:
@@ -791,8 +794,90 @@ def test_square_and_matrix_hold_little_beyond_the_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mat.rows.dtype == np.int64 and mat.rows.flags.c_contiguous
-    assert peak <= 1.5 * mat.rows.nbytes
+    assert mat.rows.dtype == np.uint16 and mat.rows.flags.c_contiguous
+    assert peak <= 1.5 * 8 * mat.rows.size
+
+
+def _boundary_supports(m, M, k):
+    """At most M distinct columns of k strictly ascending int64 rows below
+    m, drawn with seed m, in lexicographic order; one column ends at m - 1,
+    the largest row the type holds."""
+    rows = np.sort(np.random.default_rng(m).integers(0, m, size=(M, k)), axis=1)
+    rows = rows[(rows[:, 1:] > rows[:, :-1]).all(axis=1)]
+    rows[-1, -1] = m - 1
+    return np.unique(rows, axis=0)
+
+
+def _int64_report(m, rows, vals):
+    """(max overlap, argmax pair) of the int64 supports from a scipy sparse
+    Gram: the largest |off-diagonal entry| and the lexicographically
+    smallest pair i < j attaining it, (0, 1) when every one is 0."""
+    M, k = rows.shape
+    A = sp.csc_matrix((vals.ravel(), rows.ravel(), np.arange(0, (M + 1) * k, k)), shape=(m, M))
+    G = sp.triu(A.T @ A, k=1).tocoo()
+    g = np.abs(G.data)
+    if not g.any():
+        return 0, (0, 1)
+    at = np.flatnonzero(g == g.max())
+    return int(g.max()), min(zip(G.row[at].tolist(), G.col[at].tolist()))
+
+
+@pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16),
+                                      (65536, np.uint16), (65537, np.uint32)])
+@pytest.mark.parametrize("alphabet", ["binary", "ternary"])
+def test_rows_at_the_type_boundaries(tmp_path, m, dtype, alphabet):
+    # rows are stored in the narrowest unsigned type that holds m - 1; with
+    # more numbers than m, the writer tables every value from 0 to m - 1,
+    # so its token index reaches 2*(m - 1), which wraps in uint16 at 65 536.
+    # The binary columns are distinct pairs, so no row pair repeats and the
+    # row-pair proof runs; the ternary matrix repeats column 0 last, so the
+    # Gram scan runs
+    k = 2 if alphabet == "binary" else 4
+    rows = _boundary_supports(m, (800 if m < 1000 else 80000) // k, k)
+    vals = np.ones_like(rows)
+    if alphabet == "ternary":
+        rows = np.concatenate([rows, rows[:1]])
+        vals = np.random.default_rng(m + 1).choice([-1, 1], size=rows.shape)
+    mat = SensingMatrix(m=m, alphabet=alphabet, rows=rows,
+                        vals=vals if alphabet == "ternary" else None, provenance="bounds")
+    assert mat.rows.dtype == dtype and np.array_equal(mat.rows, rows)
+    path = tmp_path / "m.esm"
+    save_esm(mat, str(path))
+    wide = SimpleNamespace(m=m, M=len(rows), k=k, alphabet=alphabet, provenance="bounds",
+                           rows=rows, vals=vals)
+    assert path.read_bytes() == _reference_save_esm(wide)
+    back = load_esm(str(path))
+    assert back.rows.dtype == dtype
+    assert np.array_equal(back.rows, rows) and np.array_equal(back.vals, vals)
+    rep = coherence(mat)
+    assert (rep.m, rep.M, rep.k) == (m, len(rows), k)
+    assert (rep.max_overlap, rep.argmax_pair) == _int64_report(m, rows, vals)
+
+
+@pytest.mark.parametrize("build, m, dtype", [
+    (lambda: build_binary_matrix(euler_square(128, 2)), 256, np.uint8),
+    (lambda: build_for_row_size(258), 258, np.uint16),
+    (lambda: build_extended(140)[0], 420, np.uint16),
+    (lambda: build_ternary(3, 2, 1), 72, np.uint8),
+], ids=["euler_128_2", "rows_258", "extended_140", "ternary_3_2_1"])
+def test_builders_write_the_narrow_rows(build, m, dtype):
+    # each builder writes row_dtype(m) itself; extended_140's first stage
+    # copies are uint8 (60 rows) placed at offsets 0, 140 and 280, upcast
+    # before the add
+    mat = build()
+    assert (mat.m, mat.rows.dtype, int(mat.rows.max())) == (m, dtype, m - 1)
+    rows = mat.rows.astype(np.int64)
+    assert _int64_report(m, rows, mat.vals) == (1, coherence(mat).argmax_pair)
+
+
+def test_a_cell_whose_row_would_wrap_is_refused():
+    # cell (0,0) coordinate 0 planted as 256: its row 256 is past m = 10,
+    # and 256 + 0 would wrap to row 0 in uint8, the cell's own value
+    E = euler_square(5, 2)
+    cells = E.cells.astype(np.int16)
+    cells[0, 0, 0] += 256
+    with pytest.raises(InvalidInput, match=f"^{re.escape(_rows_within(10))}$"):
+        build_binary_matrix(type(E)(cells))
 
 
 def test_esm_bytes_and_round_trip_at_scale(tmp_path):

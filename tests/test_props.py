@@ -432,8 +432,10 @@ def test_repeat_at_different_positions(m, columns, overlap, pair):
 
 
 def spread(mat, m):
-    """mat with its rows mapped in order into m rows, m > M*k."""
-    return SensingMatrix(m=m, alphabet=mat.alphabet, rows=mat.rows * (m // mat.m),
+    """mat with its rows mapped in order into m rows, m > M*k; the stored
+    rows are the narrowest type that holds mat.m - 1, so upcast first."""
+    return SensingMatrix(m=m, alphabet=mat.alphabet,
+                         rows=mat.rows.astype(np.int64) * (m // mat.m),
                          vals=mat.vals)
 
 
