@@ -406,12 +406,7 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
-def build_parser():
-    parser = _Parser(prog="eulercs")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="construct a sensing matrix")
+def _gen_args(gen):
     sel = gen.add_mutually_exclusive_group(required=True)
     sel.add_argument("--index", help="n,k Euler-square index")
     sel.add_argument("--rows", type=int, help="target row size m")
@@ -420,14 +415,13 @@ def build_parser():
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
 
-    ver = sub.add_parser("verify", help="verify a matrix file")
+
+def _verify_args(ver):
     ver.add_argument("matrix")
     ver.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="run an experiment")
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
 
-    sweep = bsub.add_parser("sweep")
+def _bench_sweep_args(sweep):
     sweep_sel = sweep.add_mutually_exclusive_group(required=True)
     sweep_sel.add_argument("--index")
     sweep_sel.add_argument("--rows", type=int)
@@ -443,7 +437,8 @@ def build_parser():
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_bench_sweep)
 
-    phase = bsub.add_parser("phase")
+
+def _bench_phase_args(phase):
     phase.add_argument("--M", type=int, required=True)
     phase.add_argument("--rows", required=True, help="comma-separated row sizes")
     phase.add_argument("--fraction", type=float, default=0.9)
@@ -455,7 +450,8 @@ def build_parser():
     phase.add_argument("--out", required=True)
     phase.set_defaults(func=cmd_bench_phase)
 
-    recon = bsub.add_parser("recon")
+
+def _bench_recon_args(recon):
     recon.add_argument("--image", required=True)
     recon.add_argument("--rows", type=int, required=True)
     recon.add_argument("--patch", type=int, default=32)
@@ -466,7 +462,8 @@ def build_parser():
     recon.add_argument("--out", required=True)
     recon.set_defaults(func=cmd_bench_recon)
 
-    rec = sub.add_parser("recover", help="recover a signal from measurements")
+
+def _recover_args(rec):
     rec.add_argument("--matrix", required=True)
     rec.add_argument("--y", required=True, help="CSV measurement vector")
     rec.add_argument("--k", type=int)
@@ -474,34 +471,85 @@ def build_parser():
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_recover)
 
-    cbir = sub.add_parser("cbir", help="content-based retrieval pipeline")
-    csub = cbir.add_subparsers(dest="cbir_command", required=True)
 
-    idx = csub.add_parser("index")
+def _cbir_index_args(idx):
     idx.add_argument("--images", required=True)
     idx.add_argument("--rows", type=int, required=True)
     idx.add_argument("--patch", type=int, default=32)
     idx.add_argument("--out", required=True)
     idx.set_defaults(func=cmd_cbir_index)
 
-    qry = csub.add_parser("query")
+
+def _cbir_query_args(qry):
     qry.add_argument("--db", required=True)
     qry.add_argument("--image", required=True)
     qry.add_argument("--topn", type=int, default=10)
     qry.set_defaults(func=cmd_cbir_query)
 
-    score = csub.add_parser("score")
+
+def _cbir_score_args(score):
     score.add_argument("--db", required=True)
     score.add_argument("--queries", required=True)
     score.add_argument("--topn", type=int, default=10)
     score.set_defaults(func=cmd_cbir_score)
 
+
+# name: (help, add_args) for a command, (help, (dest, table)) for a command
+# with subcommands; a help of None lists no help line for the name
+_COMMANDS = {
+    "gen": ("construct a sensing matrix", _gen_args),
+    "verify": ("verify a matrix file", _verify_args),
+    "bench": ("run an experiment", ("bench_command", {
+        "sweep": (None, _bench_sweep_args),
+        "phase": (None, _bench_phase_args),
+        "recon": (None, _bench_recon_args),
+    })),
+    "recover": ("recover a signal from measurements", _recover_args),
+    "cbir": ("content-based retrieval pipeline", ("cbir_command", {
+        "index": (None, _cbir_index_args),
+        "query": (None, _cbir_query_args),
+        "score": (None, _cbir_score_args),
+    })),
+}
+
+
+def _add_commands(parser, dest, table, argv):
+    """Add `table`'s commands to `parser`: only the one argv[0] names, its
+    own subcommands added from argv[1:], or, when argv[0] names none,
+    every command at every level.
+
+    A parser above the commands has no positional before them and no
+    option that takes a value, so a command named by argv[0] is the one
+    argparse runs, and its entry alone parses argv as the full table
+    would.  Any other argv[0] (none, -h, --version, --, an unknown name)
+    gets the full table, whose help and errors list every command.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    token = argv[0] if argv else None
+    chosen = token in table
+    for name in (token,) if chosen else table:
+        help_text, add = table[name]
+        command = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if callable(add):
+            add(command)
+        else:
+            _add_commands(command, *add, argv[1:] if chosen else ())
+
+
+def build_parser(argv=()):
+    """The parser for `argv`: only the commands argv names (see
+    _add_commands), or every command for the default empty argv."""
+    parser = _Parser(prog="eulercs")
+    parser.add_argument("--version", action="version", version=__version__)
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command argv (sys.argv[1:] when None) names; return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except (Infeasible, MemoryError) as exc:
         # a request that does not fit in memory is infeasible here too

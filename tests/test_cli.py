@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -885,3 +887,132 @@ def test_gen_huge_request_exits_3_at_once(tmp_path, capsys, argv):
     assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# argv, and what the full table's parser makes of it: a namespace ("ns"),
+# a usage error ("error") or a printed help or version and its exit ("exit")
+PARSE_CORPUS = [
+    (["gen", "--index", "3,2", "--out", "m.esm"], "ns"),
+    (["gen", "--rows", "12", "--out", "m.esm"], "ns"),
+    (["gen", "--extend", "12", "--out", "m.esm"], "ns"),
+    (["gen", "--ternary", "5,1,1", "--out", "m.esm"], "ns"),
+    (["verify", "m.esm"], "ns"),
+    (["bench", "sweep", "--index", "11,5", "--kmax", "3", "--trials", "5", "--out", "s"], "ns"),
+    (["bench", "sweep", "--family", "gaussian", "--m", "20", "--M", "40",
+      "--levels", "1,2", "--solver", "bp", "--seed", "3", "--out", "s"], "ns"),
+    (["bench", "phase", "--M", "121", "--rows", "22,33", "--fraction", "0.5",
+      "--family", "gaussian", "--out", "p"], "ns"),
+    (["bench", "recon", "--image", "i.pgm", "--rows", "32", "--patch", "8",
+      "--family", "bernoulli", "--out", "r"], "ns"),
+    (["recover", "--matrix", "m.esm", "--y", "y.csv", "--k", "3", "--solver", "bp",
+      "--out", "x.csv"], "ns"),
+    (["cbir", "index", "--images", "d", "--rows", "32", "--patch", "8", "--out", "db"], "ns"),
+    (["cbir", "query", "--db", "db", "--image", "q.pgm", "--topn", "3"], "ns"),
+    (["cbir", "score", "--db", "db", "--queries", "q"], "ns"),
+    # a required option or positional missing
+    (["gen", "--index", "3,2"], "error"),
+    (["gen", "--out", "m.esm"], "error"),
+    (["verify"], "error"),
+    (["bench", "phase", "--rows", "22", "--out", "p"], "error"),
+    (["cbir", "index", "--images", "d", "--out", "db"], "error"),
+    # both of a mutually exclusive pair
+    (["gen", "--index", "3,2", "--rows", "6", "--out", "m.esm"], "error"),
+    (["bench", "sweep", "--index", "3,2", "--kmax", "3", "--levels", "1", "--out", "s"], "error"),
+    # a bad choice
+    (["bench", "sweep", "--family", "cauchy", "--out", "s"], "error"),
+    (["bench", "phase", "--M", "9", "--rows", "6", "--family", "ternary", "--out", "p"], "error"),
+    (["recover", "--matrix", "m", "--y", "y", "--solver", "lasso", "--out", "x"], "error"),
+    # a value that is not an integer
+    (["gen", "--rows", "six", "--out", "m.esm"], "error"),
+    (["cbir", "query", "--db", "db", "--image", "q.pgm", "--topn", "many"], "error"),
+    # an unrecognized argument
+    (["gen", "--index", "3,2", "--format", "csv", "--out", "m.csv"], "error"),
+    (["verify", "a.esm", "b.esm"], "error"),
+    (["gen", "--version"], "error"),
+    # a missing or unknown subcommand
+    (["bench"], "error"),
+    (["cbir"], "error"),
+    (["bench", "nope"], "error"),
+    (["cbir", "--topn", "3"], "error"),
+    # no command: nothing, an option, --, an unknown name
+    ([], "error"),
+    (["--", "gen", "--index", "3,2", "--out", "m.esm"], "error"),
+    (["nope", "gen"], "error"),
+    (["--verbose", "gen"], "error"),
+    # help before the command, after it and after a subcommand, and version
+    (["-h"], "exit"),
+    (["--help"], "exit"),
+    (["--version"], "exit"),
+    (["-h", "gen"], "exit"),
+    (["--version", "bench", "sweep"], "exit"),
+    (["gen", "-h"], "exit"),
+    (["bench", "-h"], "exit"),
+    (["bench", "-h", "sweep"], "exit"),
+    (["bench", "sweep", "-h"], "exit"),
+    (["cbir", "--help", "index"], "exit"),
+    (["cbir", "score", "--help"], "exit"),
+]
+
+
+def _parse_outcome(parser, argv, capsys):
+    """The namespace argv parses to, its usage error's message, or the
+    exit code and stdout of a help or version."""
+    capsys.readouterr()
+    try:
+        return "ns", vars(parser.parse_args(argv))
+    except errors.InvalidInput as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", (exc.code, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv, kind", PARSE_CORPUS,
+                         ids=["_".join(argv) or "no_argv" for argv, _ in PARSE_CORPUS])
+def test_parser_of_argv_parses_it_as_the_full_table(capsys, argv, kind):
+    full = _parse_outcome(cli.build_parser(), argv, capsys)
+    assert full[0] == kind
+    if kind == "exit":
+        assert full[1][0] == 0 and full[1][1]
+    assert _parse_outcome(cli.build_parser(argv), argv, capsys) == full
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The names of the subparsers built since the list was last cleared."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    return built
+
+
+def test_main_builds_only_the_parsers_of_its_command(tmp_path, built_parsers):
+    cli.build_parser()
+    assert len(built_parsers) == 11
+    out = str(tmp_path / "m.esm")
+    for argv, names in [
+            (["gen", "--index", "3,2", "--out", out], ["gen"]),
+            (["verify", out], ["verify"]),
+            (["bench", "sweep", "--index", "3,2", "--kmax", "1", "--trials", "1",
+              "--out", str(tmp_path / "s")], ["bench", "sweep"])]:
+        built_parsers.clear()
+        assert run(argv) == 0
+        assert built_parsers == names
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys, built_parsers):
+    # the path of the eulercs console script and of python -m eulercs.cli
+    out = str(tmp_path / "m.esm")
+    monkeypatch.setattr(sys, "argv", ["eulercs", "gen", "--index", "3,2", "--out", out])
+    assert main() == 0
+    assert load_esm(out).M == 9
+    assert built_parsers == ["gen"]
+    monkeypatch.setattr(sys, "argv", ["eulercs", "bench", "-h"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert "{sweep,phase,recon}" in capsys.readouterr().out
