@@ -294,8 +294,10 @@ def build_ternary(p: int, i: int = 1, j: int = 1) -> SensingMatrix:
 #
 # One renderer makes the column lines.  Each number's token ("%d " or
 # "%d\n", and "%d:" for a ternary row) is gathered from a table of
-# null-padded fixed-width bytes, built once per matrix, and a block of
-# about _BLOCK_VALUES numbers becomes text with one tobytes().  One
+# null-padded fixed-width bytes, built once per matrix, at an intp index
+# scaled in place, the line-end suffix added to the last column alone.
+# A block of about _BLOCK_VALUES numbers becomes text with one tobytes(),
+# and bytes.translate drops its null padding in one pass.  One
 # comparator reads bytes back against those blocks, one at a time: bytes
 # equal to them hold exactly that matrix, as the render is injective.
 # `verify` runs it on a file and the matrix its provenance builds
@@ -329,14 +331,21 @@ def _tokenizer(numbers, suffixes, shift=0):
         used = np.unique(numbers)
         values, index = used.tolist(), lambda block: np.searchsorted(used, block)
     digits = np.array(" ".join(str(v + shift) for v in values).encode().split())
-    n, w, k = len(suffixes), digits.itemsize, numbers.shape[1]
+    n, w = len(suffixes), digits.itemsize
     # a token is its digits, null padding, then its suffix
     table = np.zeros((digits.size, n, w + 1), dtype=np.uint8)
     table[:, :, :w] = digits.view(np.uint8).reshape(-1, 1, w)
     table[:, :, w] = np.frombuffer(b"".join(suffixes), dtype=np.uint8)
     table = table.view(f"S{w + 1}").ravel()
-    suffix = (np.arange(k) == k - 1) * (n - 1)
-    return lambda block: table.take(index(block) * n + suffix)
+
+    def tokens(block):
+        # whole-block passes on the fresh intp index: a length-k suffix row
+        # broadcast over the block runs k numbers per inner loop
+        codes = index(block)
+        codes *= n
+        codes[:, -1] += n - 1
+        return table.take(codes)
+    return tokens
 
 
 def _column_text(rows, vals, ternary):
@@ -355,7 +364,7 @@ def _column_text(rows, vals, ternary):
         tokens = row_tokens(rows[b:b + per_block])
         if ternary:
             tokens = np.stack([tokens, val_tokens(vals[b:b + per_block])], axis=-1)
-        yield tokens.tobytes().replace(b"\0", b"")
+        yield tokens.tobytes().translate(None, b"\0")
 
 
 def _head_text(m, M, k, alphabet, provenance) -> bytes:

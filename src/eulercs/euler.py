@@ -120,11 +120,15 @@ def euler_square(n: int, k: int) -> EulerSquare:
 
 def first_repeat(a, b, span: int):
     """Index of the second occurrence of the smallest pair (a[i], b[i]) that
-    repeats, or None: one bincount of span**2 codes, a and b in 0..span-1,
-    formed in int64 whatever the integer types of a and b."""
-    codes = np.multiply(a, span, dtype=np.int64)
+    repeats, or None; a and b hold integers in 0..span-1, whatever their
+    types.  The codes a*span + b are formed in one intp array, and one
+    scatter into a bool table of span**2 entries decides whether any
+    repeats; only a repeat is sorted, to find its index."""
+    codes = np.multiply(a, span, dtype=np.intp)
     np.add(codes, b, out=codes, casting="unsafe")     # b's type may be uint64
-    if np.bincount(codes).max() <= 1:
+    seen = np.zeros(span * span, dtype=bool)
+    seen[codes] = True
+    if np.count_nonzero(seen) == codes.size:
         return None
     order = np.argsort(codes, kind="stable")
     return int(order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1])

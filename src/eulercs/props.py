@@ -121,6 +121,19 @@ def _columns_meeting(table, rows) -> np.ndarray:
     return meets
 
 
+def _first_meeting(table, rows, start: int):
+    """The first column from `start` on of the supports `rows` that holds a
+    row where `table` is True, or None.  The columns are read through
+    _columns_meeting in blocks of 64, 128, 256, ... columns, so a hit h
+    columns past `start` is found by reading at most 2h + 64 columns."""
+    size = 64
+    while start < len(rows):
+        if (meets := _columns_meeting(table, rows[start:start + size])).any():
+            return start + int(np.argmax(meets))
+        start, size = start + size, 2 * size
+    return None
+
+
 def _shares_a_row_pair(rows, m: int) -> bool:
     """Whether two columns of the supports `rows`, rows below m, share two
     rows: by `first_repeat` per position pair where positions hold disjoint
@@ -162,15 +175,11 @@ def _row_pair_extrema(mat: SensingMatrix):
     # the first column holding a row of degree > 1, and j the first
     # other column holding one of i's rows (j > i, or j would itself be
     # a sharing column before i)
-    sharing = _columns_meeting(_degrees(rows, m) > 1, rows)
-    if not sharing.any():
+    if (i := _first_meeting(_degrees(rows, m) > 1, rows, 0)) is None:
         return 0.0, (0, 1)
-    i = int(np.argmax(sharing))
     of_i = np.zeros(m, dtype=bool)
     of_i[rows[i]] = True
-    holds = _columns_meeting(of_i, rows)
-    holds[i] = False
-    return 1.0, (i, int(np.argmax(holds)))
+    return 1.0, (i, _first_meeting(of_i, rows, i + 1))
 
 
 def coherence(mat: SensingMatrix) -> CoherenceReport:

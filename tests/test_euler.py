@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from eulercs.errors import Infeasible, InvalidInput
 from eulercs.euler import (EulerSquare, ValidationReport, euler_square,
-                           factorize, macneish_product, mols_prime_power,
-                           validate_euler_square)
+                           factorize, first_repeat, macneish_product,
+                           mols_prime_power, validate_euler_square)
 from eulercs.fields import build_field, is_prime
 
 # the printed index-(3,2) square, cell tuples row by row
@@ -326,3 +326,46 @@ def test_narrow_layers_at_type_boundaries(n, k, dtype):
     assert validate_euler_square(E).ok
     for p, r, q in factorize(n).components:
         assert mols_prime_power(build_field(p, r), k).cells.dtype == np.min_scalar_type(-q)
+
+
+def _first_repeat_int64(a, b, span):
+    """first_repeat by one bincount of int64 codes: the reference."""
+    codes = np.multiply(a, span, dtype=np.int64)
+    np.add(codes, b, out=codes, casting="unsafe")
+    if np.bincount(codes).max() <= 1:
+        return None
+    order = np.argsort(codes, kind="stable")
+    return int(order[np.nonzero(np.diff(codes[order]) == 0)[0][0] + 1])
+
+
+# the types callers pass: a square's int8 and int16 layers, coherence's
+# uint16 rows minus lo, verify's intp coordinates; and a uint64 b
+@pytest.mark.parametrize("span, a_type, b_type", [
+    (span, a, b) for span in (2, 15, 16, 255, 256, 257)
+    for a, b in ((np.int8, np.int8), (np.int16, np.int16), (np.uint16, np.uint16),
+                 (np.intp, np.intp), (np.intp, np.uint64))
+    if np.iinfo(a).max >= span - 1],
+    ids=lambda v: getattr(v, "__name__", str(v)))
+def test_first_repeat_matches_the_int64_count(span, a_type, b_type):
+    rng = np.random.default_rng(span)
+    size = span * span
+
+    def both(codes):
+        a, b = np.divmod(codes, span)
+        a, b = a.astype(a_type), b.astype(b_type)
+        found = first_repeat(a, b, span)
+        assert found == _first_repeat_int64(a, b, span)
+        return found
+
+    square = rng.permutation(size)      # every pair once, as in a proved square
+    assert both(square) is None
+    # one repeat planted at the first, a middle and the last index: the
+    # first takes a later pair, so its second occurrence is that pair's
+    for where in (0, size // 2, size - 1):
+        planted = square.copy()
+        source = int(rng.integers(1, size)) if where == 0 else int(rng.integers(0, where))
+        planted[where] = planted[source]
+        assert both(planted) == max(where, source)
+    # draws with several repeats: the smallest repeated pair is reported
+    for length in (size // 2 + 1, 2 * size):
+        assert both(rng.integers(0, size, length)) is not None

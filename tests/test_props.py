@@ -403,6 +403,26 @@ def test_disjoint_ranges_wider_than_the_columns_are_sorted():
     assert peak < 2 ** 25
 
 
+@pytest.mark.parametrize("shares, pair", [
+    # (a, b): column b takes column a's second row
+    ([(700, 701)], (700, 701)),
+    # j is the first column meeting i, past the scan's first blocks,
+    # though 5 and 6 share a row before it
+    ([(0, 3500), (5, 6)], (0, 3500)),
+    ([(700, 2500), (800, 900)], (700, 2500)),
+    ([], (0, 1)),
+], ids=["i_past_0", "j_past_first_blocks", "both", "none_shared"])
+def test_row_pair_extrema_matches_the_gram_scan_on_thousands_of_columns(shares, pair):
+    # column c holds rows 2c and 2c + 1, each its own but for the shares
+    M = 4000
+    columns = np.arange(2 * M).reshape(M, 2)
+    for a, b in shares:
+        columns[b] = sorted((columns[b, 0], columns[a, 1]))
+    mat = binary(2 * M, columns)
+    found = props._row_pair_extrema(mat)
+    assert found == props._gram_scan(mat) == (float(bool(shares)), pair)
+
+
 @pytest.mark.parametrize("m", [16, 17, 256, 257, 65536, 65537])
 def test_row_pair_codes_at_the_type_boundaries(m):
     # the last two rows give the largest code, m*m - m - 1; at m = 2**b + 1
